@@ -27,8 +27,8 @@ from .exceptions import (ConfigError, DomainError, NumericsError, FormatError,
                          SwarmModelError, ValidationError)
 from .model import (Curve, EstimatorSettings, RunConfig, curve_to_json, derive,
                     load_config, serialize_config)
-from .simulate import (StftConfig, estimate_acf, estimate_psd, save_ensemble,
-                       simulate_ensemble, spectrogram)
+from .simulate import (StftConfig, estimate_acf_streamed, estimate_psd,
+                       save_ensemble, simulate_ensemble, spectrogram)
 from .svgplot import heatmap_svg, line_svg
 
 EXIT_OK = 0
@@ -287,7 +287,9 @@ def cmd_validate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     n_real = args.n if args.n is not None else config.estimator.n_realizations
     seed = config.estimator.seed
-    ensemble = simulate_ensemble(params, grid, n_real, seed, n_workers=args.workers)
+    acf_hat, acf_ta = estimate_acf_streamed(params, grid, n_real, seed,
+                                            time_average=params.speed_variance > 0.0,
+                                            n_workers=args.workers)
     outputs = []
     advisories = []
     report = {
@@ -300,7 +302,6 @@ def cmd_validate(args) -> int:
     acf = build_acf(params)
     width = mainlobe_width(params)
     n_window = min(grid.n_samples, math.ceil(20.0 * width / grid.dt) + 1)
-    acf_hat = estimate_acf(ensemble)
     window_lags = acf_hat.x[:n_window]
     reference = acf_eval(acf, window_lags)
     estimate = np.real(acf_hat.y[:n_window])
@@ -323,7 +324,6 @@ def cmd_validate(args) -> int:
 
     psd_pass = True
     if params.speed_variance > 0.0:
-        acf_ta = estimate_acf(ensemble, time_average=True)
         psd_hat = estimate_psd(acf_ta)
         psd = build_psd(params)
         reference_psd = psd.convention_constant * psd_eval(psd, psd_hat.x)
@@ -416,6 +416,16 @@ def cmd_coeffs(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--config", help="path to a JSON configuration document")
@@ -441,20 +451,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--tau-max", type=float, default=None, dest="tau_max",
                    help="largest lag in seconds (default: grid span)")
-    p.add_argument("--points", type=int, default=2001)
+    p.add_argument("--points", type=_positive_int, default=2001)
     p.add_argument("--deterministic", action="store_true",
                    help="also evaluate the deterministic-speed form")
     p.set_defaults(func=cmd_acf)
 
     p = sub.add_parser("psd", help="evaluate the analytic spectral density")
     _add_common(p)
-    p.add_argument("--points", type=int, default=4001)
+    p.add_argument("--points", type=_positive_int, default=4001)
     p.set_defaults(func=cmd_psd)
 
     p = sub.add_parser("simulate", help="generate and persist a signal ensemble")
     _add_common(p)
     p.add_argument("--n", type=int, default=None, help="realization count")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--dtype", choices=("complex64", "complex128"),
                    default="complex64")
     p.add_argument("--spectrogram", action="store_true",
@@ -465,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compare Monte Carlo estimates against the closed forms")
     _add_common(p)
     p.add_argument("--n", type=int, default=None, help="realization count")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("coeffs", help="study the series coefficients")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import struct
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -20,7 +21,9 @@ from .model import Curve, SamplingGrid, SwarmParams, derive
 
 _ENSEMBLE_MAGIC = b"SWEN"
 _ENSEMBLE_VERSION = 1
-_CHUNK_ROWS = 256
+# realizations per block: 32 rows of 8,192-point spectra stay in cache, and
+# even a 64-realization ensemble splits across two workers
+_CHUNK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -67,21 +70,40 @@ def synthesize(state: SwarmState, params: SwarmParams, grid: SamplingGrid) -> np
     times the cosine of its rotation angle; rotor returns are rotated by the
     projection phase and summed.  Output is complex128 of length
     ``grid.n_samples``.
+
+    With an even blade count, blade ``b + n_blades/2`` is half a turn from
+    blade ``b``, so its phasor is the complex conjugate and the pair sums to
+    the real ``2*cos(m*cos(angle))``.  Odd blade counts take the real and
+    imaginary parts blade by blade.
     """
     if state.initial_angles.shape != (params.n_drones, params.n_rotors):
         raise ValidationError(
             f"state shape {state.initial_angles.shape} does not match "
             f"(n_drones, n_rotors)=({params.n_drones}, {params.n_rotors})"
         )
-    d = derive(params)
-    t = grid.times()
-    base = state.initial_angles[..., None] + state.rotor_speeds[..., None] * t
-    acc = np.zeros(base.shape, dtype=np.complex128)
-    for b in range(params.n_blades):
-        angle = base + (2.0 * np.pi * b / params.n_blades)
-        acc += np.exp(-1j * d.mod_index * np.cos(angle))
-    rotor_gain = np.exp(-1j * state.projection_phases)[..., None]
-    return params.gain_magnitude * np.sum(rotor_gain * acc, axis=(0, 1))
+    mod_index = derive(params).mod_index
+    n_blades = params.n_blades
+    paired = n_blades % 2 == 0
+    # one row per rotor: its angle at every sample time
+    angles = state.initial_angles.reshape(-1, 1) \
+        + state.rotor_speeds.reshape(-1, 1) * grid.times()
+    re = im = 0.0
+    for b in range(n_blades // 2 if paired else n_blades):
+        phase = np.cos(angles + 2.0 * np.pi * b / n_blades)
+        phase *= mod_index
+        re = re + np.cos(phase)
+        if not paired:
+            im = im - np.sin(phase)
+    # rotate each rotor by exp(-1j * projection phase) and sum the rotors
+    cos_p = np.cos(state.projection_phases).ravel()
+    sin_p = np.sin(state.projection_phases).ravel()
+    y = np.empty(grid.n_samples, dtype=np.complex128)
+    y.real = np.einsum("k,kt->t", cos_p, re)
+    y.imag = -np.einsum("k,kt->t", sin_p, re)
+    if not paired:
+        y.real += np.einsum("k,kt->t", sin_p, im)
+        y.imag += np.einsum("k,kt->t", cos_p, im)
+    return (2.0 if paired else 1.0) * params.gain_magnitude * y
 
 
 @dataclass(frozen=True)
@@ -114,6 +136,52 @@ def realization_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
 
 
+def _check_ensemble_request(n_realizations, dtype) -> np.dtype:
+    if isinstance(n_realizations, bool) or not isinstance(n_realizations, int) \
+            or n_realizations < 1:
+        raise ValidationError(f"n_realizations must be >= 1, got {n_realizations!r}")
+    dtype = np.dtype(dtype)
+    if dtype not in (np.dtype(np.complex64), np.dtype(np.complex128)):
+        raise ValidationError(f"dtype must be complex64 or complex128, got {dtype}")
+    return dtype
+
+
+def _blocks(params: SwarmParams, grid: SamplingGrid, n_realizations: int,
+            master_seed: int, n_workers: int, dtype: np.dtype, reduce):
+    """Yield ``reduce(rows)`` for consecutive blocks of realizations, in order.
+
+    Block ``j`` holds realizations ``[j*B, (j+1)*B)`` with ``B = _CHUNK_ROWS``,
+    each synthesized alone and rounded to ``dtype``; the block is built and
+    reduced on one pool thread.  At most ``2 * n_workers + 1`` blocks are in
+    flight, so memory is O(B) whatever ``n_realizations`` is.
+    """
+    def work(lo: int):
+        rows = np.empty((min(_CHUNK_ROWS, n_realizations - lo), grid.n_samples),
+                        dtype=dtype)
+        for i in range(rows.shape[0]):
+            state = sample_state(params, realization_rng(master_seed, lo + i))
+            rows[i] = synthesize(state, params, grid)
+        return reduce(rows)
+
+    starts = range(0, n_realizations, _CHUNK_ROWS)
+    if n_workers <= 1:
+        for lo in starts:
+            yield work(lo)
+        return
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        pending: deque = deque()
+        try:
+            for lo in starts:
+                pending.append(pool.submit(work, lo))
+                if len(pending) > 2 * n_workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
+
+
 def simulate_ensemble(params: SwarmParams, grid: SamplingGrid, n_realizations: int,
                       master_seed: int, *, n_workers: int = 1,
                       dtype=np.complex64) -> Ensemble:
@@ -123,12 +191,7 @@ def simulate_ensemble(params: SwarmParams, grid: SamplingGrid, n_realizations: i
     bit-identical for any ``n_workers``.  ``dtype`` may be complex64 (the
     default, halving memory) or complex128.
     """
-    if isinstance(n_realizations, bool) or not isinstance(n_realizations, int) \
-            or n_realizations < 1:
-        raise ValidationError(f"n_realizations must be >= 1, got {n_realizations!r}")
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.complex64), np.dtype(np.complex128)):
-        raise ValidationError(f"dtype must be complex64 or complex128, got {dtype}")
+    dtype = _check_ensemble_request(n_realizations, dtype)
     try:
         signals = np.empty((n_realizations, grid.n_samples), dtype=dtype)
     except MemoryError as exc:
@@ -136,27 +199,78 @@ def simulate_ensemble(params: SwarmParams, grid: SamplingGrid, n_realizations: i
             f"could not allocate ensemble storage ({n_realizations} x "
             f"{grid.n_samples} {dtype}); 0/{n_realizations} realizations done"
         ) from exc
-
-    def fill(k: int) -> None:
-        state = sample_state(params, realization_rng(master_seed, k))
-        signals[k] = synthesize(state, params, grid)
-
     done = 0
     try:
-        if n_workers <= 1:
-            for k in range(n_realizations):
-                fill(k)
-                done += 1
-        else:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                for _ in pool.map(fill, range(n_realizations)):
-                    done += 1
+        for rows in _blocks(params, grid, n_realizations, master_seed, n_workers,
+                            dtype, reduce=lambda rows: rows):
+            signals[done:done + rows.shape[0]] = rows
+            done += rows.shape[0]
     except MemoryError as exc:
         raise MemoryError(
             f"ensemble generation exhausted memory after {done}/{n_realizations} "
             "realizations"
         ) from exc
     return Ensemble(params=params, grid=grid, master_seed=master_seed, signals=signals)
+
+
+# Each ACF estimator is a per-block partial sum, added up in block-index
+# order, and a final scaling.  estimate_acf (over a stored ensemble) and
+# estimate_acf_streamed (over blocks never stored) share them, so both give
+# the same bits.
+
+def _lag_count(n_samples: int, t_ref_index: int, n_lags: int | None) -> int:
+    if n_lags is None:
+        n_lags = n_samples - t_ref_index
+    if t_ref_index < 0 or n_lags < 1 or t_ref_index + n_lags > n_samples:
+        raise DomainError(
+            f"lag range overflows the grid: t_ref_index={t_ref_index}, "
+            f"n_lags={n_lags}, n_samples={n_samples}"
+        )
+    return n_lags
+
+
+def _acf_partial(time_average: bool, n_samples: int, t_ref_index: int, n_lags: int):
+    """The per-block partial sum of one estimator, as a function of the rows.
+
+    Single reference: ``sum_k y_k(t_ref) * conj(y_k(t_ref + lag))``.  Time
+    average: ``sum_k |FFT y_k|^2`` on a zero-padded length that makes the
+    correlation linear; its inverse transform is the sum of every lagged
+    product (Wiener-Khinchin), taken once at the end.
+    """
+    if time_average:
+        fft_len = 1 << (n_samples + n_lags - 1).bit_length()
+
+        def partial(rows):
+            spectra = np.fft.fft(rows.astype(np.complex128), n=fft_len, axis=1)
+            parts = spectra.view(np.float64)      # re, im interleaved
+            squares = np.einsum("kf,kf->f", parts, parts)
+            return squares[0::2] + squares[1::2]
+    else:
+        def partial(rows):
+            ref = rows[:, t_ref_index:t_ref_index + 1]
+            block = rows[:, t_ref_index:t_ref_index + n_lags]
+            return np.sum(ref * np.conj(block), axis=0, dtype=np.complex128)
+    return partial
+
+
+def _acf_curve(total: np.ndarray, time_average: bool, grid: SamplingGrid,
+               n_real: int, master_seed: int, t_ref_index: int, n_lags: int) -> Curve:
+    """Scale a reduced partial sum into the estimate."""
+    if time_average:
+        counts = (grid.n_samples - np.arange(n_lags)).astype(float)
+        values = np.conj(np.fft.ifft(total)[:n_lags]) / (n_real * counts)
+        estimator = "time_average"
+    else:
+        values = total / n_real
+        estimator = "single_reference"
+    meta = {
+        "n_realizations": n_real,
+        "t_ref_index": t_ref_index,
+        "master_seed": master_seed,
+        "dt_s": grid.dt,
+        "estimator": estimator,
+    }
+    return Curve(axis="lag_s", x=grid.dt * np.arange(n_lags), y=values, meta=meta)
 
 
 def estimate_acf(ensemble: Ensemble, t_ref_index: int = 0, n_lags: int | None = None,
@@ -170,43 +284,42 @@ def estimate_acf(ensemble: Ensemble, t_ref_index: int = 0, n_lags: int | None = 
     stationarity.
     """
     signals = ensemble.signals
+    if signals.shape[0] == 0:
+        raise DomainError("the ensemble holds no realizations")
     n_samples = signals.shape[1]
-    if n_lags is None:
-        n_lags = n_samples - t_ref_index
-    if t_ref_index < 0 or n_lags < 1 or t_ref_index + n_lags > n_samples:
-        raise DomainError(
-            f"lag range overflows the grid: t_ref_index={t_ref_index}, "
-            f"n_lags={n_lags}, n_samples={n_samples}"
-        )
-    n_real = signals.shape[0]
-    acc = np.zeros(n_lags, dtype=np.complex128)
-    if time_average:
-        fft_len = 1 << (n_samples + n_lags - 1).bit_length()
-        for lo in range(0, n_real, _CHUNK_ROWS):
-            rows = signals[lo:lo + _CHUNK_ROWS].astype(np.complex128)
-            spectra = np.fft.fft(rows, n=fft_len, axis=1)
-            ac = np.fft.ifft(spectra * np.conj(spectra), axis=1)[:, :n_lags]
-            acc += np.conj(ac).sum(axis=0)
-        counts = (n_samples - np.arange(n_lags)).astype(float)
-        acc /= n_real * counts
-        estimator = "time_average"
-    else:
-        for lo in range(0, n_real, _CHUNK_ROWS):
-            rows = signals[lo:lo + _CHUNK_ROWS]
-            ref = rows[:, t_ref_index:t_ref_index + 1]
-            block = rows[:, t_ref_index:t_ref_index + n_lags]
-            acc += np.sum(ref * np.conj(block), axis=0, dtype=np.complex128)
-        acc /= n_real
-        estimator = "single_reference"
-    lags = ensemble.grid.dt * np.arange(n_lags)
-    meta = {
-        "n_realizations": n_real,
-        "t_ref_index": t_ref_index,
-        "master_seed": ensemble.master_seed,
-        "dt_s": ensemble.grid.dt,
-        "estimator": estimator,
-    }
-    return Curve(axis="lag_s", x=lags, y=acc, meta=meta)
+    n_lags = _lag_count(n_samples, t_ref_index, n_lags)
+    partial = _acf_partial(time_average, n_samples, t_ref_index, n_lags)
+    total = 0
+    for lo in range(0, signals.shape[0], _CHUNK_ROWS):
+        total = total + partial(signals[lo:lo + _CHUNK_ROWS])
+    return _acf_curve(total, time_average, ensemble.grid, signals.shape[0],
+                      ensemble.master_seed, t_ref_index, n_lags)
+
+
+def estimate_acf_streamed(params: SwarmParams, grid: SamplingGrid, n_realizations: int,
+                          master_seed: int, *, time_average: bool = True,
+                          n_workers: int = 1) -> tuple[Curve, Curve | None]:
+    """Both autocorrelation estimates of an ensemble that is never stored.
+
+    Returns the single-reference estimate and, if ``time_average``, the
+    time-average one (else ``None``), over every lag from reference index 0.
+    Each block of realizations is synthesized and reduced to its partial
+    sums on a pool thread, so memory is O(block) rather than O(ensemble).
+    Rows are rounded to complex64, and the result equals
+    ``estimate_acf(simulate_ensemble(...))`` bit for bit, for any
+    ``n_workers``.
+    """
+    dtype = _check_ensemble_request(n_realizations, np.complex64)
+    n_samples = grid.n_samples
+    flags = (False, True) if time_average else (False,)
+    partials = [_acf_partial(flag, n_samples, 0, n_samples) for flag in flags]
+    totals = [0] * len(partials)
+    for sums in _blocks(params, grid, n_realizations, master_seed, n_workers, dtype,
+                        reduce=lambda rows: [partial(rows) for partial in partials]):
+        totals = [total + part for total, part in zip(totals, sums)]
+    curves = [_acf_curve(total, flag, grid, n_realizations, master_seed, 0, n_samples)
+              for total, flag in zip(totals, flags)]
+    return curves[0], (curves[1] if time_average else None)
 
 
 def estimate_psd(acf_curve: Curve) -> Curve:
@@ -349,22 +462,64 @@ def save_ensemble(path, ensemble: Ensemble) -> None:
         fh.write(np.ascontiguousarray(ensemble.signals).astype(wire_dtype, copy=False).tobytes())
 
 
+def _header_int(header: dict, key: str, minimum: int) -> int:
+    value = header.get(key)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise FormatError(f"container header field {key!r} must be an integer "
+                          f">= {minimum}, got {value!r}")
+    return value
+
+
 def load_ensemble(path) -> Ensemble:
-    """Read an ensemble written by :func:`save_ensemble`."""
+    """Read an ensemble written by :func:`save_ensemble`.
+
+    Raises :class:`FormatError` unless the file is one whole container: the
+    magic and version, a complete JSON header with valid fields and dtype,
+    and a payload of exactly the declared size with nothing after it.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _ENSEMBLE_MAGIC:
             raise FormatError(f"not an ensemble container (magic {magic!r})")
-        version, header_len = struct.unpack("<IQ", fh.read(12))
+        prefix = fh.read(12)
+        if len(prefix) != 12:
+            raise FormatError("truncated container: the version and header length "
+                              f"need 12 bytes, found {len(prefix)}")
+        version, header_len = struct.unpack("<IQ", prefix)
         if version != _ENSEMBLE_VERSION:
             raise FormatError(f"unsupported ensemble container version {version}")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        wire_dtype = "<c8" if header["dtype"] == "complex64" else "<c16"
-        count = header["n_realizations"] * header["n_samples"]
-        payload = np.frombuffer(fh.read(), dtype=wire_dtype, count=count)
-    params = SwarmParams(**header["params"])
-    grid = SamplingGrid(**header["grid"])
-    signals = payload.astype(header["dtype"]).reshape(
-        header["n_realizations"], header["n_samples"])
-    return Ensemble(params=params, grid=grid, master_seed=header["master_seed"],
-                    signals=signals)
+        blob = fh.read(header_len)
+        if len(blob) != header_len:
+            raise FormatError(f"truncated container header: {len(blob)} of "
+                              f"{header_len} bytes")
+        try:
+            header = json.loads(blob.decode("utf-8"))
+        except ValueError as exc:
+            raise FormatError(f"container header is not UTF-8 JSON: {exc}") from None
+        if not isinstance(header, dict):
+            raise FormatError("container header must be a JSON object")
+        wire_dtype = {"complex64": "<c8", "complex128": "<c16"}.get(header.get("dtype"))
+        if wire_dtype is None:
+            raise FormatError(f"container dtype must be complex64 or complex128, "
+                              f"got {header.get('dtype')!r}")
+        n_real = _header_int(header, "n_realizations", 0)
+        n_samples = _header_int(header, "n_samples", 1)
+        master_seed = _header_int(header, "master_seed", 0)
+        try:
+            params = SwarmParams(**header["params"])
+            grid = SamplingGrid(**header["grid"])
+        except (KeyError, TypeError, ValidationError) as exc:
+            raise FormatError(f"container header params/grid are invalid: {exc}") from None
+        if grid.n_samples != n_samples:
+            raise FormatError(f"container grid has {grid.n_samples} samples but the "
+                              f"header declares {n_samples}")
+        n_bytes = n_real * n_samples * np.dtype(wire_dtype).itemsize
+        payload = fh.read(n_bytes)
+        if len(payload) != n_bytes:
+            raise FormatError(f"truncated container payload: {len(payload)} of "
+                              f"{n_bytes} bytes")
+        if fh.read(1):
+            raise FormatError(f"container has bytes after its {n_bytes}-byte payload")
+    signals = np.frombuffer(payload, dtype=wire_dtype).astype(header["dtype"]).reshape(
+        n_real, n_samples)
+    return Ensemble(params=params, grid=grid, master_seed=master_seed, signals=signals)

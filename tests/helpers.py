@@ -38,6 +38,23 @@ def random_params(rng: np.random.Generator, *, sigma_zero=False,
     )
 
 
+def synthesize_per_blade(state: sd.SwarmState, params: sd.SwarmParams,
+                         grid: sd.SamplingGrid) -> np.ndarray:
+    """The return summed blade by blade, one complex phasor per blade.
+
+    The direct form of the model, kept as the reference for the
+    paired-blade kernel of :func:`swarmdoppler.synthesize`.
+    """
+    mod_index = sd.derive(params).mod_index
+    base = state.initial_angles[..., None] + state.rotor_speeds[..., None] * grid.times()
+    acc = np.zeros(base.shape, dtype=np.complex128)
+    for b in range(params.n_blades):
+        angle = base + (2.0 * np.pi * b / params.n_blades)
+        acc += np.exp(-1j * mod_index * np.cos(angle))
+    rotor_gain = np.exp(-1j * state.projection_phases)[..., None]
+    return params.gain_magnitude * np.sum(rotor_gain * acc, axis=(0, 1))
+
+
 def nrmse(estimate: np.ndarray, reference: np.ndarray) -> float:
     """Root-mean-square error normalised by the reference RMS."""
     estimate = np.asarray(estimate, dtype=float)

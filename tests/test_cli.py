@@ -119,6 +119,20 @@ def test_usage_error_exit_code():
     assert main(["frobnicate"]) == 2   # unknown command
 
 
+@pytest.mark.parametrize("argv", [
+    ["acf", "--points", "0"],
+    ["psd", "--points", "-3"],
+    ["simulate", "--workers", "0"],
+    ["validate", "--workers", "0"],
+    ["validate", "--workers", "two"],
+])
+def test_count_flags_below_one_are_usage_errors(tmp_path, argv, capsys):
+    code = main(argv + ["--preset", "mavic-like", "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "argument --" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_io_error_exit_code(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("x")

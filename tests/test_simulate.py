@@ -1,11 +1,14 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
 import swarmdoppler as sd
+from swarmdoppler import simulate
 from swarmdoppler.exceptions import DomainError, FormatError, ValidationError
-from helpers import acf_window_lags, mavic_params, nrmse
+from helpers import acf_window_lags, mavic_params, nrmse, synthesize_per_blade
 from conftest import MAVIC_N, MAVIC_SEED
 
 
@@ -75,6 +78,25 @@ def test_synthesize_amplitude_bound():
         assert np.max(np.abs(y)) <= bound * (1.0 + 1e-9)
 
 
+# The per-blade form rounds angle + 2*pi*b/n_blades near 150 rad (spacing
+# 2.8e-14) and multiplies by mod_index 88, so each blade may move by ~2.5e-12;
+# measured: 3.2e-13 per scatterer for even blade counts, 3e-16 for odd.
+KERNEL_TOL_PER_SCATTERER = 2.5e-12
+
+
+@pytest.mark.parametrize("n_blades", [1, 2, 3, 4])
+def test_synthesize_matches_per_blade_reference(n_blades):
+    params = mavic_params(n_drones=2, n_blades=n_blades, gain_magnitude=1.3)
+    grid = sd.default_grid(params)
+    scatterers = params.n_drones * params.n_rotors * n_blades
+    tol = KERNEL_TOL_PER_SCATTERER * params.gain_magnitude * scatterers
+    for k in range(5):
+        state = sd.sample_state(params, sd.realization_rng(3, k))
+        y = sd.synthesize(state, params, grid)
+        assert y.dtype == np.complex128 and y.shape == (grid.n_samples,)
+        assert np.max(np.abs(y - synthesize_per_blade(state, params, grid))) <= tol
+
+
 def test_synthesize_rejects_mismatched_state():
     params, state = static_scatterer()
     grid = sd.SamplingGrid(t_start=0.0, dt=1e-4, n_samples=4)
@@ -113,7 +135,45 @@ def test_ensemble_validation():
         sd.simulate_ensemble(params, grid, 2, 1, dtype=np.float64)
 
 
+def test_ensemble_rows_are_single_realizations_rounded():
+    params = mavic_params(n_blades=3)
+    grid = small_grid(params, 64)
+    ens = sd.simulate_ensemble(params, grid, simulate._CHUNK_ROWS + 2, 5, n_workers=2)
+    for k in (0, simulate._CHUNK_ROWS, simulate._CHUNK_ROWS + 1):
+        alone = sd.synthesize(sd.sample_state(params, sd.realization_rng(5, k)),
+                              params, grid)
+        assert np.array_equal(ens.signals[k], alone.astype(np.complex64))
+
+
 # ---------------------------------------------------------------- estimators
+
+@pytest.mark.parametrize("n_workers", [1, 2, 3])
+def test_streamed_estimates_equal_materialized(n_workers):
+    # more than two blocks, the last one partial
+    params = mavic_params(n_rotors=2)
+    grid = small_grid(params, 64)
+    n = 2 * simulate._CHUNK_ROWS + 5
+    ens = sd.simulate_ensemble(params, grid, n, 17)
+    single, averaged = sd.estimate_acf_streamed(params, grid, n, 17, n_workers=n_workers)
+    for streamed, stored in ((single, sd.estimate_acf(ens)),
+                             (averaged, sd.estimate_acf(ens, time_average=True))):
+        assert np.array_equal(streamed.x, stored.x)
+        assert np.array_equal(streamed.y, stored.y)
+        assert streamed.meta == stored.meta
+    alone, none = sd.estimate_acf_streamed(params, grid, n, 17, time_average=False,
+                                           n_workers=n_workers)
+    assert none is None
+    assert np.array_equal(alone.y, single.y)
+
+
+def test_estimate_acf_rejects_empty_ensemble():
+    params = mavic_params()
+    grid = sd.SamplingGrid(t_start=0.0, dt=1e-4, n_samples=8)
+    ens = sd.Ensemble(params=params, grid=grid, master_seed=0,
+                      signals=np.zeros((0, 8), complex))
+    with pytest.raises(DomainError, match="no realizations"):
+        sd.estimate_acf(ens)
+
 
 def test_estimate_acf_static_scatterer_is_flat():
     params, state = static_scatterer()
@@ -295,6 +355,75 @@ def test_ensemble_container_rejects_garbage(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(FormatError):
+        sd.load_ensemble(path)
+
+
+def saved_container(tmp_path):
+    params = mavic_params()
+    path = tmp_path / "ens.bin"
+    sd.save_ensemble(path, sd.simulate_ensemble(params, small_grid(params, 16), 3, 9))
+    return path
+
+
+def rewrite_header(path, **changes):
+    """Re-encode the container at ``path`` with some header fields changed."""
+    data = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", data[8:16])
+    header = json.loads(data[16:16 + header_len])
+    header.update(changes)
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(data[:8] + struct.pack("<Q", len(blob)) + blob
+                     + data[16 + header_len:])
+
+
+@pytest.mark.parametrize("keep", [10, 16, 40])
+def test_load_ensemble_rejects_truncated_header(tmp_path, keep):
+    path = saved_container(tmp_path)
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(FormatError, match="truncated"):
+        sd.load_ensemble(path)
+
+
+def test_load_ensemble_rejects_truncated_payload(tmp_path):
+    path = saved_container(tmp_path)
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(FormatError, match="payload"):
+        sd.load_ensemble(path)
+
+
+def test_load_ensemble_rejects_trailing_bytes(tmp_path):
+    path = saved_container(tmp_path)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(FormatError, match="after"):
+        sd.load_ensemble(path)
+
+
+def test_load_ensemble_rejects_bad_dtype(tmp_path):
+    path = saved_container(tmp_path)
+    rewrite_header(path, dtype="float64")
+    with pytest.raises(FormatError, match="dtype"):
+        sd.load_ensemble(path)
+
+
+@pytest.mark.parametrize("changes", [
+    {"n_realizations": -1}, {"n_realizations": "3"}, {"n_samples": 0},
+    {"master_seed": True}, {"params": {"n_drones": 1}}, {"params": [1, 2]},
+    {"grid": {"t_start": 0.0, "dt": -1.0, "n_samples": 16}},
+    {"grid": {"t_start": 0.0, "dt": 1e-4, "n_samples": 8}},
+])
+def test_load_ensemble_rejects_bad_header_fields(tmp_path, changes):
+    path = saved_container(tmp_path)
+    rewrite_header(path, **changes)
+    with pytest.raises(FormatError):
+        sd.load_ensemble(path)
+
+
+def test_load_ensemble_rejects_malformed_header_json(tmp_path):
+    path = saved_container(tmp_path)
+    data = bytearray(path.read_bytes())
+    data[16] = 0xFF
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match="JSON"):
         sd.load_ensemble(path)
 
 
