@@ -22,8 +22,8 @@ from .analytic import (AcfSeries, PsdMixture, SpectralLine, build_acf,
                        coefficient_power_fraction)
 from .simulate import (SwarmState, Ensemble, StftConfig, Spectrogram,
                        sample_state, synthesize, simulate_ensemble,
-                       realization_rng, estimate_acf, estimate_acf_streamed,
-                       estimate_psd, spectrogram, save_ensemble, load_ensemble)
+                       realization_rng, estimate_acf, estimate_psd,
+                       spectrogram, save_ensemble, load_ensemble)
 
 __all__ = [
     "__version__",
@@ -41,6 +41,5 @@ __all__ = [
     "psd_line_spectrum", "coefficient_power_fraction",
     "SwarmState", "Ensemble", "StftConfig", "Spectrogram", "sample_state",
     "synthesize", "simulate_ensemble", "realization_rng", "estimate_acf",
-    "estimate_acf_streamed", "estimate_psd", "spectrogram", "save_ensemble",
-    "load_ensemble",
+    "estimate_psd", "spectrogram", "save_ensemble", "load_ensemble",
 ]

@@ -27,7 +27,7 @@ from .exceptions import (ConfigError, DomainError, NumericsError, FormatError,
                          SwarmModelError, ValidationError)
 from .model import (Curve, EstimatorSettings, RunConfig, curve_to_json, derive,
                     load_config, serialize_config)
-from .simulate import (StftConfig, estimate_acf_streamed, estimate_psd,
+from .simulate import (StftConfig, _estimate_acf_streamed, estimate_psd,
                        save_ensemble, simulate_ensemble, spectrogram)
 from .svgplot import heatmap_svg, line_svg
 
@@ -287,9 +287,8 @@ def cmd_validate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     n_real = args.n if args.n is not None else config.estimator.n_realizations
     seed = config.estimator.seed
-    acf_hat, acf_ta = estimate_acf_streamed(params, grid, n_real, seed,
-                                            time_average=params.speed_variance > 0.0,
-                                            n_workers=args.workers)
+    acf_hat, acf_ta = _estimate_acf_streamed(params, grid, n_real, seed,
+                                             n_workers=args.workers)
     outputs = []
     advisories = []
     report = {

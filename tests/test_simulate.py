@@ -154,16 +154,25 @@ def test_streamed_estimates_equal_materialized(n_workers):
     grid = small_grid(params, 64)
     n = 2 * simulate._CHUNK_ROWS + 5
     ens = sd.simulate_ensemble(params, grid, n, 17)
-    single, averaged = sd.estimate_acf_streamed(params, grid, n, 17, n_workers=n_workers)
+    single, averaged = simulate._estimate_acf_streamed(params, grid, n, 17,
+                                                       n_workers=n_workers)
     for streamed, stored in ((single, sd.estimate_acf(ens)),
                              (averaged, sd.estimate_acf(ens, time_average=True))):
         assert np.array_equal(streamed.x, stored.x)
         assert np.array_equal(streamed.y, stored.y)
         assert streamed.meta == stored.meta
-    alone, none = sd.estimate_acf_streamed(params, grid, n, 17, time_average=False,
-                                           n_workers=n_workers)
-    assert none is None
-    assert np.array_equal(alone.y, single.y)
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_streamed_estimates_skip_time_average_without_speed_spread(n_workers):
+    params = mavic_params(n_rotors=2, speed_variance=0.0)
+    grid = small_grid(params, 64)
+    n = simulate._CHUNK_ROWS + 3
+    single, averaged = simulate._estimate_acf_streamed(params, grid, n, 17,
+                                                       n_workers=n_workers)
+    assert averaged is None
+    stored = sd.estimate_acf(sd.simulate_ensemble(params, grid, n, 17))
+    assert np.array_equal(single.y, stored.y)
 
 
 def test_estimate_acf_rejects_empty_ensemble():
@@ -381,6 +390,22 @@ def test_load_ensemble_rejects_truncated_header(tmp_path, keep):
     path = saved_container(tmp_path)
     path.write_bytes(path.read_bytes()[:keep])
     with pytest.raises(FormatError, match="truncated"):
+        sd.load_ensemble(path)
+
+
+def test_load_ensemble_rejects_oversized_header_length(tmp_path):
+    # a length field near 2**64 must not reach read(), which allocates first
+    path = saved_container(tmp_path)
+    data = path.read_bytes()
+    path.write_bytes(data[:8] + struct.pack("<Q", 2**63) + data[16:])
+    with pytest.raises(FormatError, match="truncated"):
+        sd.load_ensemble(path)
+
+
+def test_load_ensemble_rejects_oversized_payload_length(tmp_path):
+    path = saved_container(tmp_path)
+    rewrite_header(path, n_realizations=2**60)
+    with pytest.raises(FormatError, match="payload"):
         sd.load_ensemble(path)
 
 
