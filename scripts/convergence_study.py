@@ -17,6 +17,7 @@ import numpy as np
 import swarmdoppler as sd
 from swarmdoppler.cli import PRESETS
 from swarmdoppler.svgplot import line_svg
+from swarmdoppler.validation import acf_window, compare_acf
 
 
 def run(argv=None) -> int:
@@ -30,9 +31,7 @@ def run(argv=None) -> int:
 
     config = sd.load_config(json.dumps(PRESETS["mavic-like"]))
     params, grid = config.params, config.grid
-    acf = sd.build_acf(params)
-    n_window = math.ceil(20.0 * sd.mainlobe_width(params) / grid.dt) + 1
-    reference = sd.acf_eval(acf, grid.dt * np.arange(n_window))
+    n_window = acf_window(params, grid)
 
     print(f"generating {args.n_max} realizations ...", flush=True)
     ensemble = sd.simulate_ensemble(params, grid, args.n_max, args.seed)
@@ -42,9 +41,8 @@ def run(argv=None) -> int:
     while n <= args.n_max:
         subset = sd.Ensemble(params=params, grid=grid, master_seed=args.seed,
                              signals=ensemble.signals[:n])
-        estimate = np.real(sd.estimate_acf(subset, n_lags=n_window).y)
-        err = float(np.sqrt(np.mean((estimate - reference) ** 2))
-                    / np.sqrt(np.mean(reference ** 2)))
+        estimate = sd.estimate_acf(subset, n_lags=n_window)
+        err = compare_acf(params, grid, estimate).nrmse
         counts.append(n)
         errors.append(err)
         print(f"N={n:>6d}  nrmse={err:.4f}")

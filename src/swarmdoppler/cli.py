@@ -27,18 +27,15 @@ from .exceptions import (ConfigError, DomainError, NumericsError, FormatError,
                          SwarmModelError, ValidationError)
 from .model import (Curve, EstimatorSettings, RunConfig, curve_to_json, derive,
                     load_config, serialize_config)
-from .simulate import (StftConfig, _estimate_acf_streamed, estimate_psd,
-                       save_ensemble, simulate_ensemble, spectrogram)
+from .simulate import StftConfig, save_ensemble, simulate_ensemble, spectrogram
 from .svgplot import heatmap_svg, line_svg
+from .validation import validate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_THRESHOLD = 4
 
-ACF_NRMSE_MAX = 0.05
-PSD_NRMSE_MAX = 0.10
-CONSISTENCY_MAX = 1e-6
 POWER_FRACTIONS = (0.5, 0.9, 0.95, 0.99)
 
 # co-sized with a small commercial quadcopter; grid and estimator defaults
@@ -143,18 +140,12 @@ def _args_record(args, names) -> dict:
     return {name: getattr(args, name) for name in names}
 
 
-def _rms(values: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.abs(values) ** 2)))
-
-
 def cmd_acf(args) -> int:
     config = _resolve_config(args)
     params = config.params
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     tau_max = config.grid.span if args.tau_max is None else args.tau_max
-    if tau_max < 0:
-        raise ValidationError(f"--tau-max must be >= 0, got {tau_max}")
     taus = np.array([0.0]) if tau_max == 0.0 else np.linspace(0.0, tau_max, args.points)
     acf = build_acf(params)
     width = mainlobe_width(params)
@@ -267,110 +258,35 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _psd_comparison_mask(psd, freqs: np.ndarray):
-    """Bins over the support, away from DC and from under-resolved kernels."""
-    lo, hi = psd_support(psd.params)
-    dfreq = freqs[1] - freqs[0]
-    mask = (np.abs(freqs) <= hi) & (np.abs(freqs) >= 1.5 * dfreq)
-    narrow = psd.stds < 2.0 * dfreq
-    for center, std in zip(psd.centers[narrow], psd.stds[narrow]):
-        half_width = max(5.0 * std, 3.0 * dfreq)
-        mask &= np.abs(np.abs(freqs) - center) > half_width
-    return mask, int(np.count_nonzero(narrow))
+def _overlay_svg(path: Path, comparison, title: str, xlabel: str,
+                 ylabel: str) -> Path:
+    line_svg([(comparison.x, comparison.reference, "analytic"),
+              (comparison.x, comparison.estimate, "monte carlo")],
+             title=title, xlabel=xlabel, ylabel=ylabel, path=path)
+    return path
 
 
 def cmd_validate(args) -> int:
     config = _resolve_config(args)
-    params = config.params
-    grid = config.grid
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     n_real = args.n if args.n is not None else config.estimator.n_realizations
-    seed = config.estimator.seed
-    acf_hat, acf_ta = _estimate_acf_streamed(params, grid, n_real, seed,
-                                             n_workers=args.workers)
-    outputs = []
-    advisories = []
-    report = {
-        "n_realizations": n_real,
-        "master_seed": seed,
-        "thresholds": {"acf_nrmse": ACF_NRMSE_MAX, "psd_nrmse": PSD_NRMSE_MAX,
-                       "sigma_zero_consistency": CONSISTENCY_MAX},
-    }
-
-    acf = build_acf(params)
-    width = mainlobe_width(params)
-    n_window = min(grid.n_samples, math.ceil(20.0 * width / grid.dt) + 1)
-    window_lags = acf_hat.x[:n_window]
-    reference = acf_eval(acf, window_lags)
-    estimate = np.real(acf_hat.y[:n_window])
-    acf_nrmse = _rms(estimate - reference) / _rms(reference)
-    acf_pass = bool(acf_nrmse <= ACF_NRMSE_MAX)
-    report["acf"] = {
-        "estimator": "single_reference",
-        "nrmse": acf_nrmse,
-        "pass": acf_pass,
-        "window_lags": int(n_window),
-        "window_span_s": float(window_lags[-1]),
-        "mainlobe_width_s": width,
-    }
-    svg = out_dir / "acf_overlay.svg"
-    line_svg([(window_lags, reference, "analytic"),
-              (window_lags, estimate, "monte carlo")],
-             title=f"autocorrelation overlay (N={n_real})",
-             xlabel="lag (s)", ylabel="autocorrelation", path=svg)
-    outputs.append(svg)
-
-    psd_pass = True
-    if params.speed_variance > 0.0:
-        psd_hat = estimate_psd(acf_ta)
-        psd = build_psd(params)
-        reference_psd = psd.convention_constant * psd_eval(psd, psd_hat.x)
-        mask, n_narrow = _psd_comparison_mask(psd, psd_hat.x)
-        psd_nrmse = _rms(psd_hat.y[mask] - reference_psd[mask]) / _rms(reference_psd[mask])
-        psd_pass = bool(psd_nrmse <= PSD_NRMSE_MAX)
-        report["psd"] = {
-            "estimator": "time_average",
-            "nrmse": psd_nrmse,
-            "pass": psd_pass,
-            "bins_compared": int(np.count_nonzero(mask)),
-            "narrow_kernels_excluded": n_narrow,
-        }
-        svg = out_dir / "psd_overlay.svg"
-        line_svg([(psd_hat.x[mask], reference_psd[mask], "analytic"),
-                  (psd_hat.x[mask], psd_hat.y[mask], "monte carlo")],
-                 title=f"spectral density overlay (N={n_real})",
-                 xlabel="angular frequency (rad/s)", ylabel="density", path=svg)
-        outputs.append(svg)
-    else:
-        taus = np.linspace(0.0, 10.0 * width, 1000)
-        series_vals = acf_eval(acf, taus)
-        exact_vals = acf_deterministic_eval(params, taus)
-        rel = float(np.max(np.abs(series_vals - exact_vals))
-                    / abs(acf_eval(acf, 0.0)))
-        consistency_pass = bool(rel <= CONSISTENCY_MAX)
-        psd_pass = consistency_pass
-        report["sigma_zero_consistency"] = {
-            "max_relative_error": rel,
-            "pass": consistency_pass,
-        }
-
-    overall = acf_pass and psd_pass
-    if not overall and n_real < 2000:
-        advisories.append(
-            f"insufficient realization count (N={n_real}) for the Monte Carlo "
-            "thresholds; rerun with a larger --n before treating this as a "
-            "model failure"
-        )
-    report["advisories"] = advisories
-    report["overall_pass"] = bool(overall)
-    report_path = out_dir / "report.json"
-    report_path.write_text(json.dumps(report, sort_keys=True, indent=1) + "\n",
+    result = validate(config.params, config.grid, n_real, config.estimator.seed,
+                      n_workers=args.workers)
+    outputs = [_overlay_svg(out_dir / "acf_overlay.svg", result.acf,
+                            f"autocorrelation overlay (N={n_real})",
+                            "lag (s)", "autocorrelation")]
+    if result.psd is not None:
+        outputs.append(_overlay_svg(out_dir / "psd_overlay.svg", result.psd,
+                                    f"spectral density overlay (N={n_real})",
+                                    "angular frequency (rad/s)", "density"))
+    outputs.append(out_dir / "report.json")
+    outputs[-1].write_text(json.dumps(result.report, sort_keys=True, indent=1) + "\n",
                            encoding="utf-8")
-    outputs.append(report_path)
+    overall = result.report["overall_pass"]
     _write_manifest(out_dir, "validate", config,
                     _args_record(args, ("n", "workers")), outputs,
-                    {"overall_pass": bool(overall)})
+                    {"overall_pass": overall})
     return EXIT_OK if overall else EXIT_THRESHOLD
 
 
@@ -415,14 +331,24 @@ def cmd_coeffs(args) -> int:
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _checked(cast, accept, expected: str):
+    """An argparse type: ``cast(text)``, which must pass ``accept``."""
+    def parse(text: str):
+        try:
+            value = cast(text)
+            ok = accept(value)
+        except ValueError:
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
+# NaN fails every comparison, so the float checks also reject it
+_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_nonnegative = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
+_positive = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -448,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("acf", help="evaluate the analytic autocorrelation")
     _add_common(p)
-    p.add_argument("--tau-max", type=float, default=None, dest="tau_max",
+    p.add_argument("--tau-max", type=_nonnegative, default=None, dest="tau_max",
                    help="largest lag in seconds (default: grid span)")
     p.add_argument("--points", type=_positive_int, default=2001)
     p.add_argument("--deterministic", action="store_true",
@@ -481,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--max-n", type=int, default=10_000, dest="max_n")
     p.add_argument("--l-sweep", dest="l_sweep", default="10,30,100,300,1000",
-                   type=lambda s: [float(v) for v in s.split(",") if v],
+                   type=lambda s: [_positive(v) for v in s.split(",") if v],
                    help="comma-separated electrical sizes for the power table")
     p.set_defaults(func=cmd_coeffs)
     return parser

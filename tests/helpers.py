@@ -1,6 +1,4 @@
 """Shared test utilities: reference parameter sets, random draws, oracles."""
-import math
-
 import numpy as np
 
 import swarmdoppler as sd
@@ -53,32 +51,6 @@ def synthesize_per_blade(state: sd.SwarmState, params: sd.SwarmParams,
         acc += np.exp(-1j * mod_index * np.cos(angle))
     rotor_gain = np.exp(-1j * state.projection_phases)[..., None]
     return params.gain_magnitude * np.sum(rotor_gain * acc, axis=(0, 1))
-
-
-def nrmse(estimate: np.ndarray, reference: np.ndarray) -> float:
-    """Root-mean-square error normalised by the reference RMS."""
-    estimate = np.asarray(estimate, dtype=float)
-    reference = np.asarray(reference, dtype=float)
-    return float(np.sqrt(np.mean((estimate - reference) ** 2))
-                 / np.sqrt(np.mean(reference ** 2)))
-
-
-def acf_window_lags(params: sd.SwarmParams, grid: sd.SamplingGrid,
-                    widths: float = 20.0) -> int:
-    """Lag count spanning at least ``widths`` main-lobe widths."""
-    return min(grid.n_samples,
-               math.ceil(widths * sd.mainlobe_width(params) / grid.dt) + 1)
-
-
-def psd_comparison_mask(psd: sd.PsdMixture, freqs: np.ndarray):
-    """Support bins away from DC and from kernels narrower than two bins."""
-    _, hi = sd.psd_support(psd.params)
-    dfreq = freqs[1] - freqs[0]
-    mask = (np.abs(freqs) <= hi) & (np.abs(freqs) >= 1.5 * dfreq)
-    narrow = psd.stds < 2.0 * dfreq
-    for center, std in zip(psd.centers[narrow], psd.stds[narrow]):
-        mask &= np.abs(np.abs(freqs) - center) > max(5.0 * std, 3.0 * dfreq)
-    return mask
 
 
 def transform_of_analytic_acf(params: sd.SwarmParams, *, oversample=2.0,

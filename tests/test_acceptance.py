@@ -1,17 +1,18 @@
 """Acceptance gate: one test per criterion, one printed pass/fail line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the summary lines.
-Tolerances are fixed here and nowhere else; reference numbers marked
-"pinned" were computed beforehand with 40-digit arithmetic or an
-independent brute-force oracle.
+Tolerances are fixed here; the last test holds ``validate``'s thresholds
+to them.  A1, A2 and A4 compare through ``swarmdoppler.validation``, as
+``validate`` does.  Reference numbers marked "pinned" were computed
+beforehand with 40-digit arithmetic or an independent brute-force oracle.
 """
 import numpy as np
 import pytest
 import scipy.optimize
 
 import swarmdoppler as sd
-from helpers import (acf_window_lags, mavic_params, fit_convention_constant,
-                     nrmse, psd_comparison_mask, random_params,
+from swarmdoppler import validation
+from helpers import (mavic_params, fit_convention_constant, random_params,
                      transform_of_analytic_acf)
 
 ACF_NRMSE_MAX = 0.05
@@ -37,27 +38,22 @@ def report(tag: str, passed: bool, detail: str) -> None:
 
 
 def test_a1_acf_monte_carlo_match(mavic, mavic_grid, mavic_ensemble):
-    acf = sd.build_acf(mavic)
-    n_window = acf_window_lags(mavic, mavic_grid, widths=20.0)
-    estimate_curve = sd.estimate_acf(mavic_ensemble)
-    lags = estimate_curve.x[:n_window]
-    value = nrmse(np.real(estimate_curve.y[:n_window]), sd.acf_eval(acf, lags))
-    spans = lags[-1] / sd.mainlobe_width(mavic)
+    comparison = validation.compare_acf(mavic, mavic_grid,
+                                        sd.estimate_acf(mavic_ensemble))
+    value = comparison.nrmse
+    spans = comparison.x[-1] / sd.mainlobe_width(mavic)
     report("A1", value <= ACF_NRMSE_MAX,
            f"acf nrmse {value:.4f} <= {ACF_NRMSE_MAX} over {spans:.1f} "
            f"main-lobe widths, N={mavic_ensemble.n_realizations}")
 
 
 def test_a2_psd_monte_carlo_match(mavic, mavic_ensemble):
-    psd = sd.build_psd(mavic)
-    acf_ta = sd.estimate_acf(mavic_ensemble, time_average=True)
-    spectrum = sd.estimate_psd(acf_ta)
-    reference = psd.convention_constant * sd.psd_eval(psd, spectrum.x)
-    mask = psd_comparison_mask(psd, spectrum.x)
-    value = nrmse(spectrum.y[mask], reference[mask])
+    spectrum = sd.estimate_psd(sd.estimate_acf(mavic_ensemble, time_average=True))
+    comparison, _ = validation.compare_psd(mavic, spectrum)
+    value = comparison.nrmse
     report("A2", value <= PSD_NRMSE_MAX,
            f"psd nrmse {value:.4f} <= {PSD_NRMSE_MAX} over "
-           f"{int(mask.sum())} support bins")
+           f"{comparison.x.size} support bins")
 
 
 def test_a3_truncation_cutoff(mavic):
@@ -86,14 +82,7 @@ def test_a4_zero_spread_consistency():
     rng = np.random.default_rng(404)
     cases = [mavic_params(speed_variance=0.0)]
     cases += [random_params(rng, sigma_zero=True) for _ in range(20)]
-    worst = 0.0
-    for params in cases:
-        acf = sd.build_acf(params)
-        taus = np.linspace(0.0, 10.0 * sd.mainlobe_width(params), 1000)
-        series = sd.acf_eval(acf, taus)
-        exact = sd.acf_deterministic_eval(params, taus)
-        worst = max(worst, float(np.max(np.abs(series - exact))
-                                 / abs(sd.acf_eval(acf, 0.0))))
+    worst = max(validation.sigma_zero_error(params) for params in cases)
     report("A4", worst <= CONSISTENCY_MAX,
            f"series vs finite-sum max relative error {worst:.2e} <= "
            f"{CONSISTENCY_MAX} across {len(cases)} parameter sets")
@@ -236,3 +225,8 @@ def test_a10_linearity_and_symmetry_suite():
     report("A10", checked == 100,
            f"linearity, evenness, nonnegativity and boundedness held on "
            f"{checked}/100 random parameter draws")
+
+
+def test_gate_constants_are_the_validate_thresholds():
+    assert (ACF_NRMSE_MAX, PSD_NRMSE_MAX, CONSISTENCY_MAX) == (
+        validation.ACF_NRMSE_MAX, validation.PSD_NRMSE_MAX, validation.CONSISTENCY_MAX)

@@ -6,6 +6,7 @@ import pytest
 
 import swarmdoppler as sd
 from swarmdoppler.cli import main
+from swarmdoppler.validation import validate
 from helpers import MAVIC_LIKE
 
 
@@ -125,6 +126,12 @@ def test_usage_error_exit_code():
     ["simulate", "--workers", "0"],
     ["validate", "--workers", "0"],
     ["validate", "--workers", "two"],
+    ["acf", "--tau-max", "nan"],
+    ["acf", "--tau-max", "inf"],
+    ["acf", "--tau-max", "-1"],
+    ["coeffs", "--l-sweep=-5"],
+    ["coeffs", "--l-sweep", "0"],
+    ["coeffs", "--l-sweep", "nan"],
 ])
 def test_count_flags_below_one_are_usage_errors(tmp_path, argv, capsys):
     code = main(argv + ["--preset", "mavic-like", "--out", str(tmp_path / "run")])
@@ -267,6 +274,17 @@ def test_validate_command_zero_variance_consistency(tmp_path):
     assert report["sigma_zero_consistency"]["pass"] is True
     assert report["sigma_zero_consistency"]["max_relative_error"] <= 1e-6
     assert code in (0, 4)   # the small-N Monte Carlo side may legitimately fail
+
+
+@pytest.mark.parametrize("variance", [27.0, 0.0])
+def test_validate_command_writes_the_library_report(tmp_path, variance):
+    config = write_config(tmp_path, speed_variance=variance, grid={"n_samples": 256},
+                          estimator={"n_realizations": 40, "seed": 2})
+    main(["validate", "--config", str(config), "--out", str(tmp_path / "run")])
+    loaded = sd.load_config(config.read_text())
+    report = validate(loaded.params, loaded.grid, 40, 2).report
+    assert (tmp_path / "run" / "report.json").read_text() == \
+        json.dumps(report, sort_keys=True, indent=1) + "\n"
 
 
 def test_coeffs_command(tmp_path):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import swarmdoppler as sd
-from swarmdoppler import simulate
+from swarmdoppler import simulate, validation
 from swarmdoppler.exceptions import DomainError, FormatError, ValidationError
-from helpers import acf_window_lags, mavic_params, nrmse, synthesize_per_blade
+from helpers import mavic_params, synthesize_per_blade
 from conftest import MAVIC_N, MAVIC_SEED
 
 
@@ -493,15 +493,13 @@ def test_estimator_is_stationary(mavic, mavic_grid, mavic_ensemble):
 
 
 def test_estimator_converges_like_root_n(mavic, mavic_grid, mavic_ensemble):
-    acf = sd.build_acf(mavic)
-    n_window = acf_window_lags(mavic, mavic_grid)
-    reference = sd.acf_eval(acf, mavic_grid.dt * np.arange(n_window))
+    n_window = validation.acf_window(mavic, mavic_grid)
     errors = []
     for n in (100, 1000, 10_000):
         subset = sd.Ensemble(params=mavic, grid=mavic_grid, master_seed=0,
                              signals=mavic_ensemble.signals[:n])
-        est = np.real(sd.estimate_acf(subset, n_lags=n_window).y)
-        errors.append(nrmse(est, reference))
+        est = sd.estimate_acf(subset, n_lags=n_window)
+        errors.append(validation.compare_acf(mavic, mavic_grid, est).nrmse)
     assert errors[0] > errors[1] > errors[2]
     for a, b in zip(errors, errors[1:]):
         ratio = a / b
