@@ -18,11 +18,43 @@ import numpy as np
 
 from .exceptions import DomainError, ValidationError
 from .model import SwarmParams, DerivedParams, band_edge, derive
-from .special import MAX_ORDER, bessel_j, bessel_j_many
+from .special import MAX_ABS_ARG, MAX_ORDER, bessel_j, bessel_j_many
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 # twice the first zero of J_0 (2.404825557695773), rounded
 MAINLOBE_CONSTANT = 4.8
+# exp(-z**2/2) is exactly 0.0 in double precision for |z| > 38.61
+_KERNEL_REACH = 39.0
+
+
+def _finite(values, name: str) -> np.ndarray:
+    """``values`` as a float array; non-finite entries raise DomainError."""
+    arr = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{name} must be finite, got a non-finite value")
+    return arr
+
+
+def _shaped(flat: np.ndarray, like: np.ndarray):
+    """``flat`` in the shape of the input ``like``; a float for a scalar."""
+    return float(flat[0]) if like.ndim == 0 else flat.reshape(like.shape)
+
+
+def _check_envelope(electrical_size: float, size_max: float, form: str) -> None:
+    """Refuse an electrical size beyond the Bessel envelope of ``form``.
+
+    ``size_max`` is the largest electrical size whose Bessel arguments stay
+    within ``|x| <= MAX_ABS_ARG``; the message names it as a blade/wavelength
+    ratio, since the electrical size is ``8*pi*blade/wavelength``.
+    """
+    if not abs(electrical_size) <= size_max:
+        per_ratio = 8.0 * math.pi
+        raise DomainError(
+            f"blade/wavelength {electrical_size / per_ratio:.2f} (electrical size "
+            f"{electrical_size:.6g}) is outside the Bessel envelope of the {form}: "
+            f"blade/wavelength <= {size_max / per_ratio:.2f} "
+            f"(electrical size <= {size_max:g})"
+        )
 
 
 def _prefactor(params: SwarmParams) -> float:
@@ -58,8 +90,10 @@ def harmonic_coefficients(electrical_size: float, n_blades: int, n_max: int) -> 
     Returns c_1..c_n_max.  Orders beyond the Bessel evaluation envelope are
     returned as exact zeros: for any in-envelope argument (<= 2000) the
     squared value at order >= 3000 is below 1e-250 and cannot move a
-    double-precision cumulative sum.
+    double-precision cumulative sum.  An electrical size beyond
+    ``2*MAX_ABS_ARG`` (blade/wavelength 159.15) raises DomainError.
     """
+    _check_envelope(electrical_size, 2.0 * MAX_ABS_ARG, "series form")
     if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 1:
         raise ValidationError(f"n_max must be a positive integer, got {n_max!r}")
     half = electrical_size / 2.0
@@ -109,40 +143,56 @@ def acf_eval(acf: AcfSeries, tau):
     """Evaluate the series autocorrelation at lag(s) ``tau`` (seconds).
 
     Even in ``tau`` by construction.  For nonzero speed spread the value
-    decays to ``dc_level`` at large lags.
+    decays to ``dc_level`` at large lags.  Returns a float for a scalar lag,
+    otherwise an array of the input's shape; a non-finite lag raises
+    :class:`DomainError`.
+
+    The harmonics are summed one at a time in O(n_points) memory:
+    ``cos(n*phi)`` is the real part of a phasor rotated by ``exp(i*phi)``
+    once per term, and each term keeps its exact Gaussian damping.
     """
     p = acf.params
-    t = np.abs(np.asarray(tau, dtype=float))
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    n = np.arange(1, acf.n_terms + 1, dtype=float)
-    base_freq = p.n_blades * p.mean_speed
-    phases = np.outer(n, base_freq * t)
-    damping = np.exp(-0.5 * p.speed_variance * p.n_blades ** 2 * np.outer(n ** 2, t ** 2))
-    series = acf.coefficients @ (np.cos(phases) * damping)
-    values = _prefactor(p) * (acf.j0_squared + 2.0 * series)
-    return float(values[0]) if scalar else values
+    t = _finite(tau, "tau")
+    lags = np.abs(t.ravel())
+    phi = (p.n_blades * p.mean_speed) * lags
+    # a lag so large that the square overflows is fully damped: exp(-inf) = 0;
+    # without spread the std is 0 and the exponent stays 0 at any finite lag
+    with np.errstate(over="ignore"):
+        decay = -0.5 * np.square((p.n_blades * p.speed_std) * lags)
+    step = np.exp(1j * phi)
+    phasor = step.copy()
+    series = np.zeros_like(phi)
+    term = np.empty_like(phi)
+    for n, coeff in enumerate(acf.coefficients, start=1):
+        np.multiply(decay, float(n * n), out=term)
+        np.exp(term, out=term)
+        term *= coeff
+        term *= phasor.real
+        series += term
+        phasor *= step
+    return _shaped(_prefactor(p) * (acf.j0_squared + 2.0 * series), t)
 
 
 def acf_deterministic_eval(params: SwarmParams, tau):
     """Exact autocorrelation for deterministic rotor speed (no truncation).
 
     A finite sum of J_0 terms over blade-index offsets; the speed variance in
-    ``params`` is ignored.
+    ``params`` is ignored.  J_0 takes the full electrical size, so the form
+    refuses blade/wavelength above 79.58 with :class:`DomainError`.  Lags
+    follow the contract of :func:`acf_eval`.
     """
     d = derive(params)
-    t = np.asarray(tau, dtype=float)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
+    _check_envelope(d.electrical_size, MAX_ABS_ARG, "deterministic form")
+    t = _finite(tau, "tau")
     nb = params.n_blades
-    theta = 0.5 * params.mean_speed * t
+    theta = 0.5 * params.mean_speed * t.ravel()
     offsets = np.arange(-(nb - 1), nb)
     mult = (nb - np.abs(offsets)).astype(float)
     args = d.electrical_size * np.sin(theta[None, :] - (np.pi / nb) * offsets[:, None])
     j0_vals = bessel_j(0, args)
     values = (params.gain_magnitude ** 2 * params.n_drones * params.n_rotors) \
         * (mult @ j0_vals)
-    return float(values[0]) if scalar else values
+    return _shaped(values, t)
 
 
 def mainlobe_width(params: SwarmParams) -> float:
@@ -217,18 +267,38 @@ def psd_eval(psd: PsdMixture, freq):
 
     The DC Dirac mass is reported separately in ``psd.dc_weight``, never as a
     density sample.  Mirror kernels are summed pairwise, so the result is
-    exactly even in ``freq``.
+    exactly even in ``freq``.  Returns a float for a scalar frequency,
+    otherwise an array of the input's shape; a non-finite frequency raises
+    :class:`DomainError`.
+
+    Each pair is added, in harmonic order, only on the sorted frequencies
+    within 39 standard deviations of ``+c`` or ``-c``; beyond that both of
+    its kernels are exactly zero in double precision, so the result equals
+    the sum of every pair at every frequency bit for bit, in O(n_points)
+    memory.
     """
-    f = np.asarray(freq, dtype=float)
-    scalar = f.ndim == 0
-    f = np.atleast_1d(f)
-    c = psd.centers[:, None]
-    s = psd.stds[:, None]
-    m = psd.side_masses[:, None]
-    pair = np.exp(-0.5 * ((f[None, :] - c) / s) ** 2) \
-        + np.exp(-0.5 * ((f[None, :] + c) / s) ** 2)
-    values = np.sum(m / (SQRT_TWO_PI * s) * pair, axis=0)
-    return float(values[0]) if scalar else values
+    f = _finite(freq, "freq")
+    flat = f.ravel()
+    order = np.argsort(flat, kind="stable")
+    fs = flat[order]
+    c = psd.centers
+    s = psd.stds
+    scale = psd.side_masses / (SQRT_TWO_PI * s)
+    reach = _KERNEL_REACH * s
+    lo_neg, hi_neg, lo_pos, hi_pos = np.searchsorted(
+        fs, np.stack([-c - reach, -c + reach, c - reach, c + reach]))
+    # the negative window ends where the positive one starts if they overlap
+    hi_neg = np.minimum(hi_neg, lo_pos)
+    acc = np.zeros_like(fs)
+    for k in np.flatnonzero((hi_neg > lo_neg) | (hi_pos > lo_pos)):
+        for a, b in ((lo_neg[k], hi_neg[k]), (lo_pos[k], hi_pos[k])):
+            x = fs[a:b]
+            pair = np.exp(-0.5 * ((x - c[k]) / s[k]) ** 2) \
+                + np.exp(-0.5 * ((x + c[k]) / s[k]) ** 2)
+            acc[a:b] += scale[k] * pair
+    values = np.empty_like(acc)
+    values[order] = acc
+    return _shaped(values, f)
 
 
 def psd_support(params: SwarmParams) -> tuple[float, float]:

@@ -388,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate and persist a signal ensemble")
     _add_common(p)
-    p.add_argument("--n", type=int, default=None, help="realization count")
+    p.add_argument("--n", type=_positive_int, default=None, help="realization count")
     p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--dtype", choices=("complex64", "complex128"),
                    default="complex64")
@@ -399,13 +399,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate",
                        help="compare Monte Carlo estimates against the closed forms")
     _add_common(p)
-    p.add_argument("--n", type=int, default=None, help="realization count")
+    p.add_argument("--n", type=_positive_int, default=None, help="realization count")
     p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("coeffs", help="study the series coefficients")
     _add_common(p)
-    p.add_argument("--max-n", type=int, default=10_000, dest="max_n")
+    p.add_argument("--max-n", type=_positive_int, default=10_000, dest="max_n")
     p.add_argument("--l-sweep", dest="l_sweep", default="10,30,100,300,1000",
                    type=lambda s: [_positive(v) for v in s.split(",") if v],
                    help="comma-separated electrical sizes for the power table")

@@ -2,6 +2,7 @@
 import numpy as np
 
 import swarmdoppler as sd
+from swarmdoppler.analytic import SQRT_TWO_PI
 
 # commercial-quadcopter-sized reference configuration used throughout
 MAVIC_LIKE = dict(n_drones=1, n_rotors=4, n_blades=2, blade_length=0.21,
@@ -93,3 +94,34 @@ def fit_convention_constant(transform_curve, psd: sd.PsdMixture,
                   / np.sum(reference[mask] ** 2))
     rel = np.abs(values[mask] - scale * reference[mask]) / reference[mask]
     return scale, float(rel.max()), int(mask.sum())
+
+
+def acf_eval_outer(acf: sd.AcfSeries, tau):
+    """The series autocorrelation as one (n_terms x n_points) outer product.
+
+    The direct form of the series, kept as the reference for the phasor
+    recurrence of :func:`swarmdoppler.acf_eval`.
+    """
+    p = acf.params
+    t = np.abs(np.asarray(tau, dtype=float)).ravel()
+    n = np.arange(1, acf.n_terms + 1, dtype=float)
+    base_freq = p.n_blades * p.mean_speed
+    phases = np.outer(n, base_freq * t)
+    damping = np.exp(-0.5 * p.speed_variance * p.n_blades ** 2 * np.outer(n ** 2, t ** 2))
+    series = acf.coefficients @ (np.cos(phases) * damping)
+    return sd.analytic._prefactor(p) * (acf.j0_squared + 2.0 * series)
+
+
+def psd_eval_outer(psd: sd.PsdMixture, freq):
+    """The mixture density with every kernel pair at every frequency.
+
+    The direct form of the mixture, kept as the reference for the windowed
+    sum of :func:`swarmdoppler.psd_eval`, which must equal it bit for bit.
+    """
+    f = np.asarray(freq, dtype=float).ravel()
+    c = psd.centers[:, None]
+    s = psd.stds[:, None]
+    m = psd.side_masses[:, None]
+    pair = np.exp(-0.5 * ((f[None, :] - c) / s) ** 2) \
+        + np.exp(-0.5 * ((f[None, :] + c) / s) ** 2)
+    return np.sum(m / (SQRT_TWO_PI * s) * pair, axis=0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import scipy.special
 import swarmdoppler as sd
 from swarmdoppler import validation
 from swarmdoppler.exceptions import DomainError, ValidationError
-from helpers import (mavic_params, fit_convention_constant, random_params,
-                     transform_of_analytic_acf)
+from helpers import (acf_eval_outer, mavic_params, fit_convention_constant,
+                     psd_eval_outer, random_params, transform_of_analytic_acf)
 
 # 40-digit-arithmetic references at the exact float inputs of the reference
 # configuration (blade 0.21 m, wavelength 0.03 m, mean speed 523 rad/s)
@@ -59,7 +60,10 @@ def test_build_acf_doubling_drone_count_scales_exactly():
 
 def test_acf_large_lag_settles_to_floor():
     acf = sd.build_acf(mavic_params())
-    assert sd.acf_eval(acf, 1e6) == acf.dc_level
+    # 1e200 squared overflows: the damping must still read exactly zero
+    assert np.all(sd.acf_eval(acf, np.array([1e6, 1e200])) == acf.dc_level)
+    undamped = sd.build_acf(mavic_params(speed_variance=0.0))
+    assert abs(sd.acf_eval(undamped, 1e200)) <= sd.acf_eval(undamped, 0.0)
 
 
 def test_acf_zero_lag_matches_deterministic_form():
@@ -315,3 +319,116 @@ def test_transform_round_trip_matches_mixture():
     assert abs(scale - psd.convention_constant) <= 1e-3
     assert max_rel <= 0.01
     assert n_bins > 1000
+
+
+# blade/wavelength 148.5 with two blades: a 1121-term series
+RATIO_150 = dict(blade_length=0.03 * 148.5, wavelength=0.03)
+SWARMS = {f"{nb} blades": dict(n_blades=nb) for nb in (1, 2, 3, 4)}
+SWARMS["ratio 150"] = RATIO_150
+
+
+def _argument_cases(scale: float) -> dict:
+    """Evaluation points around +-scale in every layout the evaluators accept."""
+    x = np.random.default_rng(41).uniform(-1.5 * scale, 1.5 * scale, 240)
+    return {
+        "unsorted": x,
+        "descending": np.sort(x)[::-1],
+        "duplicates": np.repeat(x[:40], 3),
+        "far": np.array([1e150, -scale, 0.0, -1e150, scale]),
+        "scalar": float(x[0]),
+        "empty": np.array([]),
+        "2-D": x.reshape(4, 60),
+    }
+
+
+@pytest.mark.parametrize("swarm", SWARMS)
+def test_psd_eval_equals_the_pairwise_mixture_sum_bit_for_bit(swarm):
+    params = mavic_params(**SWARMS[swarm])
+    psd = sd.build_psd(params)
+    for case, freqs in _argument_cases(sd.psd_support(params)[1]).items():
+        values = sd.psd_eval(psd, freqs)
+        assert np.shape(values) == np.shape(freqs), case
+        # numpy reduces an (n_terms x 1) product pairwise, not in harmonic
+        # order, so the reference always gets a second point
+        reference = psd_eval_outer(psd, np.append(freqs, 0.0))[:-1]
+        assert np.array_equal(np.ravel(values), reference), case
+
+
+@pytest.mark.parametrize("variance", [27.0, 0.0])
+@pytest.mark.parametrize("swarm", SWARMS)
+def test_acf_eval_matches_the_outer_product_series(swarm, variance):
+    acf = sd.build_acf(mavic_params(speed_variance=variance, **SWARMS[swarm]))
+    scale = abs(sd.acf_eval(acf, 0.0))
+    for case, taus in _argument_cases(8.0 * np.pi / acf.params.mean_speed).items():
+        if case == "far":
+            taus = np.array([1e6, -1e-3, 0.0, -1e6, 1e-3])
+        values = sd.acf_eval(acf, taus)
+        assert np.shape(values) == np.shape(taus), case
+        gap = np.abs(np.ravel(values) - acf_eval_outer(acf, taus))
+        assert np.all(gap <= 1e-12 * scale), case
+
+
+@pytest.mark.parametrize("evaluate, build, span", [
+    (sd.acf_eval, sd.build_acf, lambda params: (0.0, 2e-2)),
+    (sd.psd_eval, sd.build_psd, sd.psd_support),
+])
+def test_evaluator_memory_does_not_grow_with_the_term_count(evaluate, build, span):
+    params = mavic_params(**RATIO_150)
+    assert sd.build_acf(params).n_terms == 1121
+    model = build(params)
+    points = np.linspace(*span(params), 20_001)
+    tracemalloc.start()
+    try:
+        evaluate(model, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (n_terms x n_points) outer products peaked at ~538 MB here
+    assert peak < 8 * 2 ** 20
+
+
+EVALUATORS = {
+    "acf_eval": lambda params, x: sd.acf_eval(sd.build_acf(params), x),
+    "psd_eval": lambda params, x: sd.psd_eval(sd.build_psd(params), x),
+    "acf_deterministic_eval": sd.acf_deterministic_eval,
+}
+
+
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_evaluators_return_the_input_shape(name):
+    params = mavic_params()
+    grid = np.linspace(0.0, 3e-4, 6).reshape(2, 3)
+    values = EVALUATORS[name](params, grid)
+    assert values.shape == (2, 3)
+    assert np.array_equal(values.ravel(), EVALUATORS[name](params, grid.ravel()))
+    assert isinstance(EVALUATORS[name](params, 1e-4), float)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_evaluators_refuse_non_finite_arguments(name, bad):
+    argument = "freq" if name == "psd_eval" else "tau"
+    with pytest.raises(DomainError, match=f"{argument} must be finite"):
+        EVALUATORS[name](mavic_params(), np.array([0.0, bad, 1e-4]))
+
+
+def test_series_refuses_beyond_its_envelope_naming_the_limit():
+    beyond = mavic_params(blade_length=0.03 * 160.0, wavelength=0.03)
+    for build in (sd.build_acf, sd.build_psd):
+        with pytest.raises(DomainError, match=r"blade/wavelength 160\.00 .*<= 159\.15"):
+            build(beyond)
+    with pytest.raises(DomainError, match=r"<= 159\.15"):
+        sd.psd_line_spectrum(mavic_params(speed_variance=0.0, blade_length=4.8,
+                                          wavelength=0.03))
+    with pytest.raises(DomainError, match=r"electrical size <= 4000"):
+        sd.coefficient_power_fraction(4000.5, 2, 0.9)
+    assert sd.build_acf(mavic_params(blade_length=0.03 * 159.0)).n_terms > 0
+
+
+def test_deterministic_form_refuses_beyond_its_envelope_naming_the_limit():
+    near = mavic_params(speed_variance=0.0, blade_length=0.03 * 79.5, wavelength=0.03)
+    assert math.isfinite(sd.acf_deterministic_eval(near, 1e-4))
+    beyond = mavic_params(speed_variance=0.0, blade_length=0.03 * 80.0, wavelength=0.03)
+    # refused up front, even at lags whose J_0 arguments would stay in range
+    with pytest.raises(DomainError, match=r"blade/wavelength 80\.00 .*<= 79\.58"):
+        sd.acf_deterministic_eval(beyond, 0.0)

@@ -132,12 +132,23 @@ def test_usage_error_exit_code():
     ["coeffs", "--l-sweep=-5"],
     ["coeffs", "--l-sweep", "0"],
     ["coeffs", "--l-sweep", "nan"],
+    ["validate", "--n", "0"],
+    ["simulate", "--n", "0"],
+    ["coeffs", "--max-n", "-2"],
+    ["coeffs", "--max-n", "0"],
 ])
 def test_count_flags_below_one_are_usage_errors(tmp_path, argv, capsys):
     code = main(argv + ["--preset", "mavic-like", "--out", str(tmp_path / "run")])
     assert code == 2
     assert "argument --" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_coeffs_sweep_beyond_the_series_envelope_names_the_limit(tmp_path, capsys):
+    code = main(["coeffs", "--preset", "mavic-like", "--l-sweep", "5000",
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "blade/wavelength <= 159.15" in capsys.readouterr().err
 
 
 def test_io_error_exit_code(tmp_path, capsys):
