@@ -35,6 +35,12 @@ def _finite(values, name: str) -> np.ndarray:
     return arr
 
 
+def _phase_overflow(tau: np.ndarray) -> DomainError:
+    """The error for lags whose rotor phase overflows float64."""
+    return DomainError(f"tau too large: the rotor phase at |tau| = "
+                       f"{float(np.max(np.abs(tau)))!r} s overflows float64")
+
+
 def _shaped(flat: np.ndarray, like: np.ndarray):
     """``flat`` in the shape of the input ``like``; a float for a scalar."""
     return float(flat[0]) if like.ndim == 0 else flat.reshape(like.shape)
@@ -145,7 +151,9 @@ def acf_eval(acf: AcfSeries, tau):
     Even in ``tau`` by construction.  For nonzero speed spread the value
     decays to ``dc_level`` at large lags.  Returns a float for a scalar lag,
     otherwise an array of the input's shape; a non-finite lag raises
-    :class:`DomainError`.
+    :class:`DomainError`, and so does a lag whose rotor phase overflows
+    float64 (beyond ~1e305 s) unless the speeds spread, which damps it to
+    ``dc_level``.
 
     The harmonics are summed one at a time in O(n_points) memory:
     ``cos(n*phi)`` is the real part of a phasor rotated by ``exp(i*phi)``
@@ -154,11 +162,19 @@ def acf_eval(acf: AcfSeries, tau):
     p = acf.params
     t = _finite(tau, "tau")
     lags = np.abs(t.ravel())
-    phi = (p.n_blades * p.mean_speed) * lags
     # a lag so large that the square overflows is fully damped: exp(-inf) = 0;
     # without spread the std is 0 and the exponent stays 0 at any finite lag
     with np.errstate(over="ignore"):
+        phi = (p.n_blades * p.mean_speed) * lags
         decay = -0.5 * np.square((p.n_blades * p.speed_std) * lags)
+    overflow = ~np.isfinite(phi)
+    if overflow.any():
+        # past ~1e305 s even the phase overflows: with spread every harmonic
+        # is damped there, without it the value is undefined
+        if p.speed_std == 0.0:
+            raise _phase_overflow(lags)
+        phi[overflow] = 0.0
+        decay[overflow] = -np.inf
     step = np.exp(1j * phi)
     phasor = step.copy()
     series = np.zeros_like(phi)
@@ -185,7 +201,10 @@ def acf_deterministic_eval(params: SwarmParams, tau):
     _check_envelope(d.electrical_size, MAX_ABS_ARG, "deterministic form")
     t = _finite(tau, "tau")
     nb = params.n_blades
-    theta = 0.5 * params.mean_speed * t.ravel()
+    with np.errstate(over="ignore"):
+        theta = 0.5 * params.mean_speed * t.ravel()
+    if not np.all(np.isfinite(theta)):
+        raise _phase_overflow(t)
     offsets = np.arange(-(nb - 1), nb)
     mult = (nb - np.abs(offsets)).astype(float)
     args = d.electrical_size * np.sin(theta[None, :] - (np.pi / nb) * offsets[:, None])

@@ -3,6 +3,8 @@
 Every command writes its data files plus a JSON manifest listing the
 resolved configuration, seed, tool version and the SHA-256 digest of each
 output, so a run can be repeated bit-identically from the manifest alone.
+A command makes every library call before it creates the output directory,
+so a command that fails leaves no output behind.
 Exit codes: 0 success, 2 configuration or usage error, 3 I/O error,
 4 validation-threshold failure.
 """
@@ -25,8 +27,8 @@ from .analytic import (build_acf, build_psd, acf_eval, acf_deterministic_eval,
                        truncation_index)
 from .exceptions import (ConfigError, DomainError, NumericsError, FormatError,
                          SwarmModelError, ValidationError)
-from .model import (Curve, EstimatorSettings, RunConfig, curve_to_json, derive,
-                    load_config, serialize_config)
+from .model import (Curve, EstimatorSettings, RunConfig, curve_to_csv, curve_to_json,
+                    derive, load_config, serialize_config)
 from .simulate import StftConfig, save_ensemble, simulate_ensemble, spectrogram
 from .svgplot import heatmap_svg, line_svg
 from .validation import validate
@@ -76,21 +78,34 @@ def _resolve_config(args) -> RunConfig:
         config = load_config(text)
     else:
         config = load_config(json.dumps(PRESETS[args.preset]))
-    if args.seed is not None:
+    seed = getattr(args, "seed", None)
+    if seed is not None:
         config = RunConfig(params=config.params, grid=config.grid,
                            estimator=EstimatorSettings(
                                n_realizations=config.estimator.n_realizations,
-                               seed=args.seed))
+                               seed=seed))
     return config
 
 
-def _write_manifest(out_dir: Path, command: str, config: RunConfig,
-                    arguments: dict, outputs: list[Path], extra: dict) -> Path:
+def _make_out_dir(args) -> Path:
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
+# namespace entries that are not recorded as the command's arguments: the
+# configuration source and seed are in the manifest's config, the output
+# directory is where the manifest sits
+_UNRECORDED = frozenset({"command", "func", "config", "preset", "out", "seed"})
+
+
+def _write_manifest(out_dir: Path, args, config: RunConfig, outputs: list[Path],
+                    extra: dict) -> Path:
     manifest = {
         "tool": "swarmdoppler",
         "version": __version__,
-        "command": command,
-        "arguments": arguments,
+        "command": args.command,
+        "arguments": {k: v for k, v in vars(args).items() if k not in _UNRECORDED},
         "config": json.loads(serialize_config(config)),
         "created_utc": _utc_now(),
         "outputs": [{"path": p.name, "sha256": _sha256(p)} for p in sorted(outputs)],
@@ -102,104 +117,63 @@ def _write_manifest(out_dir: Path, command: str, config: RunConfig,
     return path
 
 
-def _freq_display(freqs: np.ndarray, hz: bool):
-    if hz:
-        return freqs / (2.0 * np.pi), "frequency_hz"
-    return freqs, "angular_frequency_rad_per_s"
-
-
 def _write_table(path: Path, header: str, columns) -> None:
     rows = zip(*columns)
     lines = [header] + [",".join(repr(float(v)) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_curve_file(out_dir: Path, stem: str, curve: Curve, fmt: str,
-                      hz: bool) -> Path:
-    if curve.axis == "angular_frequency_rad_per_s":
-        x, xname = _freq_display(curve.x, hz)
-    else:
-        x, xname = curve.x, curve.axis
+def _write_curve(out_dir: Path, stem: str, curve: Curve, fmt: str) -> Path:
     if fmt == "json":
-        path = out_dir / f"{stem}.json"
-        doc = json.loads(curve_to_json(curve))
-        doc["axis"] = xname
-        doc["x"] = [float(v) for v in x]
-        path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n",
-                        encoding="utf-8")
+        path, text = out_dir / f"{stem}.json", curve_to_json(curve) + "\n"
     else:
-        path = out_dir / f"{stem}.csv"
-        y = np.asarray(curve.y)
-        _write_table(path, f"{xname},y_re,y_im",
-                     (x, np.real(y), np.imag(y) if curve.is_complex
-                      else np.zeros(len(x))))
+        path, text = out_dir / f"{stem}.csv", curve_to_csv(curve)
+    path.write_text(text, encoding="utf-8")
     return path
-
-
-def _args_record(args, names) -> dict:
-    return {name: getattr(args, name) for name in names}
 
 
 def cmd_acf(args) -> int:
     config = _resolve_config(args)
     params = config.params
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     tau_max = config.grid.span if args.tau_max is None else args.tau_max
     taus = np.array([0.0]) if tau_max == 0.0 else np.linspace(0.0, tau_max, args.points)
     acf = build_acf(params)
     width = mainlobe_width(params)
     meta = {"kind": "acf_series", "n_terms": acf.n_terms,
             "mainlobe_width_s": width}
-    curve = Curve(axis="lag_s", x=taus, y=acf_eval(acf, taus), meta=meta)
-    outputs = [_write_curve_file(out_dir, "acf", curve, args.format, hz=False)]
-    series = [(curve.x, np.real(curve.y), "series")]
+    curves = {"acf": ("series", Curve(axis="lag_s", x=taus, y=acf_eval(acf, taus),
+                                      meta=meta))}
     if params.speed_variance == 0.0 or args.deterministic:
-        det = Curve(axis="lag_s", x=taus, y=acf_deterministic_eval(params, taus),
-                    meta={"kind": "acf_deterministic"})
-        outputs.append(_write_curve_file(out_dir, "acf_deterministic", det,
-                                         args.format, hz=False))
-        series.append((det.x, np.real(det.y), "deterministic speed"))
+        curves["acf_deterministic"] = (
+            "deterministic speed",
+            Curve(axis="lag_s", x=taus, y=acf_deterministic_eval(params, taus),
+                  meta={"kind": "acf_deterministic"}))
+    out_dir = _make_out_dir(args)
+    outputs = [_write_curve(out_dir, stem, curve, args.format)
+               for stem, (_, curve) in curves.items()]
     svg = out_dir / "acf.svg"
     vlines = [(width, "main lobe width")] if 0 < width <= (tau_max or width) else []
-    line_svg(series, title="return autocorrelation", xlabel="lag (s)",
+    line_svg([(curve.x, np.real(curve.y), label) for label, curve in curves.values()],
+             title="return autocorrelation", xlabel="lag (s)",
              ylabel="autocorrelation", vlines=vlines, path=svg)
     outputs.append(svg)
-    _write_manifest(out_dir, "acf", config,
-                    _args_record(args, ("tau_max", "points", "deterministic",
-                                        "format")),
-                    outputs, {"mainlobe_width_s": width})
+    _write_manifest(out_dir, args, config, outputs, {"mainlobe_width_s": width})
     return EXIT_OK
 
 
 def cmd_psd(args) -> int:
     config = _resolve_config(args)
     params = config.params
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     lo, hi = psd_support(params)
-    outputs = []
-    if params.speed_variance == 0.0:
-        lines = psd_line_spectrum(params)
-        freqs = np.array([ln.frequency for ln in lines])
-        weights = np.array([ln.weight for ln in lines])
-        x, xname = _freq_display(freqs, args.hz)
-        table = out_dir / "psd_lines.csv"
-        _write_table(table, f"{xname},weight", (x, weights))
-        outputs.append(table)
-        svg = out_dir / "psd.svg"
-        line_svg([], stems=list(zip(x, weights)),
-                 vlines=[(_freq_display(np.array([lo]), args.hz)[0][0], "support"),
-                         (_freq_display(np.array([hi]), args.hz)[0][0], "")],
-                 title="line spectrum (deterministic rotor speed)",
-                 xlabel=xname, ylabel="line power", path=svg)
-        outputs.append(svg)
-        extra = {
-            "support_rad_s": [lo, hi],
-            "line_count": len(lines),
-            "line_spacing_rad_s": params.n_blades * params.mean_speed,
-        }
-        manifest_args = _args_record(args, ("points", "format", "hz"))
+    extra = {"support_rad_s": [lo, hi]}
+    line_spectrum = params.speed_variance == 0.0
+    if line_spectrum:
+        spectrum = psd_line_spectrum(params)
+        curve = Curve(axis="angular_frequency_rad_per_s",
+                      x=[ln.frequency for ln in spectrum],
+                      y=[ln.weight for ln in spectrum])
+        extra.update(line_count=len(spectrum),
+                     line_spacing_rad_s=params.n_blades * params.mean_speed)
     else:
         psd = build_psd(params)
         freqs = np.linspace(lo, hi, args.points)
@@ -208,51 +182,50 @@ def cmd_psd(args) -> int:
                       meta={"kind": "psd_mixture",
                             "dc_dirac_weight": psd.dc_weight,
                             "convention_constant": psd.convention_constant})
-        outputs.append(_write_curve_file(out_dir, "psd", curve, args.format, args.hz))
-        svg = out_dir / "psd.svg"
-        x, xname = _freq_display(freqs, args.hz)
-        edge_lo = _freq_display(np.array([lo]), args.hz)[0][0]
-        edge_hi = _freq_display(np.array([hi]), args.hz)[0][0]
-        line_svg([(x, np.real(curve.y), "mixture density")],
-                 vlines=[(edge_lo, "support"), (edge_hi, "")],
+        extra.update(dc_dirac_weight=psd.dc_weight,
+                     convention_constant=psd.convention_constant)
+    edges = np.array([lo, hi])
+    if args.hz:
+        curve = Curve(axis="frequency_hz", x=curve.x / (2.0 * np.pi), y=curve.y,
+                      meta=curve.meta)
+        edges = edges / (2.0 * np.pi)
+    vlines = [(edges[0], "support"), (edges[1], "")]
+    out_dir = _make_out_dir(args)
+    svg = out_dir / "psd.svg"
+    if line_spectrum:
+        table = out_dir / "psd_lines.csv"
+        _write_table(table, f"{curve.axis},weight", (curve.x, curve.y))
+        line_svg([], stems=list(zip(curve.x, curve.y)), vlines=vlines,
+                 title="line spectrum (deterministic rotor speed)",
+                 xlabel=curve.axis, ylabel="line power", path=svg)
+    else:
+        table = _write_curve(out_dir, "psd", curve, args.format)
+        line_svg([(curve.x, np.real(curve.y), "mixture density")], vlines=vlines,
                  title="return power spectral density (continuous part)",
-                 xlabel=xname, ylabel="density", path=svg)
-        outputs.append(svg)
-        extra = {
-            "support_rad_s": [lo, hi],
-            "dc_dirac_weight": psd.dc_weight,
-            "convention_constant": psd.convention_constant,
-        }
-        manifest_args = _args_record(args, ("points", "format", "hz"))
-    _write_manifest(out_dir, "psd", config, manifest_args, outputs, extra)
+                 xlabel=curve.axis, ylabel="density", path=svg)
+    _write_manifest(out_dir, args, config, [table, svg], extra)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
     config = _resolve_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     n_real = args.n if args.n is not None else config.estimator.n_realizations
     dtype = np.complex128 if args.dtype == "complex128" else np.complex64
     ensemble = simulate_ensemble(config.params, config.grid, n_real,
                                  config.estimator.seed, n_workers=args.workers,
                                  dtype=dtype)
-    outputs = []
-    bin_path = out_dir / "ensemble.bin"
-    save_ensemble(bin_path, ensemble)
-    outputs.append(bin_path)
-    if args.spectrogram:
-        spec = spectrogram(ensemble.signals[0].astype(np.complex128),
-                           config.grid, StftConfig())
-        svg = out_dir / "spectrogram.svg"
+    spec = spectrogram(ensemble.signals[0].astype(np.complex128), config.grid,
+                       StftConfig()) if args.spectrogram else None
+    out_dir = _make_out_dir(args)
+    outputs = [out_dir / "ensemble.bin"]
+    save_ensemble(outputs[0], ensemble)
+    if spec is not None:
+        outputs.append(out_dir / "spectrogram.svg")
         heatmap_svg(spec.power, spec.times, spec.freqs,
                     title="spectrogram, realization 0",
                     xlabel="time (s)", ylabel="angular frequency (rad/s)",
-                    path=svg)
-        outputs.append(svg)
-    _write_manifest(out_dir, "simulate", config,
-                    _args_record(args, ("n", "workers", "dtype", "spectrogram")),
-                    outputs,
+                    path=outputs[-1])
+    _write_manifest(out_dir, args, config, outputs,
                     {"n_realizations": n_real, "master_seed": config.estimator.seed,
                      "dtype": str(np.dtype(dtype))})
     return EXIT_OK
@@ -268,11 +241,10 @@ def _overlay_svg(path: Path, comparison, title: str, xlabel: str,
 
 def cmd_validate(args) -> int:
     config = _resolve_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     n_real = args.n if args.n is not None else config.estimator.n_realizations
     result = validate(config.params, config.grid, n_real, config.estimator.seed,
                       n_workers=args.workers)
+    out_dir = _make_out_dir(args)
     outputs = [_overlay_svg(out_dir / "acf_overlay.svg", result.acf,
                             f"autocorrelation overlay (N={n_real})",
                             "lag (s)", "autocorrelation")]
@@ -284,49 +256,37 @@ def cmd_validate(args) -> int:
     outputs[-1].write_text(json.dumps(result.report, sort_keys=True, indent=1) + "\n",
                            encoding="utf-8")
     overall = result.report["overall_pass"]
-    _write_manifest(out_dir, "validate", config,
-                    _args_record(args, ("n", "workers")), outputs,
-                    {"overall_pass": overall})
+    _write_manifest(out_dir, args, config, outputs, {"overall_pass": overall})
     return EXIT_OK if overall else EXIT_THRESHOLD
 
 
 def cmd_coeffs(args) -> int:
     config = _resolve_config(args)
     params = config.params
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     size = derive(params).electrical_size
     cutoff = truncation_index(size, params.n_blades)
     coeffs = harmonic_coefficients(size, params.n_blades, args.max_n)
     index = np.arange(1, args.max_n + 1)
-    outputs = []
+    rows = [(sweep_size, fraction,
+             coefficient_power_fraction(sweep_size, params.n_blades, fraction,
+                                        order="magnitude"),
+             coefficient_power_fraction(sweep_size, params.n_blades, fraction,
+                                        order="index"))
+            for sweep_size in sorted(set(args.l_sweep + [size]))
+            for fraction in POWER_FRACTIONS]
+    out_dir = _make_out_dir(args)
     table = out_dir / "coefficients.csv"
     _write_table(table, "n,coefficient", (index, coeffs))
-    outputs.append(table)
     svg = out_dir / "coefficients.svg"
     line_svg([(index.astype(float), coeffs, "squared-Bessel coefficient")],
              title="series coefficients", xlabel="harmonic index n",
              ylabel="coefficient", ylog=True,
              vlines=[(float(cutoff), f"cutoff n={cutoff}")], path=svg)
-    outputs.append(svg)
-    sweep = sorted(set(args.l_sweep + [size]))
-    rows = []
-    for sweep_size in sweep:
-        for fraction in POWER_FRACTIONS:
-            rows.append((
-                sweep_size, fraction,
-                coefficient_power_fraction(sweep_size, params.n_blades, fraction,
-                                           order="magnitude"),
-                coefficient_power_fraction(sweep_size, params.n_blades, fraction,
-                                           order="index"),
-            ))
     ptable = out_dir / "power_fractions.csv"
     lines = ["electrical_size,fraction,k_magnitude_order,k_index_order"]
     lines += [f"{s!r},{f!r},{km},{ki}" for s, f, km, ki in rows]
     ptable.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    outputs.append(ptable)
-    _write_manifest(out_dir, "coeffs", config,
-                    _args_record(args, ("max_n", "l_sweep")), outputs,
+    _write_manifest(out_dir, args, config, [table, svg, ptable],
                     {"truncation_index": cutoff, "electrical_size": size})
     return EXIT_OK
 
@@ -351,18 +311,24 @@ _nonnegative = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 
 _positive = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+# flags that only some commands take: --seed where random numbers are drawn,
+# --format where a curve file is written, --hz where frequencies are shown
+_OPTIONAL_FLAGS = {
+    "seed": dict(type=int, default=None, help="override the estimator seed"),
+    "format": dict(choices=("csv", "json"), default="csv", help="data file format"),
+    "hz": dict(action="store_true",
+               help="display frequencies in Hz instead of rad/s"),
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, *optional: str) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--config", help="path to a JSON configuration document")
     source.add_argument("--preset", choices=sorted(PRESETS),
                         help="named built-in parameter set")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the estimator seed")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="data file format")
-    parser.add_argument("--hz", action="store_true",
-                        help="display frequencies in Hz instead of rad/s")
+    for name in optional:
+        parser.add_argument(f"--{name}", **_OPTIONAL_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("acf", help="evaluate the analytic autocorrelation")
-    _add_common(p)
+    _add_common(p, "format")
     p.add_argument("--tau-max", type=_nonnegative, default=None, dest="tau_max",
                    help="largest lag in seconds (default: grid span)")
     p.add_argument("--points", type=_positive_int, default=2001)
@@ -382,12 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_acf)
 
     p = sub.add_parser("psd", help="evaluate the analytic spectral density")
-    _add_common(p)
+    _add_common(p, "format", "hz")
     p.add_argument("--points", type=_positive_int, default=4001)
     p.set_defaults(func=cmd_psd)
 
     p = sub.add_parser("simulate", help="generate and persist a signal ensemble")
-    _add_common(p)
+    _add_common(p, "seed")
     p.add_argument("--n", type=_positive_int, default=None, help="realization count")
     p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--dtype", choices=("complex64", "complex128"),
@@ -398,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate",
                        help="compare Monte Carlo estimates against the closed forms")
-    _add_common(p)
+    _add_common(p, "seed")
     p.add_argument("--n", type=_positive_int, default=None, help="realization count")
     p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=cmd_validate)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .exceptions import ConfigError, ValidationError
 
-CURVE_AXES = ("lag_s", "angular_frequency_rad_per_s", "time_s")
+CURVE_AXES = ("lag_s", "angular_frequency_rad_per_s", "frequency_hz", "time_s")
 
 DEFAULT_N_SAMPLES = 4001
 DEFAULT_N_REALIZATIONS = 10_000

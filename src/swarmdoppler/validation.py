@@ -13,6 +13,7 @@ import numpy as np
 
 from .analytic import (acf_deterministic_eval, acf_eval, build_acf, build_psd,
                        mainlobe_width, psd_eval, psd_support)
+from .exceptions import DomainError
 from .model import Curve, SamplingGrid, SwarmParams
 from .simulate import _estimate_acf_streamed, estimate_psd
 
@@ -66,6 +67,8 @@ def compare_psd(params: SwarmParams, spectrum: Curve) -> tuple[Comparison, int]:
     Compares the support bins at least 1.5 bins from DC and outside
     ``max(5 std, 3 bins)`` of every kernel narrower than two bins, which the
     bin grid cannot resolve; also returns the count of kernels so excluded.
+    Raises :class:`DomainError` when no bin is left, as on a grid too short
+    to resolve any kernel.
     """
     psd = build_psd(params)
     freqs = spectrum.x
@@ -75,6 +78,11 @@ def compare_psd(params: SwarmParams, spectrum: Curve) -> tuple[Comparison, int]:
     narrow = psd.stds < 2.0 * dfreq
     for center, std in zip(psd.centers[narrow], psd.stds[narrow]):
         mask &= np.abs(np.abs(freqs) - center) > max(5.0 * std, 3.0 * dfreq)
+    if not mask.any():
+        raise DomainError(
+            f"no spectrum bin is left to compare: every bin of {dfreq:.4g} rad/s "
+            f"lies near DC or an unresolved kernel; raise n_samples (the spectrum "
+            f"has {freqs.size} bins)")
     comparison = Comparison(freqs[mask], reference[mask], spectrum.y[mask])
     return comparison, int(np.count_nonzero(narrow))
 

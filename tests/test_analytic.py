@@ -60,10 +60,16 @@ def test_build_acf_doubling_drone_count_scales_exactly():
 
 def test_acf_large_lag_settles_to_floor():
     acf = sd.build_acf(mavic_params())
-    # 1e200 squared overflows: the damping must still read exactly zero
-    assert np.all(sd.acf_eval(acf, np.array([1e6, 1e200])) == acf.dc_level)
+    # 1e200 squared overflows, and at 1e306 so does the phase: the damping
+    # must still read exactly zero
+    assert np.all(sd.acf_eval(acf, np.array([1e6, 1e200, -1e306])) == acf.dc_level)
     undamped = sd.build_acf(mavic_params(speed_variance=0.0))
     assert abs(sd.acf_eval(undamped, 1e200)) <= sd.acf_eval(undamped, 0.0)
+    # without spread a phase that overflows has no value to settle to
+    with pytest.raises(DomainError, match="tau"):
+        sd.acf_eval(undamped, np.array([0.0, 1e306]))
+    with pytest.raises(DomainError, match="tau"):
+        sd.acf_deterministic_eval(mavic_params(speed_variance=0.0), 1e306)
 
 
 def test_acf_zero_lag_matches_deterministic_form():

@@ -144,6 +144,65 @@ def test_count_flags_below_one_are_usage_errors(tmp_path, argv, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["acf", "--seed", "3"],
+    ["acf", "--hz"],
+    ["psd", "--seed", "3"],
+    ["simulate", "--format", "json"],
+    ["simulate", "--hz"],
+    ["validate", "--format", "json"],
+    ["validate", "--hz"],
+    ["coeffs", "--seed", "3"],
+    ["coeffs", "--format", "json"],
+    ["coeffs", "--hz"],
+])
+def test_commands_refuse_flags_they_do_not_read(tmp_path, argv, capsys):
+    code = main(argv + ["--preset", "mavic-like", "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["coeffs", "--l-sweep", "5000"], {}, "blade/wavelength <= 159.15"),
+    (["acf", "--deterministic"], {"blade_length_m": 3.0},   # blade/wavelength 100
+     "blade/wavelength <= 79.58"),
+    (["validate"], {"grid": {"n_samples": 128},             # no PSD bin survives
+                    "estimator": {"n_realizations": 20, "seed": 2}}, "n_samples"),
+])
+def test_failing_command_leaves_no_output_directory(tmp_path, argv, config, message,
+                                                    capsys):
+    path = write_config(tmp_path, **config)
+    code = main(argv + ["--config", str(path), "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_curve_files_are_the_model_serializations(tmp_path):
+    params = sd.SwarmParams(1, 4, 2, 0.21, 0.03, 523.0, 27.0)
+    assert main(["acf", "--preset", "mavic-like", "--tau-max", "0.001",
+                 "--points", "51", "--out", str(tmp_path / "acf")]) == 0
+    acf = sd.build_acf(params)
+    taus = np.linspace(0.0, 0.001, 51)
+    acf_curve = sd.Curve(axis="lag_s", x=taus, y=sd.acf_eval(acf, taus))
+    assert (tmp_path / "acf" / "acf.csv").read_text() == sd.curve_to_csv(acf_curve)
+
+    psd = sd.build_psd(params)
+    freqs = np.linspace(*sd.psd_support(params), 64)
+    meta = {"kind": "psd_mixture", "dc_dirac_weight": psd.dc_weight,
+            "convention_constant": psd.convention_constant}
+    psd_curve = sd.Curve(axis="angular_frequency_rad_per_s", x=freqs,
+                         y=sd.psd_eval(psd, freqs), meta=meta)
+    hz_curve = sd.Curve(axis="frequency_hz", x=freqs / (2.0 * np.pi), y=psd_curve.y)
+    for fmt, hz, name, text in [("json", [], "psd.json", sd.curve_to_json(psd_curve) + "\n"),
+                                ("csv", ["--hz"], "psd.csv", sd.curve_to_csv(hz_curve))]:
+        out = tmp_path / f"psd-{fmt}"
+        assert main(["psd", "--preset", "mavic-like", "--points", "64",
+                     "--format", fmt, "--out", str(out)] + hz) == 0
+        assert (out / name).read_text() == text
+
+
 def test_coeffs_sweep_beyond_the_series_envelope_names_the_limit(tmp_path, capsys):
     code = main(["coeffs", "--preset", "mavic-like", "--l-sweep", "5000",
                  "--out", str(tmp_path / "run")])
