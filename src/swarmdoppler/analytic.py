@@ -18,13 +18,16 @@ import numpy as np
 
 from .exceptions import DomainError, ValidationError
 from .model import SwarmParams, DerivedParams, band_edge, derive
-from .special import MAX_ABS_ARG, MAX_ORDER, bessel_j, bessel_j_many
+from .special import J0_MAX_ABS_ARG, MAX_ABS_ARG, MAX_ORDER, bessel_j, bessel_j_many
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 # twice the first zero of J_0 (2.404825557695773), rounded
 MAINLOBE_CONSTANT = 4.8
 # exp(-z**2/2) is exactly 0.0 in double precision for |z| > 38.61
 _KERNEL_REACH = 39.0
+# float64 phases are a whole radian apart from 2**52 rad on, so no digit of a
+# rotor phase mean_speed*|tau| beyond it is known within its turn
+PHASE_MAX = 2.0 ** 52
 
 
 def _finite(values, name: str) -> np.ndarray:
@@ -35,10 +38,15 @@ def _finite(values, name: str) -> np.ndarray:
     return arr
 
 
-def _phase_overflow(tau: np.ndarray) -> DomainError:
-    """The error for lags whose rotor phase overflows float64."""
-    return DomainError(f"tau too large: the rotor phase at |tau| = "
-                       f"{float(np.max(np.abs(tau)))!r} s overflows float64")
+def _check_phase(mean_speed: float, tau: np.ndarray) -> None:
+    """Refuse lags whose rotor phase ``mean_speed*|tau|`` exceeds PHASE_MAX."""
+    lag = float(np.max(np.abs(tau), initial=0.0))
+    with np.errstate(over="ignore"):
+        phase = np.float64(mean_speed) * lag
+    if not phase <= PHASE_MAX:
+        raise DomainError(f"tau too large: the rotor phase at |tau| = {lag!r} s "
+                          f"exceeds 2**52 rad, past which float64 phases are a "
+                          f"radian apart")
 
 
 def _shaped(flat: np.ndarray, like: np.ndarray):
@@ -50,8 +58,9 @@ def _check_envelope(electrical_size: float, size_max: float, form: str) -> None:
     """Refuse an electrical size beyond the Bessel envelope of ``form``.
 
     ``size_max`` is the largest electrical size whose Bessel arguments stay
-    within ``|x| <= MAX_ABS_ARG``; the message names it as a blade/wavelength
-    ratio, since the electrical size is ``8*pi*blade/wavelength``.
+    within the kernel's range for that form; the message names it as a
+    blade/wavelength ratio, since the electrical size is
+    ``8*pi*blade/wavelength``.
     """
     if not abs(electrical_size) <= size_max:
         per_ratio = 8.0 * math.pi
@@ -151,9 +160,10 @@ def acf_eval(acf: AcfSeries, tau):
     Even in ``tau`` by construction.  For nonzero speed spread the value
     decays to ``dc_level`` at large lags.  Returns a float for a scalar lag,
     otherwise an array of the input's shape; a non-finite lag raises
-    :class:`DomainError`, and so does a lag whose rotor phase overflows
-    float64 (beyond ~1e305 s) unless the speeds spread, which damps it to
-    ``dc_level``.
+    :class:`DomainError`.  At zero spread so does a lag whose rotor phase
+    ``mean_speed*|tau|`` exceeds ``PHASE_MAX`` (2**52 rad; mavic-like
+    beyond 8.6e12 s), where the phase has no correct digit.  With spread
+    such a lag is accepted: the damping settles the value to ``dc_level``.
 
     The harmonics are summed one at a time in O(n_points) memory:
     ``cos(n*phi)`` is the real part of a phasor rotated by ``exp(i*phi)``
@@ -162,17 +172,15 @@ def acf_eval(acf: AcfSeries, tau):
     p = acf.params
     t = _finite(tau, "tau")
     lags = np.abs(t.ravel())
-    # a lag so large that the square overflows is fully damped: exp(-inf) = 0;
-    # without spread the std is 0 and the exponent stays 0 at any finite lag
+    if p.speed_std == 0.0:
+        _check_phase(p.mean_speed, lags)
+    # a lag so large that the square overflows is fully damped: exp(-inf) = 0
     with np.errstate(over="ignore"):
         phi = (p.n_blades * p.mean_speed) * lags
         decay = -0.5 * np.square((p.n_blades * p.speed_std) * lags)
     overflow = ~np.isfinite(phi)
     if overflow.any():
-        # past ~1e305 s even the phase overflows: with spread every harmonic
-        # is damped there, without it the value is undefined
-        if p.speed_std == 0.0:
-            raise _phase_overflow(lags)
+        # past ~1e305 s even the phase overflows, but the spread damps it
         phi[overflow] = 0.0
         decay[overflow] = -np.inf
     step = np.exp(1j * phi)
@@ -193,18 +201,17 @@ def acf_deterministic_eval(params: SwarmParams, tau):
     """Exact autocorrelation for deterministic rotor speed (no truncation).
 
     A finite sum of J_0 terms over blade-index offsets; the speed variance in
-    ``params`` is ignored.  J_0 takes the full electrical size, so the form
-    refuses blade/wavelength above 79.58 with :class:`DomainError`.  Lags
-    follow the contract of :func:`acf_eval`.
+    ``params`` is ignored.  J_0 takes the full electrical size, up to
+    ``J0_MAX_ABS_ARG``, so the form refuses blade/wavelength above 159.15
+    with :class:`DomainError`, as the series form does.  Lags follow the
+    zero-spread contract of :func:`acf_eval`, refused past ``PHASE_MAX``.
     """
     d = derive(params)
-    _check_envelope(d.electrical_size, MAX_ABS_ARG, "deterministic form")
+    _check_envelope(d.electrical_size, J0_MAX_ABS_ARG, "deterministic form")
     t = _finite(tau, "tau")
+    _check_phase(params.mean_speed, t)
     nb = params.n_blades
-    with np.errstate(over="ignore"):
-        theta = 0.5 * params.mean_speed * t.ravel()
-    if not np.all(np.isfinite(theta)):
-        raise _phase_overflow(t)
+    theta = 0.5 * params.mean_speed * t.ravel()
     offsets = np.arange(-(nb - 1), nb)
     mult = (nb - np.abs(offsets)).astype(float)
     args = d.electrical_size * np.sin(theta[None, :] - (np.pi / nb) * offsets[:, None])

@@ -171,7 +171,8 @@ def cmd_psd(args) -> int:
         spectrum = psd_line_spectrum(params)
         curve = Curve(axis="angular_frequency_rad_per_s",
                       x=[ln.frequency for ln in spectrum],
-                      y=[ln.weight for ln in spectrum])
+                      y=[ln.weight for ln in spectrum],
+                      meta={"kind": "psd_line_spectrum"})
         extra.update(line_count=len(spectrum),
                      line_spacing_rad_s=params.n_blades * params.mean_speed)
     else:
@@ -193,8 +194,11 @@ def cmd_psd(args) -> int:
     out_dir = _make_out_dir(args)
     svg = out_dir / "psd.svg"
     if line_spectrum:
-        table = out_dir / "psd_lines.csv"
-        _write_table(table, f"{curve.axis},weight", (curve.x, curve.y))
+        if args.format == "json":
+            table = _write_curve(out_dir, "psd_lines", curve, "json")
+        else:
+            table = out_dir / "psd_lines.csv"
+            _write_table(table, f"{curve.axis},weight", (curve.x, curve.y))
         line_svg([], stems=list(zip(curve.x, curve.y)), vlines=vlines,
                  title="line spectrum (deterministic rotor speed)",
                  xlabel=curve.axis, ylabel="line power", path=svg)

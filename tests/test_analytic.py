@@ -64,12 +64,31 @@ def test_acf_large_lag_settles_to_floor():
     # must still read exactly zero
     assert np.all(sd.acf_eval(acf, np.array([1e6, 1e200, -1e306])) == acf.dc_level)
     undamped = sd.build_acf(mavic_params(speed_variance=0.0))
-    assert abs(sd.acf_eval(undamped, 1e200)) <= sd.acf_eval(undamped, 0.0)
+    # inside the phase-precision cut, 8.6e12 s here
+    assert abs(sd.acf_eval(undamped, 1e12)) <= sd.acf_eval(undamped, 0.0)
     # without spread a phase that overflows has no value to settle to
     with pytest.raises(DomainError, match="tau"):
         sd.acf_eval(undamped, np.array([0.0, 1e306]))
     with pytest.raises(DomainError, match="tau"):
         sd.acf_deterministic_eval(mavic_params(speed_variance=0.0), 1e306)
+
+
+def test_zero_spread_lags_past_the_phase_precision_cut_are_refused():
+    params = mavic_params(speed_variance=0.0)
+    undamped = sd.build_acf(params)
+    cut = sd.analytic.PHASE_MAX / params.mean_speed
+    inside = np.array([0.0, -0.999 * cut])
+    assert np.all(np.isfinite(sd.acf_eval(undamped, inside)))
+    assert np.all(np.isfinite(sd.acf_deterministic_eval(params, inside)))
+    # at 1e300 s the phase is representable but has no correct digit: both
+    # forms returned values (-1.32 and -0.97) instead of refusing
+    for tau in (1e300, np.array([0.0, -1.001 * cut])):
+        with pytest.raises(DomainError, match="tau too large"):
+            sd.acf_eval(undamped, tau)
+        with pytest.raises(DomainError, match="tau too large"):
+            sd.acf_deterministic_eval(params, tau)
+    # with spread the damping settles such lags to the floor
+    assert sd.acf_eval(sd.build_acf(mavic_params()), 1e300) == undamped.dc_level
 
 
 def test_acf_zero_lag_matches_deterministic_form():
@@ -432,9 +451,22 @@ def test_series_refuses_beyond_its_envelope_naming_the_limit():
 
 
 def test_deterministic_form_refuses_beyond_its_envelope_naming_the_limit():
-    near = mavic_params(speed_variance=0.0, blade_length=0.03 * 79.5, wavelength=0.03)
+    near = mavic_params(speed_variance=0.0, blade_length=0.03 * 159.0, wavelength=0.03)
     assert math.isfinite(sd.acf_deterministic_eval(near, 1e-4))
-    beyond = mavic_params(speed_variance=0.0, blade_length=0.03 * 80.0, wavelength=0.03)
+    beyond = mavic_params(speed_variance=0.0, blade_length=0.03 * 160.0, wavelength=0.03)
     # refused up front, even at lags whose J_0 arguments would stay in range
-    with pytest.raises(DomainError, match=r"blade/wavelength 80\.00 .*<= 79\.58"):
+    with pytest.raises(DomainError, match=r"blade/wavelength 160\.00 .*<= 159\.15"):
         sd.acf_deterministic_eval(beyond, 0.0)
+
+
+@pytest.mark.parametrize("n_blades", [2, 3, 5])
+@pytest.mark.parametrize("ratio", [100.0, 150.0, 159.0])
+def test_series_matches_deterministic_form_up_to_the_series_envelope(ratio, n_blades):
+    params = mavic_params(speed_variance=0.0, n_blades=n_blades,
+                          blade_length=0.03 * ratio, wavelength=0.03)
+    acf = sd.build_acf(params)
+    # one revolution sweeps every J_0 argument in [-size, size]
+    taus = np.linspace(0.0, 2.0 * np.pi / params.mean_speed, 4001)
+    gap = np.abs(sd.acf_eval(acf, taus) - sd.acf_deterministic_eval(params, taus))
+    assert np.max(gap) <= validation.CONSISTENCY_MAX * abs(sd.acf_eval(acf, 0.0))
+    assert validation.sigma_zero_error(params) <= validation.CONSISTENCY_MAX

@@ -165,8 +165,8 @@ def test_commands_refuse_flags_they_do_not_read(tmp_path, argv, capsys):
 
 @pytest.mark.parametrize("argv, config, message", [
     (["coeffs", "--l-sweep", "5000"], {}, "blade/wavelength <= 159.15"),
-    (["acf", "--deterministic"], {"blade_length_m": 3.0},   # blade/wavelength 100
-     "blade/wavelength <= 79.58"),
+    (["acf", "--deterministic"], {"blade_length_m": 4.8},   # blade/wavelength 160
+     "blade/wavelength <= 159.15"),
     (["validate"], {"grid": {"n_samples": 128},             # no PSD bin survives
                     "estimator": {"n_realizations": 20, "seed": 2}}, "n_samples"),
 ])
@@ -265,6 +265,28 @@ def test_psd_command_line_spectrum(tmp_path):
     rows = (out / "psd_lines.csv").read_text().splitlines()
     assert rows[0] == "angular_frequency_rad_per_s,weight"
     assert len(rows) == 90
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_psd_line_spectrum_table_follows_the_format(tmp_path, fmt):
+    out = tmp_path / "run"
+    config = write_config(tmp_path, speed_variance=0.0)
+    assert main(["psd", "--config", str(config), "--out", str(out),
+                 "--format", fmt]) == 0
+    manifest = assert_digests_match(out)
+    assert manifest["arguments"]["format"] == fmt
+    assert {path.name for path in out.iterdir()} == \
+        {f"psd_lines.{fmt}", "psd.svg", "manifest.json"}
+    lines = sd.psd_line_spectrum(sd.SwarmParams(1, 4, 2, 0.21, 0.03, 523.0, 0.0))
+    text = (out / f"psd_lines.{fmt}").read_text()
+    if fmt == "json":
+        doc = json.loads(text)
+        assert doc["meta"] == {"kind": "psd_line_spectrum"}
+        assert doc["x"] == [ln.frequency for ln in lines]
+        assert doc["y_re"] == [ln.weight for ln in lines]
+    else:
+        assert text.splitlines()[0] == "angular_frequency_rad_per_s,weight"
+        assert len(text.splitlines()) == len(lines) + 1
 
 
 def test_simulate_command_determinism(tmp_path):

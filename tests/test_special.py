@@ -79,6 +79,33 @@ def test_vector_matches_scalar():
             assert got == pytest.approx(ref, rel=1e-11, abs=1e-13), (n, xv)
 
 
+def test_j0_array_matches_scipy_on_a_dense_grid():
+    xs = np.linspace(0.0, sd.special.J0_MAX_ABS_ARG, 400_001)
+    # scipy.special.j0 is itself up to ~2e-15 from 40-digit references on
+    # [25, 4000]; the expansion there is within 1e-16 and the recurrence
+    # below 25 within 5e-16
+    assert np.max(np.abs(sd.bessel_j(0, xs) - scipy.special.j0(xs))) <= 3e-15
+    assert np.array_equal(sd.bessel_j(0, -xs), sd.bessel_j(0, xs))
+
+
+def test_j0_array_is_continuous_where_the_expansion_takes_over():
+    x0 = sd.special._HANKEL_MIN_ARG
+    below, at = sd.bessel_j(0, np.array([np.nextafter(x0, 0.0), x0]))
+    # |J_0'(25)| ~ 0.13, so one ulp of the argument moves J_0 by ~5e-16
+    assert abs(at - below) <= 1e-15
+    assert at == pytest.approx(sd.bessel_j(0, x0), abs=1e-15)
+
+
+def test_j0_envelope_reaches_twice_the_general_limit():
+    limit = sd.special.J0_MAX_ABS_ARG
+    assert limit == 2.0 * sd.special.MAX_ABS_ARG
+    xs = np.array([-limit, -3000.0, 2000.5, limit])
+    vals = sd.bessel_j(0, xs)
+    assert np.max(np.abs(vals - scipy.special.j0(xs))) <= 3e-15
+    # a scalar beyond the recurrence's range is an array of one
+    assert sd.bessel_j(0, 3000.0) == vals[1]
+
+
 def test_column_matches_scalar():
     col = sd.bessel_j_many(60, 35.5)
     for n in (0, 1, 13, 60):
@@ -96,7 +123,7 @@ def test_recurrence_residual_randomized():
 
 
 @pytest.mark.parametrize("n,x", [(-1, 1.0), (3001, 1.0), (2.5, 1.0),
-                                 (5, 2000.5), (5, float("nan"))])
+                                 (5, 2000.5), (5, float("nan")), (0, 4000.5)])
 def test_envelope_refusals(n, x):
     with pytest.raises(DomainError):
         sd.bessel_j(n, x)
