@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Monte Carlo convergence of the autocorrelation estimate.
 
-Generates one large ensemble for the mavic-like preset and measures the
-normalised RMS error of the single-reference estimator against the closed
-form as the realization count grows, confirming the expected inverse
-square-root trend.  Writes a CSV table and an SVG plot.
+Streams realizations of the mavic-like preset into one single-reference
+estimate and, each time the realization count doubles, measures its
+normalised RMS error against the closed form, confirming the expected
+inverse square-root trend.  No ensemble is stored, so memory is O(block).
+Writes a CSV table and an SVG plot.
 """
 import argparse
 import json
@@ -31,18 +32,13 @@ def run(argv=None) -> int:
 
     config = sd.load_config(json.dumps(PRESETS["mavic-like"]))
     params, grid = config.params, config.grid
-    n_window = acf_window(params, grid)
-
-    print(f"generating {args.n_max} realizations ...", flush=True)
-    ensemble = sd.simulate_ensemble(params, grid, args.n_max, args.seed)
+    estimate = sd.AcfAccumulator(grid, n_lags=acf_window(params, grid))
 
     counts, errors = [], []
     n = 100
     while n <= args.n_max:
-        subset = sd.Ensemble(params=params, grid=grid, master_seed=args.seed,
-                             signals=ensemble.signals[:n])
-        estimate = sd.estimate_acf(subset, n_lags=n_window)
-        err = compare_acf(params, grid, estimate).nrmse
+        sd.accumulate(params, grid, args.seed, [estimate], estimate.n_realizations, n)
+        err = compare_acf(params, grid, estimate.curve()).nrmse
         counts.append(n)
         errors.append(err)
         print(f"N={n:>6d}  nrmse={err:.4f}")

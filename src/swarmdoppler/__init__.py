@@ -22,8 +22,9 @@ from .analytic import (AcfSeries, PsdMixture, SpectralLine, build_acf,
                        coefficient_power_fraction)
 from .simulate import (SwarmState, Ensemble, StftConfig, Spectrogram,
                        sample_state, synthesize, simulate_ensemble,
-                       realization_rng, estimate_acf, estimate_psd,
-                       spectrogram, save_ensemble, load_ensemble)
+                       realization_rng, AcfAccumulator, accumulate,
+                       estimate_acf, estimate_psd, spectrogram, save_ensemble,
+                       load_ensemble)
 
 __all__ = [
     "__version__",
@@ -40,6 +41,7 @@ __all__ = [
     "harmonic_coefficients", "build_psd", "psd_eval", "psd_support",
     "psd_line_spectrum", "coefficient_power_fraction",
     "SwarmState", "Ensemble", "StftConfig", "Spectrogram", "sample_state",
-    "synthesize", "simulate_ensemble", "realization_rng", "estimate_acf",
+    "synthesize", "simulate_ensemble", "realization_rng", "AcfAccumulator",
+    "accumulate", "estimate_acf",
     "estimate_psd", "spectrogram", "save_ensemble", "load_ensemble",
 ]

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._atomic import atomic_file
 from .analytic import (build_acf, build_psd, acf_eval, acf_deterministic_eval,
                        coefficient_power_fraction, harmonic_coefficients,
                        mainlobe_width, psd_eval, psd_line_spectrum, psd_support,
@@ -112,9 +113,14 @@ def _write_manifest(out_dir: Path, args, config: RunConfig, outputs: list[Path],
     }
     manifest.update(extra)
     path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n",
-                    encoding="utf-8")
+    _write_json(path, manifest)
     return path
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    """Write ``doc`` as sorted, indented JSON, replacing ``path`` whole."""
+    with atomic_file(path) as fh:
+        fh.write((json.dumps(doc, sort_keys=True, indent=1) + "\n").encode("utf-8"))
 
 
 def _write_table(path: Path, header: str, columns) -> None:
@@ -257,8 +263,7 @@ def cmd_validate(args) -> int:
                                     f"spectral density overlay (N={n_real})",
                                     "angular frequency (rad/s)", "density"))
     outputs.append(out_dir / "report.json")
-    outputs[-1].write_text(json.dumps(result.report, sort_keys=True, indent=1) + "\n",
-                           encoding="utf-8")
+    _write_json(outputs[-1], result.report)
     overall = result.report["overall_pass"]
     _write_manifest(out_dir, args, config, outputs, {"overall_pass": overall})
     return EXIT_OK if overall else EXIT_THRESHOLD

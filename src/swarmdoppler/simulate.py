@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._atomic import atomic_file
 from .exceptions import DomainError, FormatError, ValidationError
-from .model import Curve, SamplingGrid, SwarmParams, derive
+from .model import Curve, SamplingGrid, SwarmParams, check_grid, derive
 
 _ENSEMBLE_MAGIC = b"SWEN"
 _ENSEMBLE_VERSION = 1
@@ -137,51 +138,50 @@ def realization_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
 
 
-def _check_ensemble_request(n_realizations, dtype) -> np.dtype:
-    if isinstance(n_realizations, bool) or not isinstance(n_realizations, int) \
-            or n_realizations < 1:
-        raise ValidationError(f"n_realizations must be >= 1, got {n_realizations!r}")
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.complex64), np.dtype(np.complex128)):
-        raise ValidationError(f"dtype must be complex64 or complex128, got {dtype}")
-    return dtype
-
-
-def _blocks(params: SwarmParams, grid: SamplingGrid, n_realizations: int,
-            master_seed: int, n_workers: int, dtype: np.dtype, reduce,
+def _blocks(params: SwarmParams, grid: SamplingGrid, master_seed: int, start: int,
+            stop: int, n_workers: int, dtype: np.dtype, reduce,
             block_rows: int = _CHUNK_ROWS):
-    """Yield ``reduce(rows)`` for consecutive blocks of realizations, in order.
+    """``reduce(rows)`` for consecutive blocks of realizations ``[start, stop)``.
 
-    Block ``j`` holds realizations ``[j*B, (j+1)*B)`` with ``B = block_rows``,
-    each synthesized alone and rounded to ``dtype``; the block is built and
+    Checks the grid and the range when called, before any realization is
+    made, and returns a generator of the reduced blocks, in order.  Block ``j`` holds realizations
+    ``[start + j*B, start + (j+1)*B)`` with ``B = block_rows``, each
+    synthesized alone and rounded to ``dtype``; the block is built and
     reduced on one pool thread.  At most ``2 * n_workers + 1`` blocks are in
-    flight, so memory is O(B) whatever ``n_realizations`` is.
+    flight, so memory is O(B) whatever the range is.
     """
+    check_grid(params, grid)
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in (start, stop)) \
+            or not 0 <= start < stop:
+        raise ValidationError("need integer realization indices 0 <= start < stop, "
+                              f"got [{start!r}, {stop!r})")
+
     def work(lo: int):
-        rows = np.empty((min(block_rows, n_realizations - lo), grid.n_samples),
-                        dtype=dtype)
+        rows = np.empty((min(block_rows, stop - lo), grid.n_samples), dtype=dtype)
         for i in range(rows.shape[0]):
             state = sample_state(params, realization_rng(master_seed, lo + i))
             rows[i] = synthesize(state, params, grid)
         return reduce(rows)
 
-    starts = range(0, n_realizations, block_rows)
-    if n_workers <= 1:
-        for lo in starts:
-            yield work(lo)
-        return
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        pending: deque = deque()
-        try:
+    def generate():
+        starts = range(start, stop, block_rows)
+        if n_workers <= 1:
             for lo in starts:
-                pending.append(pool.submit(work, lo))
-                if len(pending) > 2 * n_workers:
+                yield work(lo)
+            return
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            pending: deque = deque()
+            try:
+                for lo in starts:
+                    pending.append(pool.submit(work, lo))
+                    if len(pending) > 2 * n_workers:
+                        yield pending.popleft().result()
+                while pending:
                     yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
-        finally:
-            for future in pending:
-                future.cancel()
+            finally:
+                for future in pending:
+                    future.cancel()
+    return generate()
 
 
 def simulate_ensemble(params: SwarmParams, grid: SamplingGrid, n_realizations: int,
@@ -191,9 +191,16 @@ def simulate_ensemble(params: SwarmParams, grid: SamplingGrid, n_realizations: i
 
     Realization ``k`` depends only on ``(master_seed, k)``; results are
     bit-identical for any ``n_workers``.  ``dtype`` may be complex64 (the
-    default, halving memory) or complex128.
+    default, halving memory) or complex128.  An undersampled grid (see
+    :func:`check_grid`) raises :class:`ValidationError`.
     """
-    dtype = _check_ensemble_request(n_realizations, dtype)
+    dtype = np.dtype(dtype)
+    if dtype not in (np.dtype(np.complex64), np.dtype(np.complex128)):
+        raise ValidationError(f"dtype must be complex64 or complex128, got {dtype}")
+    # one realization per task keeps the workers evenly loaded; the rows
+    # do not depend on the block size
+    blocks = _blocks(params, grid, master_seed, 0, n_realizations, n_workers, dtype,
+                     reduce=lambda rows: rows, block_rows=1)
     try:
         signals = np.empty((n_realizations, grid.n_samples), dtype=dtype)
     except MemoryError as exc:
@@ -203,10 +210,7 @@ def simulate_ensemble(params: SwarmParams, grid: SamplingGrid, n_realizations: i
         ) from exc
     done = 0
     try:
-        # one realization per task keeps the workers evenly loaded; the rows
-        # do not depend on the block size
-        for rows in _blocks(params, grid, n_realizations, master_seed, n_workers,
-                            dtype, reduce=lambda rows: rows, block_rows=1):
+        for rows in blocks:
             signals[done:done + rows.shape[0]] = rows
             done += rows.shape[0]
     except MemoryError as exc:
@@ -217,114 +221,110 @@ def simulate_ensemble(params: SwarmParams, grid: SamplingGrid, n_realizations: i
     return Ensemble(params=params, grid=grid, master_seed=master_seed, signals=signals)
 
 
-# Each ACF estimator is a per-block partial sum, added up in block-index
-# order, and a final scaling.  estimate_acf (over a stored ensemble) and
-# _estimate_acf_streamed (over blocks never stored) share them, so both give
-# the same bits.
-
-def _lag_count(n_samples: int, t_ref_index: int, n_lags: int | None) -> int:
-    if n_lags is None:
-        n_lags = n_samples - t_ref_index
-    if t_ref_index < 0 or n_lags < 1 or t_ref_index + n_lags > n_samples:
-        raise DomainError(
-            f"lag range overflows the grid: t_ref_index={t_ref_index}, "
-            f"n_lags={n_lags}, n_samples={n_samples}"
-        )
-    return n_lags
-
-
-def _acf_partial(time_average: bool, n_samples: int, t_ref_index: int, n_lags: int):
-    """The per-block partial sum of one estimator, as a function of the rows.
-
-    Single reference: ``sum_k y_k(t_ref) * conj(y_k(t_ref + lag))``.  Time
-    average: ``sum_k |FFT y_k|^2`` on a zero-padded length that makes the
-    correlation linear; its inverse transform is the sum of every lagged
-    product (Wiener-Khinchin), taken once at the end.
-    """
-    if time_average:
-        fft_len = 1 << (n_samples + n_lags - 1).bit_length()
-
-        def partial(rows):
-            spectra = np.fft.fft(rows.astype(np.complex128), n=fft_len, axis=1)
-            parts = spectra.view(np.float64)      # re, im interleaved
-            squares = np.einsum("kf,kf->f", parts, parts)
-            return squares[0::2] + squares[1::2]
-    else:
-        def partial(rows):
-            ref = rows[:, t_ref_index:t_ref_index + 1]
-            block = rows[:, t_ref_index:t_ref_index + n_lags]
-            return np.sum(ref * np.conj(block), axis=0, dtype=np.complex128)
-    return partial
-
-
-def _acf_curve(total: np.ndarray, time_average: bool, grid: SamplingGrid,
-               n_real: int, master_seed: int, t_ref_index: int, n_lags: int) -> Curve:
-    """Scale a reduced partial sum into the estimate."""
-    if time_average:
-        counts = (grid.n_samples - np.arange(n_lags)).astype(float)
-        values = np.conj(np.fft.ifft(total)[:n_lags]) / (n_real * counts)
-        estimator = "time_average"
-    else:
-        values = total / n_real
-        estimator = "single_reference"
-    meta = {
-        "n_realizations": n_real,
-        "t_ref_index": t_ref_index,
-        "master_seed": master_seed,
-        "dt_s": grid.dt,
-        "estimator": estimator,
-    }
-    return Curve(axis="lag_s", x=grid.dt * np.arange(n_lags), y=values, meta=meta)
-
-
-def estimate_acf(ensemble: Ensemble, t_ref_index: int = 0, n_lags: int | None = None,
-                 *, time_average: bool = False) -> Curve:
-    """Monte Carlo autocorrelation estimate over nonnegative lags.
+class AcfAccumulator:
+    """A Monte Carlo autocorrelation estimate over nonnegative lags, built up
+    block by block: each block of realizations is reduced to a partial sum,
+    the partial sums are added in realization order, and :meth:`curve`
+    scales the total, after any block.
 
     The default estimator averages ``y_k(t_ref) * conj(y_k(t_ref + lag))``
     across realizations at the single reference time.  ``time_average=True``
     additionally averages over every valid reference time within each
-    realization, a variance-reduction extension that assumes (and exploits)
-    stationarity.
+    realization, a variance-reduction extension that assumes stationarity.
     """
-    signals = ensemble.signals
-    if signals.shape[0] == 0:
-        raise DomainError("the ensemble holds no realizations")
-    n_samples = signals.shape[1]
-    n_lags = _lag_count(n_samples, t_ref_index, n_lags)
-    partial = _acf_partial(time_average, n_samples, t_ref_index, n_lags)
-    total = 0
-    for lo in range(0, signals.shape[0], _CHUNK_ROWS):
-        total = total + partial(signals[lo:lo + _CHUNK_ROWS])
-    return _acf_curve(total, time_average, ensemble.grid, signals.shape[0],
-                      ensemble.master_seed, t_ref_index, n_lags)
+
+    def __init__(self, grid: SamplingGrid, t_ref_index: int = 0,
+                 n_lags: int | None = None, *, time_average: bool = False) -> None:
+        if n_lags is None:
+            n_lags = grid.n_samples - t_ref_index
+        if t_ref_index < 0 or n_lags < 1 or t_ref_index + n_lags > grid.n_samples:
+            raise DomainError(
+                f"lag range overflows the grid: t_ref_index={t_ref_index}, "
+                f"n_lags={n_lags}, n_samples={grid.n_samples}"
+            )
+        self.grid, self.t_ref_index, self.n_lags = grid, t_ref_index, n_lags
+        self.time_average = time_average
+        self.n_realizations = 0
+        self.master_seed: int | None = None
+        self._total = 0
+
+    def _partial(self, rows: np.ndarray) -> np.ndarray:
+        """Single reference: ``sum_k y_k(t_ref) * conj(y_k(t_ref + lag))``.  Time
+        average: ``sum_k |FFT y_k|^2`` on a zero-padded length that makes the
+        correlation linear; its inverse transform is the sum of every lagged
+        product (Wiener-Khinchin), taken once in :meth:`curve`."""
+        if self.time_average:
+            fft_len = 1 << (self.grid.n_samples + self.n_lags - 1).bit_length()
+            spectra = np.fft.fft(rows.astype(np.complex128), n=fft_len, axis=1)
+            parts = spectra.view(np.float64)      # re, im interleaved
+            squares = np.einsum("kf,kf->f", parts, parts)
+            return squares[0::2] + squares[1::2]
+        lo = self.t_ref_index
+        return np.sum(rows[:, lo:lo + 1] * np.conj(rows[:, lo:lo + self.n_lags]),
+                      axis=0, dtype=np.complex128)
+
+    def _fold(self, partial: np.ndarray, n_rows: int, master_seed: int) -> None:
+        if self.n_realizations and master_seed != self.master_seed:
+            raise DomainError(f"cannot pool realizations of seed {master_seed} into "
+                              f"an estimate of seed {self.master_seed}")
+        self._total = self._total + partial
+        self.n_realizations += n_rows
+        self.master_seed = master_seed
+
+    def add(self, rows: np.ndarray, master_seed: int) -> None:
+        """Add the next stored realizations of ``master_seed``, one per row."""
+        if rows.ndim != 2 or rows.shape[1] != self.grid.n_samples:
+            raise DomainError(f"rows of shape {rows.shape} are not "
+                              f"{self.grid.n_samples}-sample realizations")
+        self._fold(self._partial(rows), rows.shape[0], master_seed)
+
+    def curve(self) -> Curve:
+        """The estimate over the realizations added so far."""
+        if not self.n_realizations:
+            raise DomainError("the estimate holds no realizations")
+        n_real, n_lags = self.n_realizations, self.n_lags
+        if self.time_average:
+            counts = (self.grid.n_samples - np.arange(n_lags)).astype(float)
+            values = np.conj(np.fft.ifft(self._total)[:n_lags]) / (n_real * counts)
+        else:
+            values = self._total / n_real
+        meta = {"n_realizations": n_real, "t_ref_index": self.t_ref_index,
+                "master_seed": self.master_seed, "dt_s": self.grid.dt,
+                "estimator": "time_average" if self.time_average else "single_reference"}
+        return Curve(axis="lag_s", x=self.grid.dt * np.arange(n_lags), y=values, meta=meta)
 
 
-def _estimate_acf_streamed(params: SwarmParams, grid: SamplingGrid, n_realizations: int,
-                           master_seed: int, *, n_workers: int = 1
-                           ) -> tuple[Curve, Curve | None]:
-    """The autocorrelation estimates ``validate`` needs, from an unstored ensemble.
+def accumulate(params: SwarmParams, grid: SamplingGrid, master_seed: int,
+               accumulators, start: int, stop: int, *, n_workers: int = 1) -> None:
+    """Feed realizations ``[start, stop)`` of ``master_seed`` to every accumulator.
 
-    Returns the single-reference estimate and, when the rotor speeds spread
-    (``speed_variance > 0``, the case in which ``validate`` compares spectra),
-    the time-average one, else ``None``; both over every lag from reference
-    index 0.  Each block of realizations is synthesized and reduced to its
-    partial sums on a pool thread, so memory is O(block) rather than
-    O(ensemble).  Rows are rounded to complex64, and the result equals
-    ``estimate_acf(simulate_ensemble(...))`` bit for bit, for any
-    ``n_workers``.
+    Each block of realizations is synthesized, rounded to complex64 and
+    reduced to every partial sum on one pool thread, so memory is O(block)
+    and the estimates are bit-identical for any ``n_workers``; from
+    ``start`` 0 they equal :func:`estimate_acf` over the stored ensemble.
+    Consecutive ranges add the same realizations as their union, bit for
+    bit when each split is a multiple of the block size (32) from ``start``.
     """
-    dtype = _check_ensemble_request(n_realizations, np.complex64)
-    n_samples = grid.n_samples
-    flags = (False, True) if params.speed_variance > 0.0 else (False,)
-    partials = [_acf_partial(flag, n_samples, 0, n_samples) for flag in flags]
-    totals = [0] * len(partials)
-    for sums in _blocks(params, grid, n_realizations, master_seed, n_workers, dtype,
-                        reduce=lambda rows: [partial(rows) for partial in partials]):
-        totals = [total + part for total, part in zip(totals, sums)]
-    curves = [_acf_curve(total, flag, grid, n_realizations, master_seed, 0, n_samples)
-              for total, flag in zip(totals, flags)]
-    return curves[0], (curves[1] if len(curves) > 1 else None)
+    accumulators = list(accumulators)
+    if any(acc.grid != grid for acc in accumulators):
+        raise ValidationError(f"every accumulator must be on the simulated grid {grid}")
+
+    def reduce(rows):
+        return rows.shape[0], [acc._partial(rows) for acc in accumulators]
+
+    for n_rows, partials in _blocks(params, grid, master_seed, start, stop, n_workers,
+                                    np.dtype(np.complex64), reduce):
+        for acc, partial in zip(accumulators, partials):
+            acc._fold(partial, n_rows, master_seed)
+
+
+def estimate_acf(ensemble: Ensemble, t_ref_index: int = 0, n_lags: int | None = None,
+                 *, time_average: bool = False) -> Curve:
+    """The :class:`AcfAccumulator` estimate over a stored ensemble."""
+    acc = AcfAccumulator(ensemble.grid, t_ref_index, n_lags, time_average=time_average)
+    for lo in range(0, ensemble.n_realizations, _CHUNK_ROWS):
+        acc.add(ensemble.signals[lo:lo + _CHUNK_ROWS], ensemble.master_seed)
+    return acc.curve()
 
 
 def estimate_psd(acf_curve: Curve) -> Curve:
@@ -439,7 +439,8 @@ def save_ensemble(path, ensemble: Ensemble) -> None:
 
     Layout: magic ``SWEN``, little-endian u32 version and u64 header length,
     UTF-8 JSON header (params, grid, seed, shape, dtype), then the raw
-    little-endian row-major payload.
+    little-endian row-major payload.  The file is replaced whole: a write
+    that fails leaves ``path`` as it was.
     """
     p = ensemble.params
     g = ensemble.grid
@@ -460,7 +461,7 @@ def save_ensemble(path, ensemble: Ensemble) -> None:
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     wire_dtype = "<c8" if dtype_name == "complex64" else "<c16"
-    with open(path, "wb") as fh:
+    with atomic_file(path) as fh:
         fh.write(_ENSEMBLE_MAGIC)
         fh.write(struct.pack("<IQ", _ENSEMBLE_VERSION, len(blob)))
         fh.write(blob)
@@ -506,7 +507,9 @@ def load_ensemble(path) -> Ensemble:
             raise FormatError(f"container header is not UTF-8 JSON: {exc}") from None
         if not isinstance(header, dict):
             raise FormatError("container header must be a JSON object")
-        wire_dtype = {"complex64": "<c8", "complex128": "<c16"}.get(header.get("dtype"))
+        dtype_name = header.get("dtype")
+        wire_dtype = {"complex64": "<c8", "complex128": "<c16"}.get(dtype_name) \
+            if isinstance(dtype_name, str) else None
         if wire_dtype is None:
             raise FormatError(f"container dtype must be complex64 or complex128, "
                               f"got {header.get('dtype')!r}")
@@ -530,6 +533,6 @@ def load_ensemble(path) -> Ensemble:
             raise FormatError(f"container has {remaining - n_bytes} bytes after its "
                               f"{n_bytes}-byte payload")
         payload = fh.read(n_bytes)
-    signals = np.frombuffer(payload, dtype=wire_dtype).astype(header["dtype"]).reshape(
+    signals = np.frombuffer(payload, dtype=wire_dtype).astype(dtype_name).reshape(
         n_real, n_samples)
     return Ensemble(params=params, grid=grid, master_seed=master_seed, signals=signals)

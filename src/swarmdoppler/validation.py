@@ -15,7 +15,7 @@ from .analytic import (acf_deterministic_eval, acf_eval, build_acf, build_psd,
                        mainlobe_width, psd_eval, psd_support)
 from .exceptions import DomainError
 from .model import Curve, SamplingGrid, SwarmParams
-from .simulate import _estimate_acf_streamed, estimate_psd
+from .simulate import AcfAccumulator, accumulate, estimate_psd
 
 ACF_NRMSE_MAX = 0.05
 PSD_NRMSE_MAX = 0.10
@@ -100,13 +100,17 @@ def validate(params: SwarmParams, grid: SamplingGrid, n_realizations: int,
              seed: int, *, n_workers: int = 1) -> ValidationResult:
     """Compare a seeded Monte Carlo ensemble against the closed forms.
 
-    The ensemble is never stored, so memory is O(block), and the result is
-    bit-identical for any ``n_workers``.  The spectrum is compared when the
-    rotor speeds spread, else the series against the finite sum.
+    The ensemble is never stored (see :func:`accumulate`), so memory is
+    O(block), and the result is bit-identical for any ``n_workers``.  When
+    the rotor speeds spread, the time-average estimate is accumulated too
+    and its spectrum compared, else the series against the finite sum.
     """
-    acf_hat, acf_ta = _estimate_acf_streamed(params, grid, n_realizations, seed,
-                                             n_workers=n_workers)
-    acf = compare_acf(params, grid, acf_hat)
+    single = AcfAccumulator(grid)
+    averaged = AcfAccumulator(grid, time_average=True) \
+        if params.speed_variance > 0.0 else None
+    accumulate(params, grid, seed, [acc for acc in (single, averaged) if acc is not None],
+               0, n_realizations, n_workers=n_workers)
+    acf = compare_acf(params, grid, single.curve())
     acf_pass = bool(acf.nrmse <= ACF_NRMSE_MAX)
     report = {
         "n_realizations": n_realizations,
@@ -118,8 +122,8 @@ def validate(params: SwarmParams, grid: SamplingGrid, n_realizations: int,
                 "mainlobe_width_s": mainlobe_width(params)},
     }
     psd = None
-    if params.speed_variance > 0.0:
-        psd, n_narrow = compare_psd(params, estimate_psd(acf_ta))
+    if averaged is not None:
+        psd, n_narrow = compare_psd(params, estimate_psd(averaged.curve()))
         other_pass = bool(psd.nrmse <= PSD_NRMSE_MAX)
         report["psd"] = {"estimator": "time_average", "nrmse": psd.nrmse,
                          "pass": other_pass, "bins_compared": int(psd.x.size),

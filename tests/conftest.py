@@ -1,6 +1,10 @@
+import errno
+import os
+
 import pytest
 
 import swarmdoppler as sd
+from swarmdoppler import _atomic
 from helpers import mavic_params
 
 MAVIC_SEED = 424242
@@ -19,5 +23,35 @@ def mavic_grid(mavic):
 
 @pytest.fixture(scope="session")
 def mavic_ensemble(mavic, mavic_grid):
-    """Reference-scale Monte Carlo ensemble, generated once per session."""
-    return sd.simulate_ensemble(mavic, mavic_grid, MAVIC_N, MAVIC_SEED)
+    """Reference-scale Monte Carlo ensemble, generated once per session.
+
+    Rows are bit-identical for any worker count, so it uses every CPU the
+    process may run on.
+    """
+    return sd.simulate_ensemble(mavic, mavic_grid, MAVIC_N, MAVIC_SEED,
+                                n_workers=len(os.sched_getaffinity(0)))
+
+
+class _HalfWrite:
+    """A file that takes half of its first write, then fails like a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.fixture
+def full_disk(monkeypatch):
+    """Make every whole-file write fail halfway through its first write."""
+    monkeypatch.setattr(_atomic, "open", lambda path, mode: _HalfWrite(open(path, mode)),
+                        raising=False)

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,6 +221,34 @@ def test_io_error_exit_code(tmp_path, capsys):
                  "--out", str(blocker / "sub")])
     assert code == 3
     assert "i/o error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["simulate", "--n", "2"], "ensemble.bin"),
+    (["validate", "--n", "40"], "report.json"),
+    (["acf"], "manifest.json"),
+])
+def test_output_written_halfway_is_never_left_behind(tmp_path, full_disk, argv, target,
+                                                     capsys):
+    config = write_config(tmp_path, grid={"n_samples": 256})
+    out = tmp_path / "run"
+    assert main(argv + ["--config", str(config), "--out", str(out)]) == 3
+    assert "No space" in capsys.readouterr().err
+    left = sorted(p.name for p in out.iterdir())
+    assert target not in left
+    assert not [name for name in left if name.endswith(".tmp")]
+
+
+def test_runtime_imports_numpy_only():
+    src = Path(sd.__file__).resolve().parent.parent
+    code = ("import sys, swarmdoppler, swarmdoppler.cli, swarmdoppler.validation; "
+            "print(' '.join(sorted(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    packages = {name.split(".")[0] for name in loaded}
+    assert "numpy" in packages
+    assert not packages & {"scipy", "hypothesis", "pytest"}
 
 
 def test_psd_command_continuous(tmp_path):

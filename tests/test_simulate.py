@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import swarmdoppler as sd
 from swarmdoppler import simulate, validation
@@ -154,25 +155,73 @@ def test_streamed_estimates_equal_materialized(n_workers):
     grid = small_grid(params, 64)
     n = 2 * simulate._CHUNK_ROWS + 5
     ens = sd.simulate_ensemble(params, grid, n, 17)
-    single, averaged = simulate._estimate_acf_streamed(params, grid, n, 17,
-                                                       n_workers=n_workers)
-    for streamed, stored in ((single, sd.estimate_acf(ens)),
-                             (averaged, sd.estimate_acf(ens, time_average=True))):
+    single = sd.AcfAccumulator(grid)
+    averaged = sd.AcfAccumulator(grid, time_average=True)
+    sd.accumulate(params, grid, 17, [single, averaged], 0, n, n_workers=n_workers)
+    for streamed, stored in ((single.curve(), sd.estimate_acf(ens)),
+                             (averaged.curve(), sd.estimate_acf(ens, time_average=True))):
         assert np.array_equal(streamed.x, stored.x)
         assert np.array_equal(streamed.y, stored.y)
         assert streamed.meta == stored.meta
 
 
-@pytest.mark.parametrize("n_workers", [1, 2])
-def test_streamed_estimates_skip_time_average_without_speed_spread(n_workers):
-    params = mavic_params(n_rotors=2, speed_variance=0.0)
+@pytest.mark.parametrize("split, exact", [
+    (simulate._CHUNK_ROWS, True), (2 * simulate._CHUNK_ROWS, True),
+    (1, False), (simulate._CHUNK_ROWS + 7, False),
+])
+def test_consecutive_ranges_equal_one_run(split, exact):
+    params = mavic_params(n_rotors=2)
     grid = small_grid(params, 64)
-    n = simulate._CHUNK_ROWS + 3
-    single, averaged = simulate._estimate_acf_streamed(params, grid, n, 17,
-                                                       n_workers=n_workers)
-    assert averaged is None
-    stored = sd.estimate_acf(sd.simulate_ensemble(params, grid, n, 17))
-    assert np.array_equal(single.y, stored.y)
+    n = 3 * simulate._CHUNK_ROWS - 3
+    for time_average in (False, True):
+        whole = sd.AcfAccumulator(grid, 2, 40, time_average=time_average)
+        sd.accumulate(params, grid, 23, [whole], 0, n)
+        parts = sd.AcfAccumulator(grid, 2, 40, time_average=time_average)
+        sd.accumulate(params, grid, 23, [parts], 0, split, n_workers=2)
+        sd.accumulate(params, grid, 23, [parts], split, n)
+        a, b = whole.curve(), parts.curve()
+        assert a.meta == b.meta and a.meta["n_realizations"] == n
+        if exact:
+            assert np.array_equal(a.y, b.y)
+        else:
+            assert np.max(np.abs(a.y - b.y)) <= 1e-13 * np.max(np.abs(a.y))
+
+
+def test_accumulator_refuses_an_empty_estimate_and_lags_past_the_grid():
+    grid = small_grid(mavic_params(), 64)
+    for time_average in (False, True):
+        with pytest.raises(DomainError, match="no realizations"):
+            sd.AcfAccumulator(grid, time_average=time_average).curve()
+    for t_ref_index, n_lags in ((0, 65), (10, 55), (64, None), (-1, 4)):
+        with pytest.raises(DomainError, match="lag range"):
+            sd.AcfAccumulator(grid, t_ref_index, n_lags)
+
+
+def test_accumulator_refuses_foreign_rows_grids_and_seeds():
+    params = mavic_params()
+    grid = small_grid(params, 64)
+    acc = sd.AcfAccumulator(grid)
+    with pytest.raises(DomainError, match="64-sample"):
+        acc.add(np.zeros((2, 63), np.complex64), 1)
+    with pytest.raises(ValidationError, match="grid"):
+        sd.accumulate(params, small_grid(params, 65), 1, [acc], 0, 2)
+    sd.accumulate(params, grid, 1, [acc], 0, 2)
+    with pytest.raises(DomainError, match="seed"):
+        sd.accumulate(params, grid, 2, [acc], 2, 4)
+    with pytest.raises(ValidationError, match="start < stop"):
+        sd.accumulate(params, grid, 1, [acc], 4, 4)
+    assert acc.curve().meta["n_realizations"] == 2
+
+
+def test_simulation_refuses_an_undersampled_grid():
+    params = mavic_params()
+    grid = sd.SamplingGrid(t_start=0.0, dt=10.0 * small_grid(params).dt, n_samples=256)
+    with pytest.raises(ValidationError, match="undersamples"):
+        sd.simulate_ensemble(params, grid, 2, 1)
+    with pytest.raises(ValidationError, match="undersamples"):
+        sd.accumulate(params, grid, 1, [sd.AcfAccumulator(grid)], 0, 2)
+    with pytest.raises(ValidationError, match="undersamples"):
+        validation.validate(params, grid, 2, 1)
 
 
 def test_estimate_acf_rejects_empty_ensemble():
@@ -434,7 +483,7 @@ def test_load_ensemble_rejects_bad_dtype(tmp_path):
     {"n_realizations": -1}, {"n_realizations": "3"}, {"n_samples": 0},
     {"master_seed": True}, {"params": {"n_drones": 1}}, {"params": [1, 2]},
     {"grid": {"t_start": 0.0, "dt": -1.0, "n_samples": 16}},
-    {"grid": {"t_start": 0.0, "dt": 1e-4, "n_samples": 8}},
+    {"grid": {"t_start": 0.0, "dt": 1e-4, "n_samples": 8}}, {"dtype": []},
 ])
 def test_load_ensemble_rejects_bad_header_fields(tmp_path, changes):
     path = saved_container(tmp_path)
@@ -450,6 +499,54 @@ def test_load_ensemble_rejects_malformed_header_json(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(FormatError, match="JSON"):
         sd.load_ensemble(path)
+
+
+WRONG_TYPED = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), st.floats(),
+    st.text(max_size=4), st.lists(st.integers(-3, 3), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_containers_load_or_raise_format_error(tmp_path, data):
+    path = saved_container(tmp_path)
+    blob = bytearray(path.read_bytes())
+    kind = data.draw(st.sampled_from(["truncate", "flip", "header"]))
+    if kind == "truncate":
+        del blob[data.draw(st.integers(0, len(blob) - 1)):]
+    elif kind == "flip":
+        for _ in range(data.draw(st.integers(1, 4))):
+            blob[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+    else:
+        (header_len,) = struct.unpack("<Q", blob[8:16])
+        header = json.loads(blob[16:16 + header_len])
+        fields = [(header, key) for key in sorted(header)]
+        fields += [(header[section], key) for section in ("params", "grid")
+                   for key in sorted(header[section])]
+        table, key = data.draw(st.sampled_from(fields))
+        table[key] = data.draw(WRONG_TYPED)
+        edited = json.dumps(header).encode("utf-8")
+        blob[8:16 + header_len] = struct.pack("<Q", len(edited)) + edited
+    path.write_bytes(bytes(blob))
+    try:
+        ensemble = sd.load_ensemble(path)
+    except FormatError:
+        return
+    assert ensemble.signals.shape == (ensemble.n_realizations, ensemble.grid.n_samples)
+
+
+def test_failed_container_write_leaves_the_target_as_it_was(tmp_path, full_disk):
+    params = mavic_params()
+    ensemble = sd.simulate_ensemble(params, small_grid(params, 16), 3, 9)
+    kept = tmp_path / "kept.bin"
+    kept.write_bytes(b"old content")
+    for path in (tmp_path / "new.bin", kept):
+        with pytest.raises(OSError, match="No space"):
+            sd.save_ensemble(path, ensemble)
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.bin"]
+    assert kept.read_bytes() == b"old content"
 
 
 # ------------------------------------------------- statistical invariants
