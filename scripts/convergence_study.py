@@ -48,11 +48,11 @@ def run(argv=None) -> int:
     lines = ["n_realizations,nrmse"] + [f"{c},{e!r}" for c, e in zip(counts, errors)]
     table.write_text("\n".join(lines) + "\n", encoding="utf-8")
     guide = [errors[0] * math.sqrt(counts[0] / c) for c in counts]
-    line_svg([(np.log10(counts), np.log10(errors), "measured"),
-              (np.log10(counts), np.log10(guide), "inverse square root")],
-             title="estimator convergence",
-             xlabel="log10 realization count", ylabel="log10 nrmse",
-             path=out / "convergence.svg")
+    svg = line_svg([(np.log10(counts), np.log10(errors), "measured"),
+                    (np.log10(counts), np.log10(guide), "inverse square root")],
+                   title="estimator convergence",
+                   xlabel="log10 realization count", ylabel="log10 nrmse")
+    (out / "convergence.svg").write_text(svg, encoding="utf-8")
     print(f"wrote {table}")
     return 0
 

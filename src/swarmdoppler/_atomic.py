@@ -1,4 +1,4 @@
-"""Whole-file writes: a reader sees the old file or the new one, never a part."""
+"""Whole-file writes: a reader sees the old files or the new ones, never a part."""
 from __future__ import annotations
 
 import contextlib
@@ -6,22 +6,28 @@ import os
 import secrets
 
 
-@contextlib.contextmanager
-def atomic_file(path):
-    """A binary file handle whose content replaces ``path`` on a clean exit.
+def write_files(directory, files) -> None:
+    """Write ``files``, a ``{name: chunks}`` mapping, into ``directory``.
 
-    The content goes to a temporary file in the same directory, which
-    ``os.replace`` then moves onto ``path``.  If the block raises, the
-    temporary file is removed and ``path`` is left as it was.
+    Each file's chunks (bytes-like objects) go to a temporary file beside
+    its target.  Only after every file is written does ``os.replace`` move
+    each one onto its name, in mapping order.  On any failure every
+    temporary file is removed, so a write that fails replaces no file; only
+    a failing rename, which moves a directory entry and copies nothing, can
+    come after earlier names were replaced.
     """
-    path = os.fspath(path)
-    head, name = os.path.split(path)
-    temp = os.path.join(head, f".{name}.{secrets.token_hex(4)}.tmp")
+    directory = os.fspath(directory)
+    temps = []
     try:
-        with open(temp, "xb") as fh:
-            yield fh
-        os.replace(temp, path)
+        for name, chunks in files.items():
+            temps.append(os.path.join(directory, f".{name}.{secrets.token_hex(4)}.tmp"))
+            with open(temps[-1], "xb") as fh:
+                for chunk in chunks:
+                    fh.write(chunk)
+        for temp, name in zip(temps, files):
+            os.replace(temp, os.path.join(directory, name))
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(temp)
+        for temp in temps:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
         raise

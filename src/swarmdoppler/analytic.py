@@ -358,15 +358,13 @@ def psd_line_spectrum(params: SwarmParams) -> list[SpectralLine]:
         raise DomainError(
             f"line spectrum requires speed_variance == 0, got {params.speed_variance!r}"
         )
-    d = derive(params)
-    cutoff = truncation_index(d.electrical_size, params.n_blades)
-    coeffs = harmonic_coefficients(d.electrical_size, params.n_blades, cutoff)
+    cutoff = truncation_index(derive(params).electrical_size, params.n_blades)
+    acf = build_acf(params, cutoff)
     scale = _prefactor(params)
     spacing = params.n_blades * params.mean_speed
-    j0_sq = bessel_j(0, d.mod_index) ** 2
-    lines = [SpectralLine(frequency=0.0, weight=scale * j0_sq)]
+    lines = [SpectralLine(frequency=0.0, weight=acf.dc_level)]
     for n in range(1, cutoff + 1):
-        weight = scale * float(coeffs[n - 1])
+        weight = scale * float(acf.coefficients[n - 1])
         lines.append(SpectralLine(frequency=n * spacing, weight=weight))
         lines.append(SpectralLine(frequency=-n * spacing, weight=weight))
     return sorted(lines, key=lambda ln: ln.frequency)

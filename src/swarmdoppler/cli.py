@@ -3,8 +3,11 @@
 Every command writes its data files plus a JSON manifest listing the
 resolved configuration, seed, tool version and the SHA-256 digest of each
 output, so a run can be repeated bit-identically from the manifest alone.
-A command makes every library call before it creates the output directory,
-so a command that fails leaves no output behind.
+A command builds every output in memory, then writes them all, the manifest
+last, in one step that is all or none: each file goes to a temporary file
+beside its target, and only once every one is written are they moved onto
+their names.  A command that fails, in the model or while writing, leaves
+no new file in the output directory and every old one as it was.
 Exit codes: 0 success, 2 configuration or usage error, 3 I/O error,
 4 validation-threshold failure.
 """
@@ -21,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._atomic import atomic_file
+from ._atomic import write_files
 from .analytic import (build_acf, build_psd, acf_eval, acf_deterministic_eval,
                        coefficient_power_fraction, harmonic_coefficients,
                        mainlobe_width, psd_eval, psd_line_spectrum, psd_support,
@@ -30,7 +33,7 @@ from .exceptions import (ConfigError, DomainError, NumericsError, FormatError,
                          SwarmModelError, ValidationError)
 from .model import (Curve, EstimatorSettings, RunConfig, curve_to_csv, curve_to_json,
                     derive, load_config, serialize_config)
-from .simulate import StftConfig, save_ensemble, simulate_ensemble, spectrogram
+from .simulate import StftConfig, container_chunks, simulate_ensemble, spectrogram
 from .svgplot import heatmap_svg, line_svg
 from .validation import validate
 
@@ -62,14 +65,6 @@ def _utc_now() -> str:
         .replace(microsecond=0).isoformat().replace("+00:00", "Z")
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
 def _resolve_config(args) -> RunConfig:
     if args.config is not None:
         try:
@@ -88,20 +83,39 @@ def _resolve_config(args) -> RunConfig:
     return config
 
 
-def _make_out_dir(args) -> Path:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
-
-
 # namespace entries that are not recorded as the command's arguments: the
 # configuration source and seed are in the manifest's config, the output
 # directory is where the manifest sits
 _UNRECORDED = frozenset({"command", "func", "config", "preset", "out", "seed"})
 
 
-def _write_manifest(out_dir: Path, args, config: RunConfig, outputs: list[Path],
-                    extra: dict) -> Path:
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+def _table_text(header: str, columns) -> str:
+    rows = zip(*columns)
+    lines = [header] + [",".join(repr(float(v)) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _curve_file(stem: str, curve: Curve, fmt: str) -> tuple[str, str]:
+    if fmt == "json":
+        return f"{stem}.json", curve_to_json(curve) + "\n"
+    return f"{stem}.csv", curve_to_csv(curve)
+
+
+def _write_outputs(args, config: RunConfig, files: dict, extra: dict) -> None:
+    """Write ``files`` ({name: text or bytes chunks}) and their manifest into
+    ``--out``, all or none."""
+    files = {name: [data.encode("utf-8")] if isinstance(data, str) else data
+             for name, data in files.items()}
+    outputs = []
+    for name in sorted(files):
+        digest = hashlib.sha256()
+        for chunk in files[name]:
+            digest.update(chunk)
+        outputs.append({"path": name, "sha256": digest.hexdigest()})
     manifest = {
         "tool": "swarmdoppler",
         "version": __version__,
@@ -109,33 +123,13 @@ def _write_manifest(out_dir: Path, args, config: RunConfig, outputs: list[Path],
         "arguments": {k: v for k, v in vars(args).items() if k not in _UNRECORDED},
         "config": json.loads(serialize_config(config)),
         "created_utc": _utc_now(),
-        "outputs": [{"path": p.name, "sha256": _sha256(p)} for p in sorted(outputs)],
+        "outputs": outputs,
     }
     manifest.update(extra)
-    path = out_dir / "manifest.json"
-    _write_json(path, manifest)
-    return path
-
-
-def _write_json(path: Path, doc: dict) -> None:
-    """Write ``doc`` as sorted, indented JSON, replacing ``path`` whole."""
-    with atomic_file(path) as fh:
-        fh.write((json.dumps(doc, sort_keys=True, indent=1) + "\n").encode("utf-8"))
-
-
-def _write_table(path: Path, header: str, columns) -> None:
-    rows = zip(*columns)
-    lines = [header] + [",".join(repr(float(v)) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _write_curve(out_dir: Path, stem: str, curve: Curve, fmt: str) -> Path:
-    if fmt == "json":
-        path, text = out_dir / f"{stem}.json", curve_to_json(curve) + "\n"
-    else:
-        path, text = out_dir / f"{stem}.csv", curve_to_csv(curve)
-    path.write_text(text, encoding="utf-8")
-    return path
+    files["manifest.json"] = [_json_text(manifest).encode("utf-8")]
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_files(out_dir, files)
 
 
 def cmd_acf(args) -> int:
@@ -154,16 +148,14 @@ def cmd_acf(args) -> int:
             "deterministic speed",
             Curve(axis="lag_s", x=taus, y=acf_deterministic_eval(params, taus),
                   meta={"kind": "acf_deterministic"}))
-    out_dir = _make_out_dir(args)
-    outputs = [_write_curve(out_dir, stem, curve, args.format)
-               for stem, (_, curve) in curves.items()]
-    svg = out_dir / "acf.svg"
+    files = dict(_curve_file(stem, curve, args.format)
+                 for stem, (_, curve) in curves.items())
     vlines = [(width, "main lobe width")] if 0 < width <= (tau_max or width) else []
-    line_svg([(curve.x, np.real(curve.y), label) for label, curve in curves.values()],
-             title="return autocorrelation", xlabel="lag (s)",
-             ylabel="autocorrelation", vlines=vlines, path=svg)
-    outputs.append(svg)
-    _write_manifest(out_dir, args, config, outputs, {"mainlobe_width_s": width})
+    files["acf.svg"] = line_svg(
+        [(curve.x, np.real(curve.y), label) for label, curve in curves.values()],
+        title="return autocorrelation", xlabel="lag (s)",
+        ylabel="autocorrelation", vlines=vlines)
+    _write_outputs(args, config, files, {"mainlobe_width_s": width})
     return EXIT_OK
 
 
@@ -197,23 +189,21 @@ def cmd_psd(args) -> int:
                       meta=curve.meta)
         edges = edges / (2.0 * np.pi)
     vlines = [(edges[0], "support"), (edges[1], "")]
-    out_dir = _make_out_dir(args)
-    svg = out_dir / "psd.svg"
     if line_spectrum:
         if args.format == "json":
-            table = _write_curve(out_dir, "psd_lines", curve, "json")
+            name, table = _curve_file("psd_lines", curve, "json")
         else:
-            table = out_dir / "psd_lines.csv"
-            _write_table(table, f"{curve.axis},weight", (curve.x, curve.y))
-        line_svg([], stems=list(zip(curve.x, curve.y)), vlines=vlines,
-                 title="line spectrum (deterministic rotor speed)",
-                 xlabel=curve.axis, ylabel="line power", path=svg)
+            name, table = "psd_lines.csv", _table_text(f"{curve.axis},weight",
+                                                       (curve.x, curve.y))
+        svg = line_svg([], stems=list(zip(curve.x, curve.y)), vlines=vlines,
+                       title="line spectrum (deterministic rotor speed)",
+                       xlabel=curve.axis, ylabel="line power")
     else:
-        table = _write_curve(out_dir, "psd", curve, args.format)
-        line_svg([(curve.x, np.real(curve.y), "mixture density")], vlines=vlines,
-                 title="return power spectral density (continuous part)",
-                 xlabel=curve.axis, ylabel="density", path=svg)
-    _write_manifest(out_dir, args, config, [table, svg], extra)
+        name, table = _curve_file("psd", curve, args.format)
+        svg = line_svg([(curve.x, np.real(curve.y), "mixture density")], vlines=vlines,
+                       title="return power spectral density (continuous part)",
+                       xlabel=curve.axis, ylabel="density")
+    _write_outputs(args, config, {name: table, "psd.svg": svg}, extra)
     return EXIT_OK
 
 
@@ -224,29 +214,23 @@ def cmd_simulate(args) -> int:
     ensemble = simulate_ensemble(config.params, config.grid, n_real,
                                  config.estimator.seed, n_workers=args.workers,
                                  dtype=dtype)
-    spec = spectrogram(ensemble.signals[0].astype(np.complex128), config.grid,
-                       StftConfig()) if args.spectrogram else None
-    out_dir = _make_out_dir(args)
-    outputs = [out_dir / "ensemble.bin"]
-    save_ensemble(outputs[0], ensemble)
-    if spec is not None:
-        outputs.append(out_dir / "spectrogram.svg")
-        heatmap_svg(spec.power, spec.times, spec.freqs,
-                    title="spectrogram, realization 0",
-                    xlabel="time (s)", ylabel="angular frequency (rad/s)",
-                    path=outputs[-1])
-    _write_manifest(out_dir, args, config, outputs,
-                    {"n_realizations": n_real, "master_seed": config.estimator.seed,
-                     "dtype": str(np.dtype(dtype))})
+    files = {"ensemble.bin": container_chunks(ensemble)}
+    if args.spectrogram:
+        spec = spectrogram(ensemble.signals[0].astype(np.complex128), config.grid,
+                           StftConfig())
+        files["spectrogram.svg"] = heatmap_svg(
+            spec.power, spec.times, spec.freqs, title="spectrogram, realization 0",
+            xlabel="time (s)", ylabel="angular frequency (rad/s)")
+    _write_outputs(args, config, files,
+                   {"n_realizations": n_real, "master_seed": config.estimator.seed,
+                    "dtype": str(np.dtype(dtype))})
     return EXIT_OK
 
 
-def _overlay_svg(path: Path, comparison, title: str, xlabel: str,
-                 ylabel: str) -> Path:
-    line_svg([(comparison.x, comparison.reference, "analytic"),
-              (comparison.x, comparison.estimate, "monte carlo")],
-             title=title, xlabel=xlabel, ylabel=ylabel, path=path)
-    return path
+def _overlay_svg(comparison, title: str, xlabel: str, ylabel: str) -> str:
+    return line_svg([(comparison.x, comparison.reference, "analytic"),
+                     (comparison.x, comparison.estimate, "monte carlo")],
+                    title=title, xlabel=xlabel, ylabel=ylabel)
 
 
 def cmd_validate(args) -> int:
@@ -254,18 +238,15 @@ def cmd_validate(args) -> int:
     n_real = args.n if args.n is not None else config.estimator.n_realizations
     result = validate(config.params, config.grid, n_real, config.estimator.seed,
                       n_workers=args.workers)
-    out_dir = _make_out_dir(args)
-    outputs = [_overlay_svg(out_dir / "acf_overlay.svg", result.acf,
-                            f"autocorrelation overlay (N={n_real})",
-                            "lag (s)", "autocorrelation")]
+    files = {"acf_overlay.svg": _overlay_svg(
+        result.acf, f"autocorrelation overlay (N={n_real})", "lag (s)", "autocorrelation")}
     if result.psd is not None:
-        outputs.append(_overlay_svg(out_dir / "psd_overlay.svg", result.psd,
-                                    f"spectral density overlay (N={n_real})",
-                                    "angular frequency (rad/s)", "density"))
-    outputs.append(out_dir / "report.json")
-    _write_json(outputs[-1], result.report)
+        files["psd_overlay.svg"] = _overlay_svg(
+            result.psd, f"spectral density overlay (N={n_real})",
+            "angular frequency (rad/s)", "density")
+    files["report.json"] = _json_text(result.report)
     overall = result.report["overall_pass"]
-    _write_manifest(out_dir, args, config, outputs, {"overall_pass": overall})
+    _write_outputs(args, config, files, {"overall_pass": overall})
     return EXIT_OK if overall else EXIT_THRESHOLD
 
 
@@ -283,20 +264,19 @@ def cmd_coeffs(args) -> int:
                                         order="index"))
             for sweep_size in sorted(set(args.l_sweep + [size]))
             for fraction in POWER_FRACTIONS]
-    out_dir = _make_out_dir(args)
-    table = out_dir / "coefficients.csv"
-    _write_table(table, "n,coefficient", (index, coeffs))
-    svg = out_dir / "coefficients.svg"
-    line_svg([(index.astype(float), coeffs, "squared-Bessel coefficient")],
-             title="series coefficients", xlabel="harmonic index n",
-             ylabel="coefficient", ylog=True,
-             vlines=[(float(cutoff), f"cutoff n={cutoff}")], path=svg)
-    ptable = out_dir / "power_fractions.csv"
     lines = ["electrical_size,fraction,k_magnitude_order,k_index_order"]
     lines += [f"{s!r},{f!r},{km},{ki}" for s, f, km, ki in rows]
-    ptable.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_manifest(out_dir, args, config, [table, svg, ptable],
-                    {"truncation_index": cutoff, "electrical_size": size})
+    files = {
+        "coefficients.csv": _table_text("n,coefficient", (index, coeffs)),
+        "coefficients.svg": line_svg(
+            [(index.astype(float), coeffs, "squared-Bessel coefficient")],
+            title="series coefficients", xlabel="harmonic index n",
+            ylabel="coefficient", ylog=True,
+            vlines=[(float(cutoff), f"cutoff n={cutoff}")]),
+        "power_fractions.csv": "\n".join(lines) + "\n",
+    }
+    _write_outputs(args, config, files,
+                   {"truncation_index": cutoff, "electrical_size": size})
     return EXIT_OK
 
 

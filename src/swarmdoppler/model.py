@@ -152,22 +152,21 @@ def default_grid(params: SwarmParams, oversample: float = 1.0,
                         n_samples=n_samples)
 
 
-def check_grid(params: SwarmParams, grid: SamplingGrid, *,
-               allow_undersampled: bool = False) -> None:
+def check_grid(params: SwarmParams, grid: SamplingGrid) -> None:
     """Raise unless ``grid.dt`` respects the Nyquist bound for ``params``."""
     bound = math.pi / band_edge(params)
-    if grid.dt > bound * (1.0 + 1e-12) and not allow_undersampled:
+    if grid.dt > bound * (1.0 + 1e-12):
         raise ValidationError(
             f"dt={grid.dt!r} undersamples the signal band (Nyquist bound "
-            f"{bound:.6e} s); pass allow_undersampled=True to accept aliasing"
+            f"{bound:.6e} s); use a step within the bound"
         )
 
 
-def make_grid(params: SwarmParams, t_start: float, dt: float, n_samples: int,
-              *, allow_undersampled: bool = False) -> SamplingGrid:
+def make_grid(params: SwarmParams, t_start: float, dt: float,
+              n_samples: int) -> SamplingGrid:
     """Construct a grid and verify it against the Nyquist guard."""
     grid = SamplingGrid(t_start=t_start, dt=dt, n_samples=n_samples)
-    check_grid(params, grid, allow_undersampled=allow_undersampled)
+    check_grid(params, grid)
     return grid
 
 

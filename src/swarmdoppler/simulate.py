@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._atomic import atomic_file
+from ._atomic import write_files
 from .exceptions import DomainError, FormatError, ValidationError
 from .model import Curve, SamplingGrid, SwarmParams, check_grid, derive
 
@@ -221,6 +221,13 @@ def simulate_ensemble(params: SwarmParams, grid: SamplingGrid, n_realizations: i
     return Ensemble(params=params, grid=grid, master_seed=master_seed, signals=signals)
 
 
+def _lag_integer(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"lag range needs integer t_ref_index and n_lags, "
+                          f"got {name}={value!r}")
+    return int(value)
+
+
 class AcfAccumulator:
     """A Monte Carlo autocorrelation estimate over nonnegative lags, built up
     block by block: each block of realizations is reduced to a partial sum,
@@ -235,8 +242,9 @@ class AcfAccumulator:
 
     def __init__(self, grid: SamplingGrid, t_ref_index: int = 0,
                  n_lags: int | None = None, *, time_average: bool = False) -> None:
-        if n_lags is None:
-            n_lags = grid.n_samples - t_ref_index
+        t_ref_index = _lag_integer("t_ref_index", t_ref_index)
+        n_lags = (grid.n_samples - t_ref_index if n_lags is None
+                  else _lag_integer("n_lags", n_lags))
         if t_ref_index < 0 or n_lags < 1 or t_ref_index + n_lags > grid.n_samples:
             raise DomainError(
                 f"lag range overflows the grid: t_ref_index={t_ref_index}, "
@@ -434,14 +442,9 @@ def spectrogram(series: np.ndarray, grid: SamplingGrid,
     return Spectrogram(power=power.T, times=times, freqs=freqs)
 
 
-def save_ensemble(path, ensemble: Ensemble) -> None:
-    """Write an ensemble to the versioned binary container.
-
-    Layout: magic ``SWEN``, little-endian u32 version and u64 header length,
-    UTF-8 JSON header (params, grid, seed, shape, dtype), then the raw
-    little-endian row-major payload.  The file is replaced whole: a write
-    that fails leaves ``path`` as it was.
-    """
+def container_chunks(ensemble: Ensemble) -> list:
+    """The container of ``ensemble`` as buffers in file order; the last is a
+    view of the payload, not a copy."""
     p = ensemble.params
     g = ensemble.grid
     dtype_name = "complex64" if ensemble.signals.dtype == np.complex64 else "complex128"
@@ -461,11 +464,21 @@ def save_ensemble(path, ensemble: Ensemble) -> None:
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     wire_dtype = "<c8" if dtype_name == "complex64" else "<c16"
-    with atomic_file(path) as fh:
-        fh.write(_ENSEMBLE_MAGIC)
-        fh.write(struct.pack("<IQ", _ENSEMBLE_VERSION, len(blob)))
-        fh.write(blob)
-        fh.write(np.ascontiguousarray(ensemble.signals).astype(wire_dtype, copy=False).tobytes())
+    payload = np.ascontiguousarray(ensemble.signals).astype(wire_dtype, copy=False)
+    return [_ENSEMBLE_MAGIC, struct.pack("<IQ", _ENSEMBLE_VERSION, len(blob)), blob,
+            memoryview(payload.reshape(-1).view(np.uint8))]
+
+
+def save_ensemble(path, ensemble: Ensemble) -> None:
+    """Write an ensemble to the versioned binary container.
+
+    Layout: magic ``SWEN``, little-endian u32 version and u64 header length,
+    UTF-8 JSON header (params, grid, seed, shape, dtype), then the raw
+    little-endian row-major payload.  The file is replaced whole: a write
+    that fails leaves ``path`` as it was.
+    """
+    directory, name = os.path.split(os.fspath(path))
+    write_files(directory, {name: container_chunks(ensemble)})
 
 
 def _header_int(header: dict, key: str, minimum: int) -> int:

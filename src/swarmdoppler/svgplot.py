@@ -1,4 +1,4 @@
-"""Small deterministic SVG plot writer.
+"""Small deterministic SVG plot renderer.
 
 Textual, diffable output with no timestamps, random ids or font-metric
 dependence, so identical inputs always produce identical bytes.  Supports
@@ -131,7 +131,7 @@ def _axes(parts, frame, xlabel, ylabel):
 
 
 def line_svg(series, *, title="", xlabel="", ylabel="", width=900, height=520,
-             ylog=False, vlines=(), stems=(), path=None) -> str:
+             ylog=False, vlines=(), stems=()) -> str:
     """Render one or more (x, y, label) series as an SVG line plot.
 
     ``vlines`` are (x, label) markers; ``stems`` are (x, y) impulses drawn
@@ -203,11 +203,7 @@ def line_svg(series, *, title="", xlabel="", ylabel="", width=900, height=520,
                          f'font-size="11">{label}</text>')
             legend_y += 16
     parts.append("</svg>")
-    text = "\n".join(parts) + "\n"
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+    return "\n".join(parts) + "\n"
 
 
 def _colormap(values: np.ndarray) -> np.ndarray:
@@ -238,7 +234,7 @@ def _png_bytes(rgb: np.ndarray) -> bytes:
 
 
 def heatmap_svg(matrix, x, y, *, title="", xlabel="", ylabel="",
-                width=900, height=560, db_floor=-60.0, path=None) -> str:
+                width=900, height=560, db_floor=-60.0) -> str:
     """Render a power matrix (rows indexed by ``y``) as a dB heatmap.
 
     The raster is embedded as a base64 PNG; row 0 of ``matrix`` is drawn at
@@ -264,8 +260,4 @@ def heatmap_svg(matrix, x, y, *, title="", xlabel="", ylabel="",
     )
     _axes(parts, frame, xlabel, ylabel)
     parts.append("</svg>")
-    text = "\n".join(parts) + "\n"
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+    return "\n".join(parts) + "\n"

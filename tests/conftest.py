@@ -50,8 +50,30 @@ class _HalfWrite:
         raise OSError(errno.ENOSPC, "No space left on device")
 
 
+class FullDisk:
+    """Counts the files that whole-file writes open; from the one at index
+    ``fail_at`` on (0: every file), each takes half of its first write, then
+    fails like a full disk.  ``fail_from_now(None)`` lets every write through."""
+
+    def __init__(self):
+        self.fail_at = 0
+        self.opened = 0
+
+    def open(self, path, mode):
+        index, self.opened = self.opened, self.opened + 1
+        fh = open(path, mode)
+        failing = self.fail_at is not None and index >= self.fail_at
+        return _HalfWrite(fh) if failing else fh
+
+    def fail_from_now(self, index):
+        """Fail from the ``index``-th file opened after this call on."""
+        self.fail_at, self.opened = index, 0
+
+
 @pytest.fixture
 def full_disk(monkeypatch):
-    """Make every whole-file write fail halfway through its first write."""
-    monkeypatch.setattr(_atomic, "open", lambda path, mode: _HalfWrite(open(path, mode)),
-                        raising=False)
+    """Make every whole-file write fail halfway through its first write
+    (see :class:`FullDisk` to let the first few files through)."""
+    disk = FullDisk()
+    monkeypatch.setattr(_atomic, "open", disk.open, raising=False)
+    return disk

@@ -3,10 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import swarmdoppler as sd
 from swarmdoppler.cli import main
@@ -223,20 +225,102 @@ def test_io_error_exit_code(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+def files_under(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+
+
 @pytest.mark.parametrize("argv, target", [
     (["simulate", "--n", "2"], "ensemble.bin"),
     (["validate", "--n", "40"], "report.json"),
     (["acf"], "manifest.json"),
+    (["acf", "--points", "51", "--deterministic", "--format", "json"],
+     "acf_deterministic.json"),
+    (["psd", "--points", "64"], "psd.csv"),
+    (["coeffs", "--max-n", "200", "--l-sweep", "10"], "power_fractions.csv"),
+    (["simulate", "--n", "2", "--spectrogram", "--workers", "2"], "spectrogram.svg"),
 ])
 def test_output_written_halfway_is_never_left_behind(tmp_path, full_disk, argv, target,
                                                      capsys):
     config = write_config(tmp_path, grid={"n_samples": 256})
-    out = tmp_path / "run"
-    assert main(argv + ["--config", str(config), "--out", str(out)]) == 3
-    assert "No space" in capsys.readouterr().err
-    left = sorted(p.name for p in out.iterdir())
-    assert target not in left
-    assert not [name for name in left if name.endswith(".tmp")]
+    run = argv + ["--config", str(config), "--out"]
+    done = tmp_path / "done"
+    full_disk.fail_from_now(None)
+    assert main(run + [str(done)]) in (0, 4)
+    before = files_under(done)
+    assert target in before
+    for fail_at in range(len(before)):    # each file in turn, the manifest last
+        full_disk.fail_from_now(fail_at)
+        fresh = tmp_path / f"fresh{fail_at}"
+        assert main(run + [str(fresh)]) == 3
+        assert "No space" in capsys.readouterr().err
+        assert files_under(fresh) == {}
+        full_disk.fail_from_now(fail_at)
+        assert main(run + [str(done)]) == 3
+        assert files_under(done) == before
+
+
+# each command's own flags, with valid and invalid values mixed; the sizes
+# are always given and kept small, so no draw runs a preset's full default
+_SIZES = {
+    "acf": ("--points", ["1", "64", "64", "0"]),
+    "psd": ("--points", ["2", "64", "64", "-3"]),
+    "simulate": ("--n", ["1", "64", "64", "1.5"]),
+    "validate": ("--n", ["2", "64", "64", "0"]),
+    "coeffs": ("--max-n", ["1", "200", "200", "0"]),
+}
+_FLAGS = {
+    "acf": {"--format": ["csv", "json", "xml"], "--tau-max": ["0", "0.001", "nan"],
+            "--deterministic": None},
+    "psd": {"--format": ["csv", "json"], "--hz": None},
+    "simulate": {"--seed": ["0", "7", "-1"], "--workers": ["1", "2", "0"],
+                 "--dtype": ["complex64", "complex128", "float32"],
+                 "--spectrogram": None},
+    "validate": {"--seed": ["0", "3", "-1"], "--workers": ["1", "2", "0"]},
+    "coeffs": {"--l-sweep": ["10", "10,300", "0", "5000"]},
+}
+_FOREIGN = ["--hz", "--seed=1", "--format=json", "--deterministic", "--bogus"]
+# config documents: small and valid, beyond the Bessel envelope
+# (blade/wavelength 160), and too short for any PSD bin to survive validate
+_CONFIGS = {
+    "small": {"grid": {"n_samples": 256}},
+    "large blades": {"blade_length_m": 4.8, "grid": {"n_samples": 256}},
+    "short grid": {"grid": {"n_samples": 128}},
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    size_flag, sizes = _SIZES[command]
+    words = [[size_flag, draw(st.sampled_from(sizes))]]
+    for flag, values in _FLAGS[command].items():
+        if draw(st.booleans()):
+            words.append([flag] if values is None else [flag, draw(st.sampled_from(values))])
+    if draw(st.integers(0, 5)) == 0:
+        words.append([draw(st.sampled_from(_FOREIGN))])
+    source = draw(st.sampled_from(sorted(_CONFIGS) * 2 + ["preset", "both", "none"]))
+    return command, [w for group in draw(st.permutations(words)) for w in group], source
+
+
+@settings(max_examples=25, deadline=None)
+@given(drawn=cli_argv())
+def test_generated_argv_exits_with_a_code_and_fails_without_output(drawn):
+    command, flags, source = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        preset = ["--preset", "mavic-like"]
+        sources = {"preset": preset, "none": []}
+        for name, doc in _CONFIGS.items():
+            config = write_config(Path(tmp), f"{name}.json", **doc,
+                                  estimator={"n_realizations": 8, "seed": 1})
+            sources[name] = ["--config", str(config)]
+        sources["both"] = sources["small"] + preset
+        out = Path(tmp) / "run"
+        code = main([command] + flags + sources[source] + ["--out", str(out)])
+        assert code in (0, 2, 3, 4)
+        if code in (0, 4):
+            assert_digests_match(out)
+        else:
+            assert not out.exists() or not any(out.iterdir())
 
 
 def test_runtime_imports_numpy_only():

@@ -192,9 +192,12 @@ def test_accumulator_refuses_an_empty_estimate_and_lags_past_the_grid():
     for time_average in (False, True):
         with pytest.raises(DomainError, match="no realizations"):
             sd.AcfAccumulator(grid, time_average=time_average).curve()
-    for t_ref_index, n_lags in ((0, 65), (10, 55), (64, None), (-1, 4)):
+    for t_ref_index, n_lags in ((0, 65), (10, 55), (64, None), (-1, 4), (0, 2.5),
+                                (1.0, 4), (0, True), (True, 4), (None, 4)):
         with pytest.raises(DomainError, match="lag range"):
             sd.AcfAccumulator(grid, t_ref_index, n_lags)
+    acc = sd.AcfAccumulator(grid, np.int64(1), np.int32(4))
+    assert (acc.t_ref_index, acc.n_lags) == (1, 4)
 
 
 def test_accumulator_refuses_foreign_rows_grids_and_seeds():
