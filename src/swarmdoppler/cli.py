@@ -8,8 +8,8 @@ last, in one step that is all or none: each file goes to a temporary file
 beside its target, and only once every one is written are they moved onto
 their names.  A command that fails, in the model or while writing, leaves
 no new file in the output directory and every old one as it was.
-Exit codes: 0 success, 2 configuration or usage error, 3 I/O error,
-4 validation-threshold failure.
+Exit codes: 0 success, 2 configuration or usage error, 3 I/O or
+out-of-memory error, 4 validation-threshold failure.
 """
 from __future__ import annotations
 
@@ -382,6 +382,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_IO
     except SwarmModelError as exc:
         print(f"error: {exc}", file=sys.stderr)

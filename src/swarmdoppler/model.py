@@ -122,8 +122,9 @@ class SamplingGrid:
     n_samples: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.t_start, (int, float)) and math.isfinite(self.t_start)):
-            raise ValidationError(f"t_start must be finite, got {self.t_start!r}")
+        if isinstance(self.t_start, bool) or not (
+                isinstance(self.t_start, (int, float)) and math.isfinite(self.t_start)):
+            raise ValidationError(f"t_start must be a finite number, got {self.t_start!r}")
         _check_positive_real("dt", self.dt)
         _check_positive_int("n_samples", self.n_samples)
 

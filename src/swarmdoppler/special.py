@@ -1,6 +1,8 @@
 """Integer-order Bessel functions of the first kind and phase-average oracles.
 
-Evaluation runs a single downward three-term recurrence (Miller's algorithm)
+There are two routes.  Every order at a scalar argument, and every order
+n > 0 over an array (point by point), comes from one column of a single
+downward three-term recurrence (Miller's algorithm, :func:`bessel_j_many`)
 started well above both the order and the argument, normalised with the
 squared-sum identity
 
@@ -20,10 +22,13 @@ zero of an oscillatory-regime J_n, where relative error degrades while the
 absolute error stays near 1e-13 times the local envelope.
 
 J_0 over an array takes Hankel's large-argument expansion (DLMF 10.17.3,
-eight terms each of P and Q) for |x| >= 25 and the recurrence below it, so
-there the recurrence starts at order ~65 instead of ~|x|.  Against 40-digit
-references the expansion is within 1e-16 absolute at x = 25 and within
-1e-17 over [2000, 4000]; the recurrence below 25 is within 5e-16.
+eight terms each of P and Q) for |x| >= 25, and below 25 Bessel's integral
+J_0(x) = (2/pi) * integral_0^{pi/2} cos(x sin t) dt (DLMF 10.9.1) on 16
+trapezoid panels.  The integrand is smooth and periodic, so the rule
+converges geometrically; its truncation error is below 2.2e-20 at x = 25,
+and rounding is all that is left.  Against 40-digit references the
+expansion is within 1e-16 absolute at x = 25 and within 1e-17 over
+[2000, 4000]; the integral below 25 is within 6e-16.
 
 Supported envelope: integer order 0 <= n <= 3000 and |x| <= 2000, and for
 J_0 |x| <= 4000.  A scalar J_0 beyond 2000 is evaluated as an array of one.
@@ -52,6 +57,9 @@ _TINY_ARG = 1e-100
 # within 8.3e-17 at x = 25 but 6.7e-14 at x = 15
 _HANKEL_MIN_ARG = 25.0
 _HANKEL_TERMS = 8
+# below _HANKEL_MIN_ARG, J_0 over arrays is Bessel's integral on this many
+# trapezoid panels over a quarter period
+_J0_PANELS = 16
 # i**n for n mod 4; complex integer powers drift for large n, a table does not
 _IPOW = (1 + 0j, 1j, -1 + 0j, -1j)
 
@@ -136,58 +144,6 @@ def bessel_j_many(n_max: int, x: float) -> np.ndarray:
     return out
 
 
-def _bessel_vector(n: int, ax: np.ndarray) -> np.ndarray:
-    """J_n over an array of nonnegative arguments."""
-    out = np.zeros_like(ax)
-    zero = ax == 0.0
-    tiny = ~zero & (ax < _TINY_ARG)
-    main = ~(zero | tiny)
-    if n == 0:
-        out[zero] = 1.0
-    if tiny.any():
-        if n == 0:
-            out[tiny] = 1.0
-        else:
-            half = ax[tiny] / 2.0
-            with np.errstate(divide="ignore"):
-                logv = n * np.log(half) - math.lgamma(n + 1.0)
-            out[tiny] = np.where(logv < -745.0, 0.0, np.exp(logv))
-    if main.any():
-        xm = ax[main]
-        top = _start_order(n, float(xm.max()))
-        inv_x = 1.0 / xm
-        fk1 = np.zeros_like(xm)
-        fk = np.ones_like(xm)
-        sq = np.zeros_like(xm)
-        lin = np.zeros_like(xm)
-        shifts = np.zeros(xm.shape, dtype=np.int64)
-        cap = np.zeros_like(xm)
-        cap_shift = np.zeros(xm.shape, dtype=np.int64)
-        for k in range(top, 0, -1):
-            if k == n:
-                cap[:] = fk
-                cap_shift[:] = shifts
-            sq += 2.0 * fk * fk
-            if not k & 1:
-                lin += 2.0 * fk
-            fk1, fk = fk, (2.0 * k) * inv_x * fk - fk1
-            big = np.abs(fk) > _BIG
-            if big.any():
-                fk[big] *= _SMALL
-                fk1[big] *= _SMALL
-                sq[big] *= _SMALL * _SMALL
-                lin[big] *= _SMALL
-                shifts[big] += 1
-        sq += fk * fk
-        lin += fk
-        if n == 0:
-            cap[:] = fk
-            cap_shift[:] = shifts
-        norm = np.where(lin >= 0.0, 1.0, -1.0) * np.sqrt(sq)
-        out[main] = np.ldexp(cap / norm, (_SHIFT * (cap_shift - shifts)).astype(np.int32))
-    return out
-
-
 def _hankel_coefficients(terms: int) -> tuple[tuple, tuple]:
     """Coefficients (-1)**k a_{2k}(0) of P and (-1)**k a_{2k+1}(0) of Q, k < terms.
 
@@ -227,12 +183,27 @@ def _j0_hankel(ax: np.ndarray) -> np.ndarray:
     return (p * (c + s) + q * (c - s)) / np.sqrt(np.pi * ax)
 
 
+def _j0_trapezoid(ax: np.ndarray) -> np.ndarray:
+    """J_0 below _HANKEL_MIN_ARG from Bessel's integral (DLMF 10.9.1).
+
+    J_0(x) = (2/pi) * integral_0^{pi/2} cos(x sin t) dt by the trapezoid rule
+    on _J0_PANELS panels, whose end nodes give 1 and cos(x), each halved.  By
+    symmetry this is the 64-point rule over a full period, so its only error
+    is the alias 2*J_64(x) + 2*J_128(x) + ..., below 2.2e-20 at x = 25.
+    """
+    nodes = np.sin((0.5 * np.pi / _J0_PANELS) * np.arange(1, _J0_PANELS))
+    acc = 0.5 + 0.5 * np.cos(ax)
+    for s in nodes:
+        acc += np.cos(ax * s)
+    return acc / _J0_PANELS
+
+
 def _j0_vector(ax: np.ndarray) -> np.ndarray:
-    """J_0 over an array of nonnegative arguments: expansion far, recurrence near."""
+    """J_0 over an array of nonnegative arguments: expansion far, integral near."""
     far = ax >= _HANKEL_MIN_ARG
     out = np.empty_like(ax)
     out[far] = _j0_hankel(ax[far])
-    out[~far] = _bessel_vector(0, ax[~far])
+    out[~far] = _j0_trapezoid(ax[~far])
     return out
 
 
@@ -241,9 +212,11 @@ def bessel_j(n: int, x):
 
     ``x`` may be a scalar or an ndarray; the return type matches.  Orders
     0..3000 are supported with |x| <= 2000, and J_0 with |x| <= 4000.  A
-    scalar within 2000 runs the recurrence of :func:`bessel_j_many`.  J_0
-    over an array (or a scalar beyond 2000) takes Hankel's expansion for
-    |x| >= 25, within 1e-16 of 40-digit references, and the recurrence below.
+    scalar within 2000 runs the recurrence of :func:`bessel_j_many`, and an
+    array of order n > 0 runs it point by point, so both agree bit for bit.
+    J_0 over an array (or a scalar beyond 2000) takes Hankel's expansion for
+    |x| >= 25 and Bessel's integral on 16 trapezoid panels below, within
+    1e-16 and 6e-16 of 40-digit references.
     """
     n = _check_order(n)
     arr = np.asarray(x, dtype=float)
@@ -252,10 +225,11 @@ def bessel_j(n: int, x):
         raise DomainError(f"argument outside supported range |x| <= {limit}")
     if arr.ndim == 0 and abs(arr) <= MAX_ABS_ARG:
         return float(bessel_j_many(n, float(arr))[n])
-    ax = np.abs(arr).ravel()
-    vals = (_j0_vector(ax) if n == 0 else _bessel_vector(n, ax)).reshape(arr.shape)
-    if n & 1:
-        vals = np.where(arr < 0.0, -vals, vals)
+    if n == 0:
+        vals = _j0_vector(np.abs(arr).ravel())
+    else:
+        vals = np.array([bessel_j_many(n, v)[n] for v in arr.ravel().tolist()])
+    vals = vals.reshape(arr.shape)
     return float(vals) if arr.ndim == 0 else vals
 
 

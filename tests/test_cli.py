@@ -225,6 +225,22 @@ def test_io_error_exit_code(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, target", [
+    (["acf"], "build_acf"),
+    (["simulate", "--n", "2"], "simulate_ensemble"),
+])
+def test_out_of_memory_exits_with_the_io_code(tmp_path, monkeypatch, argv, target,
+                                              capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setattr(f"swarmdoppler.cli.{target}", exhausted)
+    code = main(argv + ["--preset", "mavic-like", "--out", str(tmp_path / "run")])
+    assert code == 3
+    assert "error: out of memory: Unable to allocate 74.5 GiB" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def files_under(out):
     return {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
 

@@ -113,6 +113,12 @@ def test_grid_field_validation():
         sd.SamplingGrid(t_start=0.0, dt=1e-5, n_samples=0)
     with pytest.raises(ValidationError):
         sd.SamplingGrid(t_start=float("inf"), dt=1e-5, n_samples=10)
+    for bad in (True, False):
+        with pytest.raises(ValidationError, match="t_start"):
+            sd.SamplingGrid(t_start=bad, dt=1e-5, n_samples=10)
+    doc = dict(MAVIC_DOC, grid={"t_start_s": True})
+    with pytest.raises(ValidationError, match="t_start"):
+        sd.load_config(json.dumps(doc))
 
 
 def test_grid_times_and_span():

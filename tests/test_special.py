@@ -10,6 +10,13 @@ FIRST_J0_ZERO = 2.404825557695773
 # pinned beforehand by 40-digit arithmetic and by the integral oracle below
 J100_AT_87_9646 = 0.0008812419387234744
 J1_SQ_AT_87_9646 = 0.0035878953235476472
+# J_0 at the double nearest each argument, from 40-digit arithmetic
+J0_REFERENCES = [
+    (0.5, 0.9384698072408129042284046735997126255689),
+    (10.0, -0.2459357644513483351977608624853287538296),
+    (24.999, 0.09614138240616852632895022099046555636768),
+    (FIRST_J0_ZERO, -6.108765259736730397081979074235388478631e-17),
+]
 
 
 def bessel_integral_oracle(n: int, x: float) -> float:
@@ -74,9 +81,26 @@ def test_vector_matches_scalar():
         vec = sd.bessel_j(n, xs)
         for xv, got in zip(xs, vec):
             ref = sd.bessel_j(n, float(xv))
-            # absolute slack covers points near oscillatory zeros, where the
-            # two recurrence lengths differ and relative error amplifies
-            assert got == pytest.approx(ref, rel=1e-11, abs=1e-13), (n, xv)
+            if n > 0:
+                # an array of order n > 0 runs the scalar recurrence per point
+                assert got == ref, (n, xv)
+            else:
+                # J_0 over arrays takes the integral or Hankel's expansion;
+                # absolute slack covers points near oscillatory zeros, where
+                # relative error amplifies
+                assert got == pytest.approx(ref, rel=1e-11, abs=1e-13), (n, xv)
+
+
+@pytest.mark.parametrize("x,ref", J0_REFERENCES)
+def test_j0_array_below_the_expansion_matches_40_digit_references(x, ref):
+    # Bessel's integral on 16 trapezoid panels: its truncation error is below
+    # 2.2e-20 at x = 25, so only rounding is left
+    got = sd.bessel_j(0, np.array([x, -x]))
+    assert np.all(np.abs(got - ref) <= 6e-16), got - ref
+
+
+def test_j0_array_is_exactly_one_at_and_near_the_origin():
+    assert np.array_equal(sd.bessel_j(0, np.array([0.0, 1e-300, -1e-300])), np.ones(3))
 
 
 def test_j0_array_matches_scipy_on_a_dense_grid():
