@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError, ValidationError
+from .exceptions import DomainError, ValidationError, _checked_int, _checked_real
 from .model import SwarmParams, DerivedParams, band_edge, derive
 from .special import J0_MAX_ABS_ARG, MAX_ABS_ARG, MAX_ORDER, bessel_j, bessel_j_many
 
@@ -86,11 +86,8 @@ def truncation_index(electrical_size: float, n_blades: int) -> int:
     ``electrical_size/2`` die once ``n`` exceeds
     ``electrical_size / (2*n_blades)``.
     """
-    if electrical_size <= 0:
-        raise ValidationError(f"electrical_size must be > 0, got {electrical_size!r}")
-    if isinstance(n_blades, bool) or not isinstance(n_blades, int) or n_blades < 1:
-        raise ValidationError(f"n_blades must be a positive integer, got {n_blades!r}")
-    return math.ceil(electrical_size / (2.0 * n_blades))
+    electrical_size = _checked_real(electrical_size, "electrical_size", gt=0)
+    return math.ceil(electrical_size / (2.0 * _checked_int(n_blades, "n_blades")))
 
 
 def _series_margin(cutoff: int) -> int:
@@ -108,9 +105,10 @@ def harmonic_coefficients(electrical_size: float, n_blades: int, n_max: int) -> 
     double-precision cumulative sum.  An electrical size beyond
     ``2*MAX_ABS_ARG`` (blade/wavelength 159.15) raises DomainError.
     """
-    _check_envelope(electrical_size, 2.0 * MAX_ABS_ARG, "series form")
-    if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 1:
-        raise ValidationError(f"n_max must be a positive integer, got {n_max!r}")
+    _check_envelope(_checked_real(electrical_size, "electrical_size"), 2.0 * MAX_ABS_ARG,
+                    "series form")
+    n_blades = _checked_int(n_blades, "n_blades")
+    n_max = _checked_int(n_max, "n_max")
     half = electrical_size / 2.0
     top = min(n_blades * n_max, MAX_ORDER)
     column = bessel_j_many(top, half)
@@ -133,7 +131,7 @@ class AcfSeries:
     dc_level: float            # prefactor * j0_squared; the large-lag floor
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.coefficients, dtype=float)
+        c = np.asarray(self.coefficients, dtype=float).view()
         c.setflags(write=False)
         object.__setattr__(self, "coefficients", c)
 
@@ -253,7 +251,7 @@ class PsdMixture:
 
     def __post_init__(self) -> None:
         for name in ("centers", "stds", "side_masses"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.asarray(getattr(self, name), dtype=float).view()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -380,9 +378,7 @@ def coefficient_power_fraction(electrical_size: float, n_blades: int,
     in descending size first, ``"index"`` keeps natural harmonic order.  Both
     are exposed because neither ordering is canonical.
     """
-    if isinstance(fraction, bool) or not isinstance(fraction, (int, float)) \
-            or not 0.0 < fraction < 1.0:
-        raise ValidationError(f"fraction must lie strictly in (0, 1), got {fraction!r}")
+    _checked_real(fraction, "fraction", gt=0, lt=1)
     if order not in ("magnitude", "index"):
         raise ValidationError(f"order must be 'magnitude' or 'index', got {order!r}")
     coeffs = harmonic_coefficients(electrical_size, n_blades, n_max)

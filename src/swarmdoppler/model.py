@@ -13,25 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConfigError, ValidationError
+from .exceptions import ConfigError, ValidationError, _checked_int, _checked_real
 
 CURVE_AXES = ("lag_s", "angular_frequency_rad_per_s", "frequency_hz", "time_s")
 
 DEFAULT_N_SAMPLES = 4001
 DEFAULT_N_REALIZATIONS = 10_000
 DEFAULT_SEED = 1234
-
-
-def _check_positive_int(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValidationError(f"{name} must be a positive integer, got {value!r}")
-
-
-def _check_positive_real(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value) or value <= 0:
-        raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
+# seeds are unsigned 64-bit integers wherever they are taken
+_SEED_MAX = 2 ** 64 - 1
 
 
 @dataclass(frozen=True)
@@ -56,17 +46,11 @@ class SwarmParams:
     gain_magnitude: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_positive_int("n_drones", self.n_drones)
-        _check_positive_int("n_rotors", self.n_rotors)
-        _check_positive_int("n_blades", self.n_blades)
-        _check_positive_real("blade_length", self.blade_length)
-        _check_positive_real("wavelength", self.wavelength)
-        _check_positive_real("mean_speed", self.mean_speed)
-        _check_positive_real("gain_magnitude", self.gain_magnitude)
-        v = self.speed_variance
-        if isinstance(v, bool) or not isinstance(v, (int, float)) \
-                or not math.isfinite(v) or v < 0:
-            raise ValidationError(f"speed_variance must be finite and >= 0, got {v!r}")
+        for name in ("n_drones", "n_rotors", "n_blades"):
+            object.__setattr__(self, name, _checked_int(getattr(self, name), name))
+        for name in ("blade_length", "wavelength", "mean_speed", "gain_magnitude"):
+            _checked_real(getattr(self, name), name, gt=0)
+        _checked_real(self.speed_variance, "speed_variance", ge=0)
         if self.wavelength >= self.blade_length:
             # Advisory only: the point-scatterer reduction assumes the carrier
             # wavelength is much smaller than the blade length.
@@ -122,11 +106,9 @@ class SamplingGrid:
     n_samples: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.t_start, bool) or not (
-                isinstance(self.t_start, (int, float)) and math.isfinite(self.t_start)):
-            raise ValidationError(f"t_start must be a finite number, got {self.t_start!r}")
-        _check_positive_real("dt", self.dt)
-        _check_positive_int("n_samples", self.n_samples)
+        _checked_real(self.t_start, "t_start")
+        _checked_real(self.dt, "dt", gt=0)
+        object.__setattr__(self, "n_samples", _checked_int(self.n_samples, "n_samples"))
 
     def times(self) -> np.ndarray:
         return self.t_start + self.dt * np.arange(self.n_samples)
@@ -145,9 +127,7 @@ def default_grid(params: SwarmParams, oversample: float = 1.0,
     two-sided spectrum fits inside the Nyquist range; at ``oversample=1`` the
     Nyquist frequency coincides with the band edge.
     """
-    if isinstance(oversample, bool) or not isinstance(oversample, (int, float)) \
-            or not math.isfinite(oversample) or oversample < 1.0:
-        raise ValidationError(f"oversample must be a real >= 1, got {oversample!r}")
+    _checked_real(oversample, "oversample", ge=1)
     return SamplingGrid(t_start=0.0,
                         dt=math.pi / (oversample * band_edge(params)),
                         n_samples=n_samples)
@@ -239,10 +219,9 @@ class EstimatorSettings:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        _check_positive_int("n_realizations", self.n_realizations)
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) \
-                or not 0 <= self.seed < 2 ** 64:
-            raise ValidationError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        object.__setattr__(self, "n_realizations",
+                           _checked_int(self.n_realizations, "n_realizations"))
+        object.__setattr__(self, "seed", _checked_int(self.seed, "seed", low=0, high=_SEED_MAX))
 
 
 @dataclass(frozen=True)

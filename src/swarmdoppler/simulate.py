@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._atomic import write_files
-from .exceptions import DomainError, FormatError, ValidationError
-from .model import Curve, SamplingGrid, SwarmParams, check_grid, derive
+from .exceptions import DomainError, FormatError, ValidationError, _checked_int
+from .model import _SEED_MAX, Curve, SamplingGrid, SwarmParams, check_grid, derive
 
 _ENSEMBLE_MAGIC = b"SWEN"
 _ENSEMBLE_VERSION = 1
@@ -118,7 +118,7 @@ class Ensemble:
     signals: np.ndarray   # (n_realizations, n_samples), complex
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.signals)
+        arr = np.asarray(self.signals).view()    # made read-only; the caller's stays as is
         if arr.ndim != 2 or not np.iscomplexobj(arr):
             raise ValidationError("signals must be a 2-d complex array")
         if arr.shape[1] != self.grid.n_samples:
@@ -143,18 +143,20 @@ def _blocks(params: SwarmParams, grid: SamplingGrid, master_seed: int, start: in
             block_rows: int = _CHUNK_ROWS):
     """``reduce(rows)`` for consecutive blocks of realizations ``[start, stop)``.
 
-    Checks the grid and the range when called, before any realization is
-    made, and returns a generator of the reduced blocks, in order.  Block ``j`` holds realizations
+    Checks the grid, the range, the seed and the worker count when called,
+    before any realization is made, and returns a generator of the reduced
+    blocks, in order.  Block ``j`` holds realizations
     ``[start + j*B, start + (j+1)*B)`` with ``B = block_rows``, each
     synthesized alone and rounded to ``dtype``; the block is built and
-    reduced on one pool thread.  At most ``2 * n_workers + 1`` blocks are in
-    flight, so memory is O(B) whatever the range is.
+    reduced on one of ``min(n_workers, os.cpu_count())`` pool threads.  At
+    most twice as many blocks as threads, plus one, are in flight, so memory
+    is O(B) whatever the range is.
     """
     check_grid(params, grid)
-    if any(isinstance(v, bool) or not isinstance(v, int) for v in (start, stop)) \
-            or not 0 <= start < stop:
-        raise ValidationError("need integer realization indices 0 <= start < stop, "
-                              f"got [{start!r}, {stop!r})")
+    start = _checked_int(start, "realization index start", low=0)
+    stop = _checked_int(stop, "realization index stop (start < stop)", low=start + 1)
+    _checked_int(master_seed, "master_seed", low=0, high=_SEED_MAX)
+    n_threads = min(_checked_int(n_workers, "n_workers"), os.cpu_count() or 1)
 
     def work(lo: int):
         rows = np.empty((min(block_rows, stop - lo), grid.n_samples), dtype=dtype)
@@ -165,16 +167,16 @@ def _blocks(params: SwarmParams, grid: SamplingGrid, master_seed: int, start: in
 
     def generate():
         starts = range(start, stop, block_rows)
-        if n_workers <= 1:
+        if n_threads == 1:
             for lo in starts:
                 yield work(lo)
             return
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
             pending: deque = deque()
             try:
                 for lo in starts:
                     pending.append(pool.submit(work, lo))
-                    if len(pending) > 2 * n_workers:
+                    if len(pending) > 2 * n_threads:
                         yield pending.popleft().result()
                 while pending:
                     yield pending.popleft().result()
@@ -218,14 +220,7 @@ def simulate_ensemble(params: SwarmParams, grid: SamplingGrid, n_realizations: i
             f"ensemble generation exhausted memory after {done}/{n_realizations} "
             "realizations"
         ) from exc
-    return Ensemble(params=params, grid=grid, master_seed=master_seed, signals=signals)
-
-
-def _lag_integer(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DomainError(f"lag range needs integer t_ref_index and n_lags, "
-                          f"got {name}={value!r}")
-    return int(value)
+    return Ensemble(params=params, grid=grid, master_seed=int(master_seed), signals=signals)
 
 
 class AcfAccumulator:
@@ -242,10 +237,10 @@ class AcfAccumulator:
 
     def __init__(self, grid: SamplingGrid, t_ref_index: int = 0,
                  n_lags: int | None = None, *, time_average: bool = False) -> None:
-        t_ref_index = _lag_integer("t_ref_index", t_ref_index)
+        t_ref_index = _checked_int(t_ref_index, "t_ref_index of the lag range", DomainError, 0)
         n_lags = (grid.n_samples - t_ref_index if n_lags is None
-                  else _lag_integer("n_lags", n_lags))
-        if t_ref_index < 0 or n_lags < 1 or t_ref_index + n_lags > grid.n_samples:
+                  else _checked_int(n_lags, "n_lags of the lag range", DomainError))
+        if n_lags < 1 or t_ref_index + n_lags > grid.n_samples:
             raise DomainError(
                 f"lag range overflows the grid: t_ref_index={t_ref_index}, "
                 f"n_lags={n_lags}, n_samples={grid.n_samples}"
@@ -323,7 +318,7 @@ def accumulate(params: SwarmParams, grid: SamplingGrid, master_seed: int,
     for n_rows, partials in _blocks(params, grid, master_seed, start, stop, n_workers,
                                     np.dtype(np.complex64), reduce):
         for acc, partial in zip(accumulators, partials):
-            acc._fold(partial, n_rows, master_seed)
+            acc._fold(partial, n_rows, int(master_seed))
 
 
 def estimate_acf(ensemble: Ensemble, t_ref_index: int = 0, n_lags: int | None = None,
@@ -388,9 +383,7 @@ class StftConfig:
         if self.window not in ("hann", "rectangular"):
             raise ValidationError(f"window must be 'hann' or 'rectangular', got {self.window!r}")
         for name in ("window_length", "hop", "fft_length"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                raise ValidationError(f"{name} must be a positive integer, got {v!r}")
+            object.__setattr__(self, name, _checked_int(getattr(self, name), name))
         if self.hop > self.window_length:
             raise ValidationError(
                 f"hop ({self.hop}) must not exceed window_length ({self.window_length})"
@@ -412,7 +405,7 @@ class Spectrogram:
 
     def __post_init__(self) -> None:
         for name in ("power", "times", "freqs"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.asarray(getattr(self, name), dtype=float).view()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -481,14 +474,6 @@ def save_ensemble(path, ensemble: Ensemble) -> None:
     write_files(directory, {name: container_chunks(ensemble)})
 
 
-def _header_int(header: dict, key: str, minimum: int) -> int:
-    value = header.get(key)
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise FormatError(f"container header field {key!r} must be an integer "
-                          f">= {minimum}, got {value!r}")
-    return value
-
-
 def load_ensemble(path) -> Ensemble:
     """Read an ensemble written by :func:`save_ensemble`.
 
@@ -526,9 +511,9 @@ def load_ensemble(path) -> Ensemble:
         if wire_dtype is None:
             raise FormatError(f"container dtype must be complex64 or complex128, "
                               f"got {header.get('dtype')!r}")
-        n_real = _header_int(header, "n_realizations", 0)
-        n_samples = _header_int(header, "n_samples", 1)
-        master_seed = _header_int(header, "master_seed", 0)
+        n_real, n_samples, master_seed = (
+            _checked_int(header.get(key), f"container header field {key!r}", FormatError, low)
+            for key, low in (("n_realizations", 0), ("n_samples", 1), ("master_seed", 0)))
         try:
             params = SwarmParams(**header["params"])
             grid = SamplingGrid(**header["grid"])

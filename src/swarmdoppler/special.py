@@ -41,7 +41,7 @@ import math
 
 import numpy as np
 
-from .exceptions import DomainError, NumericsError
+from .exceptions import DomainError, NumericsError, _checked_int, _checked_real
 
 MAX_ORDER = 3000
 MAX_ABS_ARG = 2000.0
@@ -62,14 +62,6 @@ _HANKEL_TERMS = 8
 _J0_PANELS = 16
 # i**n for n mod 4; complex integer powers drift for large n, a table does not
 _IPOW = (1 + 0j, 1j, -1 + 0j, -1j)
-
-
-def _check_order(n) -> int:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise DomainError(f"order must be an integer, got {n!r}")
-    if not 0 <= n <= MAX_ORDER:
-        raise DomainError(f"order {n} outside supported range [0, {MAX_ORDER}]")
-    return int(n)
 
 
 def _start_order(n: int, x: float) -> int:
@@ -98,10 +90,8 @@ def _tiny_arg_column(n_max: int, x: float) -> np.ndarray:
 
 def bessel_j_many(n_max: int, x: float) -> np.ndarray:
     """J_0(x) .. J_{n_max}(x) in one downward pass at scalar ``x``."""
-    n_max = _check_order(n_max)
-    x = float(x)
-    if not math.isfinite(x) or abs(x) > MAX_ABS_ARG:
-        raise DomainError(f"argument {x!r} outside supported range |x| <= {MAX_ABS_ARG}")
+    n_max = _checked_int(n_max, "n_max", DomainError, 0, MAX_ORDER)
+    x = float(_checked_real(x, "x", DomainError, ge=-MAX_ABS_ARG, le=MAX_ABS_ARG))
     ax = abs(x)
     if ax == 0.0:
         out = np.zeros(n_max + 1)
@@ -218,7 +208,7 @@ def bessel_j(n: int, x):
     |x| >= 25 and Bessel's integral on 16 trapezoid panels below, within
     1e-16 and 6e-16 of 40-digit references.
     """
-    n = _check_order(n)
+    n = _checked_int(n, "n", DomainError, 0, MAX_ORDER)
     arr = np.asarray(x, dtype=float)
     limit = J0_MAX_ABS_ARG if n == 0 else MAX_ABS_ARG
     if not np.all(np.isfinite(arr)) or np.any(np.abs(arr) > limit):
@@ -239,10 +229,8 @@ def squared_bessel_sum_check(z: float, n_terms: int) -> float:
     Approaches 1 from below as ``n_terms`` grows; used as a convergence and
     normalisation oracle for the squared-coefficient family.
     """
-    z = float(z)
-    if z < 0.0:
-        raise DomainError(f"z must be >= 0, got {z!r}")
-    col = bessel_j_many(n_terms, z)
+    z = _checked_real(z, "z", DomainError, ge=0, le=MAX_ABS_ARG)
+    col = bessel_j_many(_checked_int(n_terms, "n_terms", DomainError, 0, MAX_ORDER), z)
     return float(col[0] ** 2 + 2.0 * np.sum(col[1:] ** 2))
 
 
@@ -256,10 +244,8 @@ def bessel_phase_average(n: int, size: float, *, tol: float = 1e-11) -> float:
     error; the result is real, with the imaginary residue checked against
     ``tol`` internally.
     """
-    n = _check_order(n)
-    size = float(size)
-    if not 0.0 < size <= MAX_ABS_ARG:
-        raise DomainError(f"size must be in (0, {MAX_ABS_ARG}], got {size!r}")
+    n = _checked_int(n, "n", DomainError, 0, MAX_ORDER)
+    size = float(_checked_real(size, "size", DomainError, gt=0, le=MAX_ABS_ARG))
     # spectral accuracy needs the sample count past the integrand's harmonic
     # content, roughly size + n
     npts = 64
@@ -293,10 +279,8 @@ def bessel_phase_average_closed(n: int, size: float) -> float:
     across orders and sizes before being adopted, and the two routes are
     kept independent so either can check the other.
     """
-    n = _check_order(n)
+    n = _checked_int(n, "n", DomainError, 0, MAX_ORDER)
     if n & 1:
         raise DomainError(f"closed form exists for even orders only, got n={n}")
-    size = float(size)
-    if not 0.0 < size <= MAX_ABS_ARG:
-        raise DomainError(f"size must be in (0, {MAX_ABS_ARG}], got {size!r}")
+    size = float(_checked_real(size, "size", DomainError, gt=0, le=MAX_ABS_ARG))
     return float(bessel_j(n // 2, size / 2.0) ** 2)

@@ -17,6 +17,10 @@ _MARGIN_L = 72
 _MARGIN_R = 24
 _MARGIN_T = 40
 _MARGIN_B = 52
+_WIDTH = 900
+_LINE_HEIGHT = 520
+_HEATMAP_HEIGHT = 560
+_DB_FLOOR = -60.0     # heatmap levels this far below the peak share one colour
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf")
 
 # dark-blue -> magenta -> yellow ramp for heatmaps
@@ -130,8 +134,8 @@ def _axes(parts, frame, xlabel, ylabel):
                      f'{ylabel}</text>')
 
 
-def line_svg(series, *, title="", xlabel="", ylabel="", width=900, height=520,
-             ylog=False, vlines=(), stems=()) -> str:
+def line_svg(series, *, title="", xlabel="", ylabel="", ylog=False, vlines=(),
+             stems=()) -> str:
     """Render one or more (x, y, label) series as an SVG line plot.
 
     ``vlines`` are (x, label) markers; ``stems`` are (x, y) impulses drawn
@@ -172,13 +176,13 @@ def line_svg(series, *, title="", xlabel="", ylabel="", width=900, height=520,
             y_lo = min(y_lo, 0.0)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
-    frame = _Frame(width, height, x_lo, x_hi, y_lo, y_hi, ylog)
-    parts = _svg_header(width, height, title)
+    frame = _Frame(_WIDTH, _LINE_HEIGHT, x_lo, x_hi, y_lo, y_hi, ylog)
+    parts = _svg_header(_WIDTH, _LINE_HEIGHT, title)
     _axes(parts, frame, xlabel, ylabel)
     for xv, label in vlines:
         px = frame.px(float(xv))
         parts.append(f'<line x1="{px:.2f}" y1="{_MARGIN_T}" x2="{px:.2f}" '
-                     f'y2="{height - _MARGIN_B}" stroke="#888888" stroke-width="1" '
+                     f'y2="{_LINE_HEIGHT - _MARGIN_B}" stroke="#888888" stroke-width="1" '
                      'stroke-dasharray="4,3"/>')
         if label:
             parts.append(f'<text x="{px + 4:.2f}" y="{_MARGIN_T + 12}" '
@@ -196,7 +200,7 @@ def line_svg(series, *, title="", xlabel="", ylabel="", width=900, height=520,
             parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                          'stroke-width="1.2"/>')
         if label:
-            lx = width - _MARGIN_R - 180
+            lx = _WIDTH - _MARGIN_R - 180
             parts.append(f'<line x1="{lx}" y1="{legend_y - 4}" x2="{lx + 22}" '
                          f'y2="{legend_y - 4}" stroke="{color}" stroke-width="2"/>')
             parts.append(f'<text x="{lx + 28}" y="{legend_y}" font-family="monospace" '
@@ -233,8 +237,7 @@ def _png_bytes(rgb: np.ndarray) -> bytes:
             + chunk(b"IEND", b""))
 
 
-def heatmap_svg(matrix, x, y, *, title="", xlabel="", ylabel="",
-                width=900, height=560, db_floor=-60.0) -> str:
+def heatmap_svg(matrix, x, y, *, title="", xlabel="", ylabel="") -> str:
     """Render a power matrix (rows indexed by ``y``) as a dB heatmap.
 
     The raster is embedded as a base64 PNG; row 0 of ``matrix`` is drawn at
@@ -246,12 +249,12 @@ def heatmap_svg(matrix, x, y, *, title="", xlabel="", ylabel="",
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     peak = z.max() if z.size and z.max() > 0 else 1.0
-    db = 10.0 * np.log10(np.maximum(z / peak, 10.0 ** (db_floor / 10.0)))
-    norm = (db - db_floor) / (-db_floor)
+    db = 10.0 * np.log10(np.maximum(z / peak, 10.0 ** (_DB_FLOOR / 10.0)))
+    norm = (db - _DB_FLOOR) / (-_DB_FLOOR)
     rgb = _colormap(norm[::-1, :])   # flip so low y lands at the image bottom
-    frame = _Frame(width, height, float(x.min()), float(x.max()),
+    frame = _Frame(_WIDTH, _HEATMAP_HEIGHT, float(x.min()), float(x.max()),
                    float(y.min()), float(y.max()), ylog=False)
-    parts = _svg_header(width, height, title)
+    parts = _svg_header(_WIDTH, _HEATMAP_HEIGHT, title)
     payload = base64.b64encode(_png_bytes(rgb)).decode("ascii")
     parts.append(
         f'<image x="{_MARGIN_L}" y="{_MARGIN_T}" width="{frame.box_w}" '

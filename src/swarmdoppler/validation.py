@@ -113,8 +113,8 @@ def validate(params: SwarmParams, grid: SamplingGrid, n_realizations: int,
     acf = compare_acf(params, grid, single.curve())
     acf_pass = bool(acf.nrmse <= ACF_NRMSE_MAX)
     report = {
-        "n_realizations": n_realizations,
-        "master_seed": seed,
+        "n_realizations": int(n_realizations),
+        "master_seed": int(seed),
         "thresholds": {"acf_nrmse": ACF_NRMSE_MAX, "psd_nrmse": PSD_NRMSE_MAX,
                        "sigma_zero_consistency": CONSISTENCY_MAX},
         "acf": {"estimator": "single_reference", "nrmse": acf.nrmse, "pass": acf_pass,

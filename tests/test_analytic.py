@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -283,6 +284,22 @@ def test_line_spectrum_minimal_case():
 def test_line_spectrum_rejects_spread_speeds():
     with pytest.raises(DomainError):
         sd.psd_line_spectrum(mavic_params())
+
+
+def test_acf_series_keeps_a_read_only_view_of_the_callers_array():
+    coefficients = sd.build_acf(mavic_params()).coefficients.copy()
+    acf = dataclasses.replace(sd.build_acf(mavic_params()), coefficients=coefficients)
+    assert coefficients.flags.writeable and not acf.coefficients.flags.writeable
+    assert np.shares_memory(acf.coefficients, coefficients)
+
+
+def test_psd_mixture_keeps_read_only_views_of_the_callers_arrays():
+    psd = sd.build_psd(mavic_params())
+    arrays = {name: getattr(psd, name).copy() for name in ("centers", "stds", "side_masses")}
+    psd = dataclasses.replace(psd, **arrays)
+    for name, arr in arrays.items():
+        assert arr.flags.writeable and not getattr(psd, name).flags.writeable
+        assert np.shares_memory(getattr(psd, name), arr)
 
 
 def test_harmonic_coefficients_match_direct_bessel():

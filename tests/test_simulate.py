@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -134,6 +135,30 @@ def test_ensemble_validation():
         sd.simulate_ensemble(params, grid, 0, 1)
     with pytest.raises(ValidationError):
         sd.simulate_ensemble(params, grid, 2, 1, dtype=np.float64)
+
+
+def test_pool_never_starts_more_threads_than_cpus(monkeypatch):
+    started = []
+
+    class Recording(simulate.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", Recording)
+    params = mavic_params()
+    grid = small_grid(params, 64)
+    ens = sd.simulate_ensemble(params, grid, 4, 3, n_workers=10 ** 6)
+    assert all(n <= (os.cpu_count() or 1) for n in started)
+    assert np.array_equal(ens.signals, sd.simulate_ensemble(params, grid, 4, 3).signals)
+
+
+def test_ensemble_keeps_a_read_only_view_of_the_callers_array():
+    params = mavic_params()
+    signals = np.zeros((2, 8), complex)
+    ens = sd.Ensemble(params, small_grid(params, 8), 1, signals)
+    assert signals.flags.writeable and not ens.signals.flags.writeable
+    assert np.shares_memory(ens.signals, signals)
 
 
 def test_ensemble_rows_are_single_realizations_rounded():
@@ -376,6 +401,14 @@ def test_spectrogram_axes_annotation():
     nyquist = np.pi / grid.dt
     assert spec.freqs.min() >= -nyquist - 1e-9
     assert spec.freqs.max() <= nyquist + 1e-9
+
+
+def test_spectrogram_keeps_read_only_views_of_the_callers_arrays():
+    arrays = {"power": np.ones((4, 3)), "times": np.arange(3.0), "freqs": np.arange(4.0)}
+    spec = sd.Spectrogram(**arrays)
+    for name, arr in arrays.items():
+        assert arr.flags.writeable and not getattr(spec, name).flags.writeable
+        assert np.shares_memory(getattr(spec, name), arr)
 
 
 def test_stft_config_validation():
