@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError, ValidationError, _checked_int, _checked_real
+from .exceptions import (DomainError, ValidationError, _checked_array, _checked_int,
+                         _checked_real)
 from .model import SwarmParams, DerivedParams, band_edge, derive
 from .special import J0_MAX_ABS_ARG, MAX_ABS_ARG, MAX_ORDER, bessel_j, bessel_j_many
 
@@ -30,14 +31,6 @@ _KERNEL_REACH = 39.0
 PHASE_MAX = 2.0 ** 52
 
 
-def _finite(values, name: str) -> np.ndarray:
-    """``values`` as a float array; non-finite entries raise DomainError."""
-    arr = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must be finite, got a non-finite value")
-    return arr
-
-
 def _check_phase(mean_speed: float, tau: np.ndarray) -> None:
     """Refuse lags whose rotor phase ``mean_speed*|tau|`` exceeds PHASE_MAX."""
     lag = float(np.max(np.abs(tau), initial=0.0))
@@ -47,6 +40,28 @@ def _check_phase(mean_speed: float, tau: np.ndarray) -> None:
         raise DomainError(f"tau too large: the rotor phase at |tau| = {lag!r} s "
                           f"exceeds 2**52 rad, past which float64 phases are a "
                           f"radian apart")
+
+
+def _kernel_windows(points: np.ndarray, centers, stds):
+    """Sort ``points`` once and find where each Gaussian kernel is non-zero.
+
+    Returns the stable sort permutation ``order``, the sorted points, and
+    index arrays ``lo``, ``hi`` of the shape of ``centers`` and ``stds``
+    broadcast: kernel k is non-zero only on ``sorted[lo[k]:hi[k]]``, the
+    points within ``_KERNEL_REACH`` standard deviations of its center.
+    Results computed on the sorted points go back through ``order``.
+    """
+    order = np.argsort(points, kind="stable")
+    ordered = points[order]
+    reach = _KERNEL_REACH * stds
+    lo, hi = np.searchsorted(ordered, np.stack(np.broadcast_arrays(centers - reach,
+                                                                   centers + reach)))
+    return order, ordered, lo, hi
+
+
+def _gaussian(x: np.ndarray, center, std) -> np.ndarray:
+    """The unit-height kernel ``exp(-((x - center)/std)**2 / 2)``."""
+    return np.exp(-0.5 * ((x - center) / std) ** 2)
 
 
 def _shaped(flat: np.ndarray, like: np.ndarray):
@@ -165,34 +180,52 @@ def acf_eval(acf: AcfSeries, tau):
 
     The harmonics are summed one at a time in O(n_points) memory:
     ``cos(n*phi)`` is the real part of a phasor rotated by ``exp(i*phi)``
-    once per term, and each term keeps its exact Gaussian damping.
+    once per term, and each term keeps its exact Gaussian damping
+    ``exp(-(n*u)**2/2)``, ``u = n_blades*speed_std*|tau|``.  Term n runs
+    only on the sorted lags with ``n*u`` within 39, beyond which the damping
+    is exactly zero in double precision, and the sum stops at the first term
+    that reaches no lag; the result equals the sum of every term at every
+    lag bit for bit, and the cost scales with the (term, lag) pairs in
+    reach.  At zero spread every term runs on every lag.
     """
     p = acf.params
-    t = _finite(tau, "tau")
+    t = _checked_array(tau, "tau", DomainError)
     lags = np.abs(t.ravel())
     if p.speed_std == 0.0:
         _check_phase(p.mean_speed, lags)
-    # a lag so large that the square overflows is fully damped: exp(-inf) = 0
     with np.errstate(over="ignore"):
         phi = (p.n_blades * p.mean_speed) * lags
-        decay = -0.5 * np.square((p.n_blades * p.speed_std) * lags)
+        u = (p.n_blades * p.speed_std) * lags
+    # past ~1e305 s even the phase overflows, but the spread damps it fully
     overflow = ~np.isfinite(phi)
-    if overflow.any():
-        # past ~1e305 s even the phase overflows, but the spread damps it
-        phi[overflow] = 0.0
-        decay[overflow] = -np.inf
-    step = np.exp(1j * phi)
+    phi[overflow] = 0.0
+    u[overflow] = np.inf
+    # in u, term n is a Gaussian of standard deviation 1/n centred at zero
+    order, u, _, ends = _kernel_windows(u, 0.0, 1.0 / np.arange(1, acf.n_terms + 1))
+    # numpy rounds an in-place complex product over one element differently
+    # from one over a longer array, so the phasors turn on at least two lags
+    # whenever there are two
+    turning = np.maximum(ends, min(2, lags.size))
+    decay = -0.5 * np.square(u[:ends[0]])
+    step = np.exp(1j * phi[order[:turning[0]]])
     phasor = step.copy()
-    series = np.zeros_like(phi)
-    term = np.empty_like(phi)
-    for n, coeff in enumerate(acf.coefficients, start=1):
+    series = acc = np.zeros_like(u)
+    term = np.empty_like(decay)
+    for n, (coeff, end, turn) in enumerate(zip(acf.coefficients, ends.tolist(),
+                                               turning.tolist()), start=1):
+        if end == 0:
+            break
+        decay, term, acc = decay[:end], term[:end], acc[:end]
+        step, phasor = step[:turn], phasor[:turn]
         np.multiply(decay, float(n * n), out=term)
         np.exp(term, out=term)
         term *= coeff
-        term *= phasor.real
-        series += term
+        term *= phasor.real[:end]
+        acc += term
         phasor *= step
-    return _shaped(_prefactor(p) * (acf.j0_squared + 2.0 * series), t)
+    values = np.empty_like(series)
+    values[order] = series
+    return _shaped(_prefactor(p) * (acf.j0_squared + 2.0 * values), t)
 
 
 def acf_deterministic_eval(params: SwarmParams, tau):
@@ -206,7 +239,7 @@ def acf_deterministic_eval(params: SwarmParams, tau):
     """
     d = derive(params)
     _check_envelope(d.electrical_size, J0_MAX_ABS_ARG, "deterministic form")
-    t = _finite(tau, "tau")
+    t = _checked_array(tau, "tau", DomainError)
     _check_phase(params.mean_speed, t)
     nb = params.n_blades
     theta = 0.5 * params.mean_speed * t.ravel()
@@ -296,30 +329,32 @@ def psd_eval(psd: PsdMixture, freq):
     :class:`DomainError`.
 
     Each pair is added, in harmonic order, only on the sorted frequencies
-    within 39 standard deviations of ``+c`` or ``-c``; beyond that both of
-    its kernels are exactly zero in double precision, so the result equals
-    the sum of every pair at every frequency bit for bit, in O(n_points)
-    memory.
+    within 39 standard deviations of ``+c`` or ``-c``, and both of its
+    kernels are evaluated only where those two windows overlap, near DC;
+    elsewhere the far kernel, like both kernels beyond the windows, is
+    exactly zero in double precision.  So the result equals the sum of every
+    pair at every frequency bit for bit, in O(n_points) memory, and the cost
+    scales with the (kernel, frequency) pairs in reach.
     """
-    f = _finite(freq, "freq")
-    flat = f.ravel()
-    order = np.argsort(flat, kind="stable")
-    fs = flat[order]
+    f = _checked_array(freq, "freq", DomainError)
     c = psd.centers
     s = psd.stds
+    order, fs, lo, hi = _kernel_windows(f.ravel(), np.stack([-c, c]), s)
+    (lo_neg, lo_pos), (hi_neg, hi_pos) = lo, hi
+    # pair k is -c alone on [lo_neg, near_end), both kernels on the windows'
+    # overlap [lo_pos, hi_neg) if any, and +c alone on [far_start, hi_pos)
+    near_end = np.minimum(hi_neg, lo_pos)
+    far_start = np.maximum(hi_neg, lo_pos)
     scale = psd.side_masses / (SQRT_TWO_PI * s)
-    reach = _KERNEL_REACH * s
-    lo_neg, hi_neg, lo_pos, hi_pos = np.searchsorted(
-        fs, np.stack([-c - reach, -c + reach, c - reach, c + reach]))
-    # the negative window ends where the positive one starts if they overlap
-    hi_neg = np.minimum(hi_neg, lo_pos)
     acc = np.zeros_like(fs)
     for k in np.flatnonzero((hi_neg > lo_neg) | (hi_pos > lo_pos)):
-        for a, b in ((lo_neg[k], hi_neg[k]), (lo_pos[k], hi_pos[k])):
-            x = fs[a:b]
-            pair = np.exp(-0.5 * ((x - c[k]) / s[k]) ** 2) \
-                + np.exp(-0.5 * ((x + c[k]) / s[k]) ** 2)
-            acc[a:b] += scale[k] * pair
+        neg, both, pos = (slice(lo_neg[k], near_end[k]), slice(lo_pos[k], hi_neg[k]),
+                          slice(far_start[k], hi_pos[k]))
+        acc[neg] += scale[k] * _gaussian(fs[neg], -c[k], s[k])
+        if hi_neg[k] > lo_pos[k]:
+            acc[both] += scale[k] * (_gaussian(fs[both], c[k], s[k])
+                                     + _gaussian(fs[both], -c[k], s[k]))
+        acc[pos] += scale[k] * _gaussian(fs[pos], c[k], s[k])
     values = np.empty_like(acc)
     values[order] = acc
     return _shaped(values, f)

@@ -1,11 +1,13 @@
-"""Exception hierarchy used across the package, and the one scalar argument check.
+"""Exception hierarchy used across the package, and the one argument check.
 
 Every public entry point checks its scalar arguments with ``_checked_int``
 and ``_checked_real``: a bool is never a number; an integer may be a Python
 or numpy integer and is used (and stored) as a Python ``int``, so configs
 and container headers stay JSON; a real is a finite Python ``int`` or
-``float`` (numpy's float64 is one), never a string.  A bad value raises the
-caller's :class:`SwarmModelError` subclass, naming the argument and bounds.
+``float`` (numpy's float64 is one), never a string.  Array arguments of
+reals go through ``_checked_array``, which holds them to the same rule by
+dtype.  A bad value raises the caller's :class:`SwarmModelError` subclass,
+naming the argument and bounds.
 """
 import operator
 import sys
@@ -62,3 +64,17 @@ def _checked_real(value, name: str, error=ValidationError, **bounds):
         rule = " and ".join(f"{_SYMBOLS[op]} {b}" for op, b in bounds.items())
         raise error(f"{name} must be a finite real {rule}".rstrip() + f", got {value!r}")
     return value
+
+
+def _checked_array(values, name: str, error=ValidationError) -> np.ndarray:
+    """``values``, a real number or array of them (numpy kinds ``i``, ``u``,
+    ``f``; never a bool, string or object), as a float array if every entry
+    is finite; anything else raises ``error`` naming ``name``."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise error(f"{name} must be a real number or an array of them, "
+                    f"got dtype {arr.dtype}")
+    arr = arr.astype(float, copy=False)
+    if not np.all(np.isfinite(arr)):
+        raise error(f"{name} must be finite, got a non-finite value")
+    return arr

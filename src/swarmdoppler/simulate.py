@@ -135,6 +135,8 @@ class Ensemble:
 
 def realization_rng(master_seed: int, index: int) -> np.random.Generator:
     """Deterministic substream for realization ``index`` of ``master_seed``."""
+    master_seed = _checked_int(master_seed, "master_seed", low=0, high=_SEED_MAX)
+    index = _checked_int(index, "index", low=0)
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
 
 
@@ -276,6 +278,10 @@ class AcfAccumulator:
 
     def add(self, rows: np.ndarray, master_seed: int) -> None:
         """Add the next stored realizations of ``master_seed``, one per row."""
+        master_seed = _checked_int(master_seed, "master_seed", low=0, high=_SEED_MAX)
+        if not isinstance(rows, np.ndarray):
+            raise DomainError(f"rows must be an array of realizations, one per row, "
+                              f"got {type(rows).__name__}")
         if rows.ndim != 2 or rows.shape[1] != self.grid.n_samples:
             raise DomainError(f"rows of shape {rows.shape} are not "
                               f"{self.grid.n_samples}-sample realizations")

@@ -41,7 +41,8 @@ import math
 
 import numpy as np
 
-from .exceptions import DomainError, NumericsError, _checked_int, _checked_real
+from .exceptions import (DomainError, NumericsError, _checked_array, _checked_int,
+                         _checked_real)
 
 MAX_ORDER = 3000
 MAX_ABS_ARG = 2000.0
@@ -209,9 +210,9 @@ def bessel_j(n: int, x):
     1e-16 and 6e-16 of 40-digit references.
     """
     n = _checked_int(n, "n", DomainError, 0, MAX_ORDER)
-    arr = np.asarray(x, dtype=float)
+    arr = _checked_array(x, "x", DomainError)
     limit = J0_MAX_ABS_ARG if n == 0 else MAX_ABS_ARG
-    if not np.all(np.isfinite(arr)) or np.any(np.abs(arr) > limit):
+    if np.any(np.abs(arr) > limit):
         raise DomainError(f"argument outside supported range |x| <= {limit}")
     if arr.ndim == 0 and abs(arr) <= MAX_ABS_ARG:
         return float(bessel_j_many(n, float(arr))[n])

@@ -112,6 +112,38 @@ def acf_eval_outer(acf: sd.AcfSeries, tau):
     return sd.analytic._prefactor(p) * (acf.j0_squared + 2.0 * series)
 
 
+def acf_eval_every_term(acf: sd.AcfSeries, tau):
+    """The phasor recurrence of the series with every term at every lag.
+
+    The reference for the windowed sum of :func:`swarmdoppler.acf_eval`,
+    which runs each term only where its Gaussian damping is non-zero and
+    must equal this bit for bit.
+    """
+    p = acf.params
+    lags = np.abs(np.asarray(tau, dtype=float).ravel())
+    with np.errstate(over="ignore"):
+        phi = (p.n_blades * p.mean_speed) * lags
+        decay = -0.5 * np.square((p.n_blades * p.speed_std) * lags)
+    overflow = ~np.isfinite(phi)
+    if overflow.any():
+        phi[overflow] = 0.0
+        decay[overflow] = -np.inf
+    step = np.exp(1j * phi)
+    phasor = step.copy()
+    series = np.zeros_like(phi)
+    term = np.empty_like(phi)
+    # past its reach, n*n times a term's decay may overflow to -inf: exp gives 0
+    with np.errstate(over="ignore"):
+        for n, coeff in enumerate(acf.coefficients, start=1):
+            np.multiply(decay, float(n * n), out=term)
+            np.exp(term, out=term)
+            term *= coeff
+            term *= phasor.real
+            series += term
+            phasor *= step
+    return sd.analytic._prefactor(p) * (acf.j0_squared + 2.0 * series)
+
+
 def psd_eval_outer(psd: sd.PsdMixture, freq):
     """The mixture density with every kernel pair at every frequency.
 

@@ -10,8 +10,10 @@ import scipy.special
 import swarmdoppler as sd
 from swarmdoppler import validation
 from swarmdoppler.exceptions import DomainError, ValidationError
-from helpers import (acf_eval_outer, mavic_params, fit_convention_constant,
-                     psd_eval_outer, random_params, transform_of_analytic_acf)
+from swarmdoppler.analytic import _KERNEL_REACH, _kernel_windows
+from helpers import (acf_eval_every_term, acf_eval_outer, mavic_params,
+                     fit_convention_constant, psd_eval_outer, random_params,
+                     transform_of_analytic_acf)
 
 # 40-digit-arithmetic references at the exact float inputs of the reference
 # configuration (blade 0.21 m, wavelength 0.03 m, mean speed 523 rad/s)
@@ -383,9 +385,14 @@ def _argument_cases(scale: float) -> dict:
     }
 
 
-@pytest.mark.parametrize("swarm", SWARMS)
+# mean/std = 11.7 < 39: every pair's mirror windows overlap around DC
+WIDE_SPREAD = 2000.0
+PSD_SWARMS = {**SWARMS, "wide spread": dict(speed_variance=WIDE_SPREAD)}
+
+
+@pytest.mark.parametrize("swarm", PSD_SWARMS)
 def test_psd_eval_equals_the_pairwise_mixture_sum_bit_for_bit(swarm):
-    params = mavic_params(**SWARMS[swarm])
+    params = mavic_params(**PSD_SWARMS[swarm])
     psd = sd.build_psd(params)
     for case, freqs in _argument_cases(sd.psd_support(params)[1]).items():
         values = sd.psd_eval(psd, freqs)
@@ -408,6 +415,49 @@ def test_acf_eval_matches_the_outer_product_series(swarm, variance):
         assert np.shape(values) == np.shape(taus), case
         gap = np.abs(np.ravel(values) - acf_eval_outer(acf, taus))
         assert np.all(gap <= 1e-12 * scale), case
+
+
+@pytest.mark.parametrize("variance", [27.0, 0.0, WIDE_SPREAD])
+@pytest.mark.parametrize("swarm", SWARMS)
+def test_acf_eval_equals_every_term_at_every_lag_bit_for_bit(swarm, variance):
+    acf = sd.build_acf(mavic_params(speed_variance=variance, **SWARMS[swarm]))
+    scale = 8.0 * np.pi / acf.params.mean_speed
+    # with spread, the later terms reach only the first of these lags
+    lone = {"lone": np.array([0.37 * scale, 50.0 * scale, -60.0 * scale])}
+    for case, taus in {**_argument_cases(scale), **lone}.items():
+        if case == "far" and variance == 0.0:
+            # zero spread refuses lags past 2**52 rad of rotor phase
+            taus = np.array([1e6, -1e-3, 0.0, -1e6, 1e-3])
+        values = sd.acf_eval(acf, taus)
+        assert np.shape(values) == np.shape(taus), case
+        assert np.array_equal(np.ravel(values), acf_eval_every_term(acf, taus)), case
+
+
+def test_kernel_reach_is_past_float64_underflow():
+    assert _KERNEL_REACH >= 38.62
+    assert np.exp(-0.5 * 38.62 ** 2) == 0.0
+
+
+def test_evaluators_skip_only_pairs_whose_kernel_is_exactly_zero():
+    params = mavic_params(**RATIO_150)
+    acf = sd.build_acf(params)
+    n = np.arange(1, acf.n_terms + 1)
+    lags = np.linspace(0.0, 5e-2, 2001)
+    # acf_eval: term n is damped by exp(-0.5*(n*u)**2), u = n_blades*speed_std*|tau|
+    _, u, lo, hi = _kernel_windows((params.n_blades * params.speed_std) * lags, 0.0, 1.0 / n)
+    assert np.all(lo == 0) and hi[0] == lags.size and hi[-1] < lags.size
+    decay = -0.5 * np.square(u)
+    for k, end in zip(n, hi):
+        assert np.all(np.exp(decay[end:] * float(k * k)) == 0.0), k
+    # psd_eval: each kernel of each mirror pair, outside its window
+    psd = sd.build_psd(params)
+    freqs = np.linspace(*sd.psd_support(params), 2001)
+    centers = np.stack([-psd.centers, psd.centers])
+    _, fs, lo, hi = _kernel_windows(freqs, centers, psd.stds)
+    assert np.any(hi - lo < freqs.size)
+    for center, s, a, b in zip(centers.ravel(), np.tile(psd.stds, 2), lo.ravel(), hi.ravel()):
+        outside = np.concatenate([fs[:a], fs[b:]])
+        assert np.all(np.exp(-0.5 * ((outside - center) / s) ** 2) == 0.0), center
 
 
 @pytest.mark.parametrize("evaluate, build, span", [

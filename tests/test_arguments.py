@@ -1,8 +1,9 @@
-"""The scalar argument contract shared by every public entry point.
+"""The argument contract shared by every public entry point.
 
-A bad scalar raises a typed library error whose message starts with the
-argument's name; numpy integers are accepted wherever an integer is, and
-are stored as Python ints.
+A bad scalar or array raises a typed library error whose message starts
+with the argument's name; numpy integers are accepted wherever an integer
+is, and are stored as Python ints; an array of reals may hold integers or
+floats of any width, never bools, strings or objects.
 """
 import json
 
@@ -44,6 +45,36 @@ _REFUSED = [
     ("bessel_phase_average-str",
      lambda: sd.bessel_phase_average(2, "abc"), DomainError, "size"),
 ]
+ACF = sd.build_acf(PARAMS)
+PSD = sd.build_psd(PARAMS)
+PARAMS0 = mavic_params(speed_variance=0.0)
+ROWS = np.zeros((2, GRID.n_samples), np.complex64)
+_REFUSED += [
+    ("acf_eval-str", lambda: sd.acf_eval(ACF, "1e-3"), DomainError, "tau"),
+    ("acf_eval-str-nan", lambda: sd.acf_eval(ACF, "a"), DomainError, "tau"),
+    ("acf_eval-bool", lambda: sd.acf_eval(ACF, True), DomainError, "tau"),
+    ("acf_eval-object-array",
+     lambda: sd.acf_eval(ACF, np.array([1e-3], dtype=object)), DomainError, "tau"),
+    ("psd_eval-bool-array",
+     lambda: sd.psd_eval(PSD, np.array([True, False])), DomainError, "freq"),
+    ("acf_deterministic_eval-str",
+     lambda: sd.acf_deterministic_eval(PARAMS0, "0.1"), DomainError, "tau"),
+    ("bessel_j-str", lambda: sd.bessel_j(0, "1.5"), DomainError, "x"),
+    ("bessel_j-bool", lambda: sd.bessel_j(2, True), DomainError, "x"),
+    ("bessel_j-str-array", lambda: sd.bessel_j(0, np.array(["1"])), DomainError, "x"),
+    ("AcfAccumulator.add-list-rows",
+     lambda: sd.AcfAccumulator(GRID).add(ROWS.tolist(), 1), DomainError, "rows"),
+]
+for _seed in (-1, 1.5, 2 ** 64):
+    _REFUSED += [
+        (f"realization_rng-master_seed-{_seed}",
+         lambda s=_seed: sd.realization_rng(s, 0), ValidationError, "master_seed"),
+        (f"AcfAccumulator.add-master_seed-{_seed}",
+         lambda s=_seed: sd.AcfAccumulator(GRID).add(ROWS, s), ValidationError,
+         "master_seed"),
+    ]
+_REFUSED.append(("realization_rng-index--1", lambda: sd.realization_rng(1, -1),
+                 ValidationError, "index"))
 for _seed in (-1, 1.5):
     _REFUSED += [
         (f"simulate_ensemble-master_seed-{_seed}",
@@ -102,3 +133,25 @@ def test_numpy_integer_params_round_trip_through_the_config():
     text = sd.serialize_config(config)
     assert json.loads(text)["n_drones"] == 2
     assert sd.load_config(text) == config
+
+
+def test_lists_scalars_and_integer_arrays_evaluate_as_float64():
+    taus = [0, 1, 2]
+    floats = np.array(taus, dtype=float) * 1e-4
+    for evaluate, model in ((sd.acf_eval, ACF), (sd.psd_eval, PSD),
+                            (sd.acf_deterministic_eval, PARAMS0)):
+        reference = evaluate(model, floats)
+        assert np.array_equal(evaluate(model, floats.tolist()), reference)
+        assert evaluate(model, 2) == evaluate(model, 2.0)
+        assert np.array_equal(evaluate(model, np.array(taus, dtype=np.int32)),
+                              evaluate(model, np.arange(3.0)))
+    assert np.array_equal(sd.bessel_j(0, [1, 2]), sd.bessel_j(0, np.array([1.0, 2.0])))
+    assert np.array_equal(sd.bessel_j(3, np.float32(1.5)), sd.bessel_j(3, 1.5))
+    assert sd.bessel_j(0, np.uint8(2)) == sd.bessel_j(0, 2.0)
+
+
+def test_accumulator_stores_a_numpy_integer_seed_as_int():
+    acc = sd.AcfAccumulator(GRID)
+    acc.add(ROWS, np.uint64(2 ** 64 - 1))
+    assert json.loads(sd.curve_to_json(acc.curve()))["meta"]["master_seed"] == 2 ** 64 - 1
+    assert type(acc.master_seed) is int
