@@ -203,11 +203,12 @@ def acf_eval(acf: AcfSeries, tau):
     # in u, term n is a Gaussian of standard deviation 1/n centred at zero
     order, u, _, ends = _kernel_windows(u, 0.0, 1.0 / np.arange(1, acf.n_terms + 1))
     # numpy rounds an in-place complex product over one element differently
-    # from one over a longer array, so the phasors turn on at least two lags
-    # whenever there are two
-    turning = np.maximum(ends, min(2, lags.size))
+    # from one over a longer array, so the phasors always turn over at least
+    # two elements; a lone lag turns beside a copy of itself
+    turning = np.maximum(ends, 2)
     decay = -0.5 * np.square(u[:ends[0]])
-    step = np.exp(1j * phi[order[:turning[0]]])
+    step = phi[order[:turning[0]]]
+    step = np.exp(1j * (np.repeat(step, 2) if step.size == 1 else step))
     phasor = step.copy()
     series = acc = np.zeros_like(u)
     term = np.empty_like(decay)

@@ -5,7 +5,7 @@ and ``_checked_real``: a bool is never a number; an integer may be a Python
 or numpy integer and is used (and stored) as a Python ``int``, so configs
 and container headers stay JSON; a real is a finite Python ``int`` or
 ``float`` (numpy's float64 is one), never a string.  Array arguments of
-reals go through ``_checked_array``, which holds them to the same rule by
+numbers go through ``_checked_array``, which holds them to the same rule by
 dtype.  A bad value raises the caller's :class:`SwarmModelError` subclass,
 naming the argument and bounds.
 """
@@ -66,15 +66,18 @@ def _checked_real(value, name: str, error=ValidationError, **bounds):
     return value
 
 
-def _checked_array(values, name: str, error=ValidationError) -> np.ndarray:
+def _checked_array(values, name: str, error=ValidationError, *,
+                   complex_ok: bool = False) -> np.ndarray:
     """``values``, a real number or array of them (numpy kinds ``i``, ``u``,
-    ``f``; never a bool, string or object), as a float array if every entry
-    is finite; anything else raises ``error`` naming ``name``."""
+    ``f``, and ``c`` if ``complex_ok``; never a bool, string or object), as a
+    float array, or a complex one for complex input, if every entry is
+    finite; anything else raises ``error`` naming ``name``."""
     arr = np.asarray(values)
-    if arr.dtype.kind not in "iuf":
-        raise error(f"{name} must be a real number or an array of them, "
+    if arr.dtype.kind not in ("iufc" if complex_ok else "iuf"):
+        kind = "" if complex_ok else "real "
+        raise error(f"{name} must be a {kind}number or an array of them, "
                     f"got dtype {arr.dtype}")
-    arr = arr.astype(float, copy=False)
+    arr = arr.astype(complex if arr.dtype.kind == "c" else float, copy=False)
     if not np.all(np.isfinite(arr)):
         raise error(f"{name} must be finite, got a non-finite value")
     return arr

@@ -18,14 +18,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._atomic import write_files
-from .exceptions import DomainError, FormatError, ValidationError, _checked_int
+from .exceptions import (DomainError, FormatError, ValidationError, _checked_array,
+                         _checked_int)
 from .model import _SEED_MAX, Curve, SamplingGrid, SwarmParams, check_grid, derive
 
 _ENSEMBLE_MAGIC = b"SWEN"
 _ENSEMBLE_VERSION = 1
-# realizations per estimator block: on validate-mavic (2 workers) blocks of
-# 32 held peak RSS to ~66 MB against ~150 MB at 256, at equal wall time
+# realizations per estimator block: on validate-mavic (2 workers, 2-vCPU
+# Xeon) blocks of 32 held peak RSS to 55-57 MB against 149-157 MB at 256,
+# and ran in 2.0-2.1 s against 2.3-2.7 s
 _CHUNK_ROWS = 32
+# realizations per synthesis kernel call inside a block: fewer, longer numpy
+# calls hold the interpreter lock for less of each realization; 4, 8 and 16
+# ran validate-mavic equally fast
+_SUB_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -49,6 +55,29 @@ class SwarmState:
             raise ValidationError("state arrays must share one (n_drones, n_rotors) shape")
 
 
+def _draw(params: SwarmParams, rngs) -> tuple:
+    """Latent draws of one realization per generator in ``rngs``: initial
+    angles, projection phases and rotor speeds as ``(len(rngs), n_drones,
+    n_rotors)`` arrays.
+
+    Each generator draws its angle block, phase block and speed block, each
+    in row-major drone/rotor order, straight into its realization's row;
+    scaling the whole arrays afterwards gives, element by element, the bits
+    of ``Generator.uniform(0, 2*pi)`` and ``mean + std*standard_normal()``.
+    """
+    shape = (len(rngs), params.n_drones, params.n_rotors)
+    angles, phases, speeds = np.empty(shape), np.empty(shape), np.empty(shape)
+    for rng, angle, phase, speed in zip(rngs, angles, phases, speeds):
+        rng.random(out=angle)
+        rng.random(out=phase)
+        rng.standard_normal(out=speed)
+    angles *= 2.0 * np.pi
+    phases *= 2.0 * np.pi
+    speeds *= params.speed_std
+    speeds += params.mean_speed
+    return angles, phases, speeds
+
+
 def sample_state(params: SwarmParams, rng: np.random.Generator) -> SwarmState:
     """Draw one latent state from ``rng``.
 
@@ -57,12 +86,58 @@ def sample_state(params: SwarmParams, rng: np.random.Generator) -> SwarmState:
     the same state.  Speeds are not truncated: the return is symmetric in
     the speed sign, so negative samples are admissible.
     """
-    shape = (params.n_drones, params.n_rotors)
-    angles = rng.uniform(0.0, 2.0 * np.pi, size=shape)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=shape)
-    speeds = params.mean_speed + params.speed_std * rng.standard_normal(size=shape)
-    return SwarmState(initial_angles=angles, projection_phases=phases,
-                      rotor_speeds=speeds)
+    angles, phases, speeds = _draw(params, [rng])
+    return SwarmState(initial_angles=angles[0], projection_phases=phases[0],
+                      rotor_speeds=speeds[0])
+
+
+def _synthesize_rows(out: np.ndarray, angles: np.ndarray, phases: np.ndarray,
+                     speeds: np.ndarray, params: SwarmParams, grid: SamplingGrid) -> None:
+    """Write the return of realization ``i`` of a sub-block into ``out[i]``.
+
+    ``angles``, ``phases`` and ``speeds`` are ``(n, n_drones, n_rotors)``
+    draws (see :func:`_draw`) and ``out`` is ``(n, n_samples)``, complex64
+    or complex128.  Every element goes through the same operations whatever
+    ``n`` is, and the rotor sum is one ``einsum`` per row, so a row does not
+    depend on the sub-block it was made in.
+    """
+    mod_index = derive(params).mod_index
+    n_blades = params.n_blades
+    paired = n_blades % 2 == 0
+    # one row per rotor of every realization: its angle at every sample time
+    rotor_angles = speeds.reshape(-1, 1) * grid.times()
+    rotor_angles += angles.reshape(-1, 1)
+    # blade 0 sits at the rotor angle itself; the later blades (or pairs)
+    # take their phases in one reused buffer
+    re = np.cos(rotor_angles)
+    re *= mod_index
+    im = None
+    if not paired:
+        im = np.sin(re)
+        np.subtract(0.0, im, out=im)    # not -sin: a zero sine stays +0.0
+    np.cos(re, out=re)
+    phase = None
+    for b in range(1, n_blades // 2 if paired else n_blades):
+        phase = np.add(rotor_angles, 2.0 * np.pi * b / n_blades, out=phase)
+        np.cos(phase, out=phase)
+        phase *= mod_index
+        if not paired:
+            im -= np.sin(phase)
+        re += np.cos(phase, out=phase)
+    # rotate each rotor by exp(-1j * projection phase) and sum the rotors
+    n = out.shape[0]
+    cos_p = np.cos(phases).reshape(n, -1)
+    sin_p = np.sin(phases).reshape(n, -1)
+    re = re.reshape(n, cos_p.shape[1], -1)
+    y = np.empty(out.shape, dtype=np.complex128)
+    y.real = np.einsum("bk,bkt->bt", cos_p, re)
+    y.imag = -np.einsum("bk,bkt->bt", sin_p, re)
+    if not paired:
+        im = im.reshape(re.shape)
+        y.real += np.einsum("bk,bkt->bt", sin_p, im)
+        y.imag += np.einsum("bk,bkt->bt", cos_p, im)
+    np.multiply((2.0 if paired else 1.0) * params.gain_magnitude, y, out=out,
+                casting="same_kind")
 
 
 def synthesize(state: SwarmState, params: SwarmParams, grid: SamplingGrid) -> np.ndarray:
@@ -76,36 +151,18 @@ def synthesize(state: SwarmState, params: SwarmParams, grid: SamplingGrid) -> np
     With an even blade count, blade ``b + n_blades/2`` is half a turn from
     blade ``b``, so its phasor is the complex conjugate and the pair sums to
     the real ``2*cos(m*cos(angle))``.  Odd blade counts take the real and
-    imaginary parts blade by blade.
+    imaginary parts blade by blade.  This is the one-realization case of the
+    sub-block kernel that ensembles and streamed estimates run.
     """
     if state.initial_angles.shape != (params.n_drones, params.n_rotors):
         raise ValidationError(
             f"state shape {state.initial_angles.shape} does not match "
             f"(n_drones, n_rotors)=({params.n_drones}, {params.n_rotors})"
         )
-    mod_index = derive(params).mod_index
-    n_blades = params.n_blades
-    paired = n_blades % 2 == 0
-    # one row per rotor: its angle at every sample time
-    angles = state.initial_angles.reshape(-1, 1) \
-        + state.rotor_speeds.reshape(-1, 1) * grid.times()
-    re = im = 0.0
-    for b in range(n_blades // 2 if paired else n_blades):
-        phase = np.cos(angles + 2.0 * np.pi * b / n_blades)
-        phase *= mod_index
-        re = re + np.cos(phase)
-        if not paired:
-            im = im - np.sin(phase)
-    # rotate each rotor by exp(-1j * projection phase) and sum the rotors
-    cos_p = np.cos(state.projection_phases).ravel()
-    sin_p = np.sin(state.projection_phases).ravel()
-    y = np.empty(grid.n_samples, dtype=np.complex128)
-    y.real = np.einsum("k,kt->t", cos_p, re)
-    y.imag = -np.einsum("k,kt->t", sin_p, re)
-    if not paired:
-        y.real += np.einsum("k,kt->t", sin_p, im)
-        y.imag += np.einsum("k,kt->t", cos_p, im)
-    return (2.0 if paired else 1.0) * params.gain_magnitude * y
+    y = np.empty((1, grid.n_samples), dtype=np.complex128)
+    _synthesize_rows(y, state.initial_angles[None], state.projection_phases[None],
+                     state.rotor_speeds[None], params, grid)
+    return y[0]
 
 
 @dataclass(frozen=True)
@@ -137,7 +194,13 @@ def realization_rng(master_seed: int, index: int) -> np.random.Generator:
     """Deterministic substream for realization ``index`` of ``master_seed``."""
     master_seed = _checked_int(master_seed, "master_seed", low=0, high=_SEED_MAX)
     index = _checked_int(index, "index", low=0)
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
+    return _substreams(master_seed, index, index + 1)[0]
+
+
+def _substreams(master_seed: int, start: int, stop: int) -> list:
+    """Generators of realizations ``[start, stop)`` of ``master_seed``."""
+    return [np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(k,)))
+            for k in range(start, stop)]
 
 
 def _blocks(params: SwarmParams, grid: SamplingGrid, master_seed: int, start: int,
@@ -148,11 +211,13 @@ def _blocks(params: SwarmParams, grid: SamplingGrid, master_seed: int, start: in
     Checks the grid, the range, the seed and the worker count when called,
     before any realization is made, and returns a generator of the reduced
     blocks, in order.  Block ``j`` holds realizations
-    ``[start + j*B, start + (j+1)*B)`` with ``B = block_rows``, each
-    synthesized alone and rounded to ``dtype``; the block is built and
-    reduced on one of ``min(n_workers, os.cpu_count())`` pool threads.  At
-    most twice as many blocks as threads, plus one, are in flight, so memory
-    is O(B) whatever the range is.
+    ``[start + j*B, start + (j+1)*B)`` with ``B = block_rows``, drawn and
+    synthesized ``_SUB_ROWS`` at a time by one kernel call and rounded to
+    ``dtype``: each row has the bits of ``synthesize(sample_state(params,
+    realization_rng(master_seed, k)), params, grid)`` rounded alone.  The
+    block is built and reduced on one of ``min(n_workers, os.cpu_count())``
+    pool threads.  At most twice as many blocks as threads, plus one, are in
+    flight, so memory is O(B) whatever the range is.
     """
     check_grid(params, grid)
     start = _checked_int(start, "realization index start", low=0)
@@ -162,9 +227,16 @@ def _blocks(params: SwarmParams, grid: SamplingGrid, master_seed: int, start: in
 
     def work(lo: int):
         rows = np.empty((min(block_rows, stop - lo), grid.n_samples), dtype=dtype)
-        for i in range(rows.shape[0]):
-            state = sample_state(params, realization_rng(master_seed, lo + i))
-            rows[i] = synthesize(state, params, grid)
+        if rows.shape[0] == 1:
+            # the public pair is the kernel's one-realization case, and a
+            # profiler that wraps public functions sees the realization
+            rows[0] = synthesize(sample_state(params, realization_rng(master_seed, lo)),
+                                 params, grid)
+        else:
+            for i in range(0, rows.shape[0], _SUB_ROWS):
+                sub = rows[i:i + _SUB_ROWS]
+                draws = _draw(params, _substreams(master_seed, lo + i, lo + i + sub.shape[0]))
+                _synthesize_rows(sub, *draws, params, grid)
         return reduce(rows)
 
     def generate():
@@ -282,6 +354,8 @@ class AcfAccumulator:
         if not isinstance(rows, np.ndarray):
             raise DomainError(f"rows must be an array of realizations, one per row, "
                               f"got {type(rows).__name__}")
+        if rows.dtype.kind not in "iufc":
+            raise DomainError(f"rows must hold real or complex numbers, got dtype {rows.dtype}")
         if rows.ndim != 2 or rows.shape[1] != self.grid.n_samples:
             raise DomainError(f"rows of shape {rows.shape} are not "
                               f"{self.grid.n_samples}-sample realizations")
@@ -418,8 +492,12 @@ class Spectrogram:
 
 def spectrogram(series: np.ndarray, grid: SamplingGrid,
                 cfg: StftConfig = StftConfig()) -> Spectrogram:
-    """Magnitude-squared short-time transform of one complex series."""
-    series = np.asarray(series)
+    """Magnitude-squared short-time transform of one complex series.
+
+    ``series`` must be a one-dimensional array of finite real or complex
+    numbers; anything else raises :class:`DomainError`.
+    """
+    series = _checked_array(series, "series", DomainError, complex_ok=True)
     if series.ndim != 1:
         raise DomainError("series must be one-dimensional")
     if cfg.window_length > series.size:

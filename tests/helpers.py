@@ -54,6 +54,37 @@ def synthesize_per_blade(state: sd.SwarmState, params: sd.SwarmParams,
     return params.gain_magnitude * np.sum(rotor_gain * acc, axis=(0, 1))
 
 
+def synthesize_paired(state: sd.SwarmState, params: sd.SwarmParams,
+                      grid: sd.SamplingGrid) -> np.ndarray:
+    """The paired-blade sum of one realization, written out step by step.
+
+    The bit-exact reference for the sub-block kernel behind
+    :func:`swarmdoppler.synthesize`, which must take the same operations
+    element by element and row by row.
+    """
+    mod_index = sd.derive(params).mod_index
+    n_blades = params.n_blades
+    paired = n_blades % 2 == 0
+    angles = state.initial_angles.reshape(-1, 1) \
+        + state.rotor_speeds.reshape(-1, 1) * grid.times()
+    re = im = 0.0
+    for b in range(n_blades // 2 if paired else n_blades):
+        phase = np.cos(angles + 2.0 * np.pi * b / n_blades)
+        phase *= mod_index
+        re = re + np.cos(phase)
+        if not paired:
+            im = im - np.sin(phase)
+    cos_p = np.cos(state.projection_phases).ravel()
+    sin_p = np.sin(state.projection_phases).ravel()
+    y = np.empty(grid.n_samples, dtype=np.complex128)
+    y.real = np.einsum("k,kt->t", cos_p, re)
+    y.imag = -np.einsum("k,kt->t", sin_p, re)
+    if not paired:
+        y.real += np.einsum("k,kt->t", sin_p, im)
+        y.imag += np.einsum("k,kt->t", cos_p, im)
+    return (2.0 if paired else 1.0) * params.gain_magnitude * y
+
+
 def transform_of_analytic_acf(params: sd.SwarmParams, *, oversample=2.0,
                               decay_sigmas=12.0):
     """Scaled transform of the densely sampled series autocorrelation.
@@ -121,6 +152,11 @@ def acf_eval_every_term(acf: sd.AcfSeries, tau):
     """
     p = acf.params
     lags = np.abs(np.asarray(tau, dtype=float).ravel())
+    n_lags = lags.size
+    # numpy rounds an in-place complex product over one element differently
+    # from one over a longer array: a lone lag turns beside a copy of itself
+    if n_lags == 1:
+        lags = np.repeat(lags, 2)
     with np.errstate(over="ignore"):
         phi = (p.n_blades * p.mean_speed) * lags
         decay = -0.5 * np.square((p.n_blades * p.speed_std) * lags)
@@ -141,7 +177,7 @@ def acf_eval_every_term(acf: sd.AcfSeries, tau):
             term *= phasor.real
             series += term
             phasor *= step
-    return sd.analytic._prefactor(p) * (acf.j0_squared + 2.0 * series)
+    return (sd.analytic._prefactor(p) * (acf.j0_squared + 2.0 * series))[:n_lags]
 
 
 def psd_eval_outer(psd: sd.PsdMixture, freq):

@@ -496,6 +496,16 @@ def test_evaluators_return_the_input_shape(name):
     assert isinstance(EVALUATORS[name](params, 1e-4), float)
 
 
+@pytest.mark.parametrize("variance", [27.0, 0.0])
+def test_acf_eval_gives_a_scalar_lag_the_bits_of_the_same_lag_in_an_array(variance):
+    acf = sd.build_acf(mavic_params(speed_variance=variance))
+    taus = np.array([0.0, 1e-4, 2e-4, 3.3e-3, 0.05, 1.0])
+    values = sd.acf_eval(acf, taus)
+    for tau, value in zip(taus, values):
+        assert sd.acf_eval(acf, float(tau)).hex() == float(value).hex()
+        assert float(sd.acf_eval(acf, [tau])[0]).hex() == float(value).hex()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", EVALUATORS)
 def test_evaluators_refuse_non_finite_arguments(name, bad):

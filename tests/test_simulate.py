@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import swarmdoppler as sd
 from swarmdoppler import simulate, validation
 from swarmdoppler.exceptions import DomainError, FormatError, ValidationError
-from helpers import mavic_params, synthesize_per_blade
+from helpers import mavic_params, synthesize_paired, synthesize_per_blade
 from conftest import MAVIC_N, MAVIC_SEED
 
 
@@ -42,6 +42,17 @@ def test_sample_state_is_reproducible():
     assert np.array_equal(a.initial_angles, b.initial_angles)
     assert np.array_equal(a.projection_phases, b.projection_phases)
     assert np.array_equal(a.rotor_speeds, b.rotor_speeds)
+
+
+def test_sample_state_draws_uniform_angles_then_phases_then_gaussian_speeds():
+    # the draw formula every stored ensemble and seed was made with
+    params = mavic_params(n_drones=3, n_rotors=2)
+    state = sd.sample_state(params, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    assert np.array_equal(state.initial_angles, rng.uniform(0.0, 2.0 * np.pi, size=(3, 2)))
+    assert np.array_equal(state.projection_phases, rng.uniform(0.0, 2.0 * np.pi, size=(3, 2)))
+    assert np.array_equal(state.rotor_speeds, params.mean_speed
+                          + params.speed_std * rng.standard_normal(size=(3, 2)))
 
 
 def test_sample_state_angle_ranges():
@@ -96,6 +107,7 @@ def test_synthesize_matches_per_blade_reference(n_blades):
         state = sd.sample_state(params, sd.realization_rng(3, k))
         y = sd.synthesize(state, params, grid)
         assert y.dtype == np.complex128 and y.shape == (grid.n_samples,)
+        assert np.array_equal(y, synthesize_paired(state, params, grid))
         assert np.max(np.abs(y - synthesize_per_blade(state, params, grid))) <= tol
 
 
@@ -171,6 +183,56 @@ def test_ensemble_rows_are_single_realizations_rounded():
         assert np.array_equal(ens.signals[k], alone.astype(np.complex64))
 
 
+class _RowRecorder(sd.AcfAccumulator):
+    """Keeps the rows :func:`swarmdoppler.accumulate` feeds it, in order."""
+
+    def __init__(self, grid):
+        super().__init__(grid)
+        self.rows = []
+
+    def _partial(self, rows):
+        return rows.copy()
+
+    def _fold(self, partial, n_rows, master_seed):
+        self.rows.append(partial)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_drones=st.integers(1, 5), n_rotors=st.integers(1, 5), n_blades=st.integers(1, 4),
+       gain=st.sampled_from([0.5, 1.0, 2.0]), n_samples=st.integers(16, 3000),
+       start=st.integers(0, 2 * simulate._CHUNK_ROWS),
+       count=st.integers(1, 2 * simulate._CHUNK_ROWS + simulate._SUB_ROWS + 1),
+       n_workers=st.integers(1, 2), seed=st.integers(0, 2 ** 64 - 1))
+def test_every_row_made_is_the_public_pair_rounded(n_drones, n_rotors, n_blades, gain,
+                                                   n_samples, start, count, n_workers,
+                                                   seed):
+    params = mavic_params(n_drones=n_drones, n_rotors=n_rotors, n_blades=n_blades,
+                          gain_magnitude=gain)
+    grid = small_grid(params, n_samples)
+    stop = start + count
+
+    def alone(k, dtype):
+        state = sd.sample_state(params, sd.realization_rng(seed, k))
+        return sd.synthesize(state, params, grid).astype(dtype)
+
+    recorder = _RowRecorder(grid)
+    sd.accumulate(params, grid, seed, [recorder], start, stop, n_workers=n_workers)
+    streamed = np.concatenate(recorder.rows)
+    assert streamed.dtype == np.complex64 and streamed.shape == (count, n_samples)
+    for k, row in zip(range(start, stop), streamed):
+        assert np.array_equal(row, alone(k, np.complex64))
+    # the pool's blocks in the other dtype, and the stored ensemble in both
+    wide = np.concatenate(list(simulate._blocks(params, grid, seed, start, stop, n_workers,
+                                                np.dtype(np.complex128), lambda rows: rows)))
+    for k, row in zip(range(start, stop), wide):
+        assert np.array_equal(row, alone(k, np.complex128))
+    for dtype in (np.complex64, np.complex128):
+        ens = sd.simulate_ensemble(params, grid, min(count, 4), seed, n_workers=n_workers,
+                                   dtype=dtype)
+        for k, row in enumerate(ens.signals):
+            assert np.array_equal(row, alone(k, dtype))
+
+
 # ---------------------------------------------------------------- estimators
 
 @pytest.mark.parametrize("n_workers", [1, 2, 3])
@@ -239,6 +301,14 @@ def test_accumulator_refuses_foreign_rows_grids_and_seeds():
     with pytest.raises(ValidationError, match="start < stop"):
         sd.accumulate(params, grid, 1, [acc], 4, 4)
     assert acc.curve().meta["n_realizations"] == 2
+
+
+def test_accumulator_refuses_rows_that_are_not_numbers():
+    acc = sd.AcfAccumulator(small_grid(mavic_params(), 64))
+    for rows in (np.full((2, 64), "a"), np.zeros((2, 64), bool), np.full((2, 64), None)):
+        with pytest.raises(DomainError, match="dtype"):
+            acc.add(rows, 1)
+    assert acc.n_realizations == 0
 
 
 def test_simulation_refuses_an_undersampled_grid():
@@ -424,6 +494,35 @@ def test_spectrogram_window_longer_than_series():
     grid = sd.SamplingGrid(t_start=0.0, dt=1e-4, n_samples=100)
     with pytest.raises(DomainError):
         sd.spectrogram(np.zeros(100, complex), grid, sd.StftConfig())
+
+
+@pytest.mark.parametrize("series, match", [
+    (np.full(512, "a"), "dtype"),
+    (np.zeros(512, bool), "dtype"),
+    (np.full(512, None), "dtype"),
+    (np.r_[np.zeros(511), np.nan], "finite"),
+    (np.r_[np.zeros(511, complex), complex(0.0, np.inf)], "finite"),
+    (np.zeros((2, 512), complex), "one-dimensional"),
+    (np.complex64(1.0), "one-dimensional"),
+])
+def test_spectrogram_refuses_series_that_are_not_finite_numbers(series, match):
+    grid = sd.SamplingGrid(t_start=0.0, dt=1e-4, n_samples=512)
+    with pytest.raises(DomainError, match=match):
+        sd.spectrogram(series, grid)
+
+
+def test_spectrogram_keeps_the_imaginary_part_and_takes_real_numbers():
+    grid = sd.SamplingGrid(t_start=0.0, dt=1e-4, n_samples=1024)
+    tone = np.exp(1j * 2000.0 * grid.times()).astype(np.complex64)
+    spec = sd.spectrogram(tone, grid)
+    assert np.array_equal(spec.power, sd.spectrogram(tone.astype(complex), grid).power)
+    # a positive tone has no mirror: the real part alone would have one
+    peak = spec.freqs[np.argmax(spec.power[:, 0])]
+    assert peak > 0.0
+    assert spec.power[np.argmin(np.abs(spec.freqs + peak)), 0] < 1e-6 * spec.power.max()
+    ramp = np.arange(1024)
+    assert np.array_equal(sd.spectrogram(ramp, grid).power,
+                          sd.spectrogram(ramp.astype(float), grid).power)
 
 
 # ---------------------------------------------------------------- persistence
