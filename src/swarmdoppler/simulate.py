@@ -36,7 +36,8 @@ _SUB_ROWS = 8
 
 @dataclass(frozen=True)
 class SwarmState:
-    """Latent draws of one realization: per-rotor angles, phases and speeds."""
+    """Latent draws of one realization: per-rotor angles, phases and speeds,
+    each a 2-d array of finite reals (else :class:`ValidationError`)."""
 
     initial_angles: np.ndarray      # (n_drones, n_rotors), [0, 2*pi)
     projection_phases: np.ndarray   # (n_drones, n_rotors), [0, 2*pi)
@@ -44,7 +45,7 @@ class SwarmState:
 
     def __post_init__(self) -> None:
         for name in ("initial_angles", "projection_phases", "rotor_speeds"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = _checked_array(getattr(self, name), name)
             if arr.ndim != 2:
                 raise ValidationError(f"{name} must be a 2-d array")
             arr = arr.copy()
@@ -91,6 +92,29 @@ def sample_state(params: SwarmParams, rng: np.random.Generator) -> SwarmState:
                       rotor_speeds=speeds[0])
 
 
+def _cos_sin(x: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray | None = None):
+    """``cos x`` into ``cos_out`` and, if given, ``sin x`` into ``sin_out``,
+    from the half-angle tangent: with ``t = tan(x/2)`` and ``w = 2/(1 + t*t)``,
+    ``cos x = w - 1`` and ``sin x = t*w``.  Returns ``cos_out``.
+
+    On AVX-512 CPUs numpy's ``tan`` runs SIMD code while its ``cos`` calls
+    libm per element; without AVX-512 both call libm and this is slower
+    than ``cos``.  The rest is four correctly rounded operations, so an
+    element gets the same bits whatever array, offset or stride it sits in.
+    Both outputs are within 4.5e-16 of the true values.  ``cos_out`` may be
+    ``x``; ``sin_out`` must be neither.
+    """
+    t = np.multiply(x, 0.5, out=cos_out if sin_out is None else sin_out)
+    np.tan(t, out=t)
+    w = np.multiply(t, t, out=cos_out)
+    w += 1.0
+    np.divide(2.0, w, out=w)
+    if sin_out is not None:
+        sin_out *= w
+    w -= 1.0
+    return cos_out
+
+
 def _synthesize_rows(out: np.ndarray, angles: np.ndarray, phases: np.ndarray,
                      speeds: np.ndarray, params: SwarmParams, grid: SamplingGrid) -> None:
     """Write the return of realization ``i`` of a sub-block into ``out[i]``.
@@ -99,7 +123,8 @@ def _synthesize_rows(out: np.ndarray, angles: np.ndarray, phases: np.ndarray,
     draws (see :func:`_draw`) and ``out`` is ``(n, n_samples)``, complex64
     or complex128.  Every element goes through the same operations whatever
     ``n`` is, and the rotor sum is one ``einsum`` per row, so a row does not
-    depend on the sub-block it was made in.
+    depend on the sub-block it was made in.  Every cosine and sine comes from
+    :func:`_cos_sin`, in place.
     """
     mod_index = derive(params).mod_index
     n_blades = params.n_blades
@@ -108,26 +133,29 @@ def _synthesize_rows(out: np.ndarray, angles: np.ndarray, phases: np.ndarray,
     rotor_angles = speeds.reshape(-1, 1) * grid.times()
     rotor_angles += angles.reshape(-1, 1)
     # blade 0 sits at the rotor angle itself; the later blades (or pairs)
-    # take their phases in one reused buffer
-    re = np.cos(rotor_angles)
+    # take their phases in one reused buffer, and odd blade counts their
+    # sines in one more
+    re = _cos_sin(rotor_angles, np.empty_like(rotor_angles))
     re *= mod_index
-    im = None
+    im = None if paired else np.empty_like(re)
+    _cos_sin(re, re, im)
     if not paired:
-        im = np.sin(re)
         np.subtract(0.0, im, out=im)    # not -sin: a zero sine stays +0.0
-    np.cos(re, out=re)
     phase = None
+    sine = None if paired or n_blades == 1 else np.empty_like(re)
     for b in range(1, n_blades // 2 if paired else n_blades):
         phase = np.add(rotor_angles, 2.0 * np.pi * b / n_blades, out=phase)
-        np.cos(phase, out=phase)
+        _cos_sin(phase, phase)
         phase *= mod_index
+        _cos_sin(phase, phase, sine)
         if not paired:
-            im -= np.sin(phase)
-        re += np.cos(phase, out=phase)
+            im -= sine
+        re += phase
     # rotate each rotor by exp(-1j * projection phase) and sum the rotors
     n = out.shape[0]
-    cos_p = np.cos(phases).reshape(n, -1)
-    sin_p = np.sin(phases).reshape(n, -1)
+    cos_p = np.empty((n, phases[0].size))
+    sin_p = np.empty_like(cos_p)
+    _cos_sin(phases.reshape(cos_p.shape), cos_p, sin_p)
     re = re.reshape(n, cos_p.shape[1], -1)
     y = np.empty(out.shape, dtype=np.complex128)
     y.real = np.einsum("bk,bkt->bt", cos_p, re)
@@ -359,6 +387,8 @@ class AcfAccumulator:
         if rows.ndim != 2 or rows.shape[1] != self.grid.n_samples:
             raise DomainError(f"rows of shape {rows.shape} are not "
                               f"{self.grid.n_samples}-sample realizations")
+        if not np.isfinite(rows).all():
+            raise DomainError("rows must be finite, got a non-finite value")
         self._fold(self._partial(rows), rows.shape[0], master_seed)
 
     def curve(self) -> Curve:

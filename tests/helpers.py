@@ -60,8 +60,10 @@ def synthesize_paired(state: sd.SwarmState, params: sd.SwarmParams,
 
     The bit-exact reference for the sub-block kernel behind
     :func:`swarmdoppler.synthesize`, which must take the same operations
-    element by element and row by row.
+    element by element and row by row, every cosine and sine from the
+    kernel's half-angle tangent helper.
     """
+    cos_sin = sd.simulate._cos_sin
     mod_index = sd.derive(params).mod_index
     n_blades = params.n_blades
     paired = n_blades % 2 == 0
@@ -69,13 +71,15 @@ def synthesize_paired(state: sd.SwarmState, params: sd.SwarmParams,
         + state.rotor_speeds.reshape(-1, 1) * grid.times()
     re = im = 0.0
     for b in range(n_blades // 2 if paired else n_blades):
-        phase = np.cos(angles + 2.0 * np.pi * b / n_blades)
+        phase = cos_sin(angles + 2.0 * np.pi * b / n_blades, np.empty_like(angles))
         phase *= mod_index
-        re = re + np.cos(phase)
+        sine = np.empty_like(phase)
+        cos_sin(phase, phase, sine)
+        re = re + phase
         if not paired:
-            im = im - np.sin(phase)
-    cos_p = np.cos(state.projection_phases).ravel()
-    sin_p = np.sin(state.projection_phases).ravel()
+            im = im - sine
+    cos_p, sin_p = np.empty(state.projection_phases.size), np.empty(state.projection_phases.size)
+    cos_sin(state.projection_phases.ravel(), cos_p, sin_p)
     y = np.empty(grid.n_samples, dtype=np.complex128)
     y.real = np.einsum("k,kt->t", cos_p, re)
     y.imag = -np.einsum("k,kt->t", sin_p, re)

@@ -98,6 +98,15 @@ for _workers in (0, -3, 2.5):
          ValidationError, "n_workers"),
     ]
 
+_STATE = dict(initial_angles=np.zeros((1, 4)), projection_phases=np.zeros((1, 4)),
+              rotor_speeds=np.full((1, 4), 523.0))
+for _field in _STATE:
+    for _label, _bad in (("nan", np.nan), ("inf", -np.inf), ("str", "a"), ("complex", 1j),
+                         ("bool", True)):
+        _REFUSED.append((f"SwarmState-{_field}-{_label}",
+                         lambda f=_field, b=_bad: sd.SwarmState(**{**_STATE, f: np.full((1, 4), b)}),
+                         ValidationError, _field))
+
 
 @pytest.mark.parametrize("call,error,name", [case[1:] for case in _REFUSED],
                          ids=[case[0] for case in _REFUSED])

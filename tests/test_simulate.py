@@ -2,6 +2,8 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -93,7 +95,7 @@ def test_synthesize_amplitude_bound():
 
 # The per-blade form rounds angle + 2*pi*b/n_blades near 150 rad (spacing
 # 2.8e-14) and multiplies by mod_index 88, so each blade may move by ~2.5e-12;
-# measured: 3.2e-13 per scatterer for even blade counts, 3e-16 for odd.
+# measured: 2.9e-13 per scatterer for even blade counts, 1.1e-14 for odd.
 KERNEL_TOL_PER_SCATTERER = 2.5e-12
 
 
@@ -116,6 +118,88 @@ def test_synthesize_rejects_mismatched_state():
     grid = sd.SamplingGrid(t_start=0.0, dt=1e-4, n_samples=4)
     with pytest.raises(ValidationError):
         sd.synthesize(state, mavic_params(), grid)
+
+
+# ------------------------------------------------------- half-angle helper
+
+def _cos_and_sin(x):
+    c, s = np.empty_like(x), np.empty_like(x)
+    simulate._cos_sin(x, c, s)
+    return c, s
+
+
+_LONG_DOUBLE_IS_WIDER = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
+
+
+def _kernel_arguments():
+    """Every argument the mavic-like kernel takes a cosine or sine of, for
+    one sub-block: rotor angles, modulation phases and projection phases."""
+    params = mavic_params()
+    grid = sd.default_grid(params)
+    angles, phases, speeds = simulate._draw(
+        params, simulate._substreams(1, 0, simulate._SUB_ROWS))
+    rotor = speeds.reshape(-1, 1) * grid.times() + angles.reshape(-1, 1)
+    return rotor, sd.derive(params).mod_index * np.cos(rotor), phases.reshape(-1)
+
+
+@pytest.mark.skipif(not _LONG_DOUBLE_IS_WIDER,
+                    reason="long double is float64 here: no more precise reference")
+def test_cos_sin_is_within_4_5e_16_of_long_double():
+    rng = np.random.default_rng(11)
+    special = np.array([0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, 2 * np.pi])
+    for x in (rng.uniform(-1e6, 1e6, 200_000), special, *_kernel_arguments()):
+        x = x.ravel()
+        c, s = _cos_and_sin(x)
+        ref = x.astype(np.longdouble)
+        assert np.max(np.abs(c - np.cos(ref))) <= 4.5e-16
+        assert np.max(np.abs(s - np.sin(ref))) <= 4.5e-16
+    # cosine only, in place, gives the same bits as beside the sine
+    x = rng.uniform(-1e6, 1e6, 1000)
+    in_place = x.copy()
+    assert np.array_equal(simulate._cos_sin(in_place, in_place), _cos_and_sin(x)[0])
+    assert _cos_and_sin(np.zeros(3))[1].tobytes() == np.zeros(3).tobytes()   # +0.0
+
+
+def test_cos_sin_gives_an_element_the_same_bits_anywhere():
+    x = _kernel_arguments()[0][:, :125]
+    c, s = _cos_and_sin(x)
+    flat_c, flat_s = c.ravel(), s.ravel()
+    for i in range(x.size):        # each element alone
+        alone = _cos_and_sin(x.ravel()[i:i + 1])
+        assert (alone[0].tobytes(), alone[1].tobytes()) \
+            == (flat_c[i:i + 1].tobytes(), flat_s[i:i + 1].tobytes())
+    for offset in range(17):       # every alignment, and every length up to 1000
+        for n in range(1, 1001, 37 if offset else 1):
+            part = _cos_and_sin(x.ravel()[offset:offset + n])
+            assert (part[0].tobytes(), part[1].tobytes()) \
+                == (flat_c[offset:offset + n].tobytes(), flat_s[offset:offset + n].tobytes())
+    for view in ((slice(None), slice(None, None, 3)), (slice(None, None, 2), slice(None))):
+        c_out, s_out = np.empty_like(x)[view], np.empty_like(x)[view]   # strided out too
+        simulate._cos_sin(x[view], c_out, s_out)
+        assert (c_out.tobytes(), s_out.tobytes()) == (c[view].tobytes(), s[view].tobytes())
+
+
+def test_cos_sin_and_the_kernel_hold_on_numpys_libm_tangent():
+    # numpy's SIMD tangent needs AVX-512; without it np.tan calls libm
+    features = pytest.importorskip("numpy._core._multiarray_umath")
+    if "X86_V4" not in getattr(features, "__cpu_dispatch__", ()):
+        pytest.skip("this numpy build has no X86_V4 dispatch to turn off")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = (
+        "import sys, pytest\n"
+        "from numpy._core._multiarray_umath import __cpu_features__ as f\n"
+        "assert not f['X86_V4'], 'X86_V4 still on'\n"
+        "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider',"
+        " 'tests/test_simulate.py::test_cos_sin_is_within_4_5e_16_of_long_double',"
+        " 'tests/test_simulate.py::test_synthesize_matches_per_blade_reference']))\n")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
+               PYTHONPATH=os.pathsep.join(filter(None, [os.path.join(root, "src"),
+                                                        os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script], cwd=root, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
+    if _LONG_DOUBLE_IS_WIDER:
+        assert "skipped" not in run.stdout, run.stdout[-3000:]
 
 
 # ---------------------------------------------------------------- ensembles
@@ -308,6 +392,17 @@ def test_accumulator_refuses_rows_that_are_not_numbers():
     for rows in (np.full((2, 64), "a"), np.zeros((2, 64), bool), np.full((2, 64), None)):
         with pytest.raises(DomainError, match="dtype"):
             acc.add(rows, 1)
+    assert acc.n_realizations == 0
+
+
+def test_accumulator_refuses_rows_that_are_not_finite():
+    acc = sd.AcfAccumulator(small_grid(mavic_params(), 64))
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        rows = np.zeros((2, 64), complex)
+        rows[1, 5] = bad
+        for partial in (rows, rows.astype(np.complex64), np.full((2, 64), bad)):
+            with pytest.raises(DomainError, match="finite"):
+                acc.add(partial, 1)
     assert acc.n_realizations == 0
 
 
