@@ -8,13 +8,12 @@ signal simulator used to validate the closed forms.
 __version__ = "0.1.0"
 
 from .exceptions import (SwarmModelError, ValidationError, ConfigError,
-                         DomainError, NumericsError, FormatError)
+                         DomainError, FormatError)
 from .model import (SwarmParams, DerivedParams, SamplingGrid, Curve,
                     EstimatorSettings, RunConfig, derive, band_edge,
-                    default_grid, make_grid, check_grid, load_config,
+                    default_grid, check_grid, load_config,
                     serialize_config, curve_to_csv, curve_to_json)
-from .special import (bessel_j, bessel_j_many, squared_bessel_sum_check,
-                      bessel_phase_average, bessel_phase_average_closed)
+from .special import bessel_j, bessel_j_many
 from .analytic import (AcfSeries, PsdMixture, SpectralLine, build_acf,
                        acf_eval, acf_deterministic_eval, mainlobe_width,
                        truncation_index, harmonic_coefficients, build_psd,
@@ -29,13 +28,12 @@ from .simulate import (SwarmState, Ensemble, StftConfig, Spectrogram,
 __all__ = [
     "__version__",
     "SwarmModelError", "ValidationError", "ConfigError", "DomainError",
-    "NumericsError", "FormatError",
+    "FormatError",
     "SwarmParams", "DerivedParams", "SamplingGrid", "Curve",
     "EstimatorSettings", "RunConfig", "derive", "band_edge", "default_grid",
-    "make_grid", "check_grid", "load_config", "serialize_config",
+    "check_grid", "load_config", "serialize_config",
     "curve_to_csv", "curve_to_json",
-    "bessel_j", "bessel_j_many", "squared_bessel_sum_check",
-    "bessel_phase_average", "bessel_phase_average_closed",
+    "bessel_j", "bessel_j_many",
     "AcfSeries", "PsdMixture", "SpectralLine", "build_acf", "acf_eval",
     "acf_deterministic_eval", "mainlobe_width", "truncation_index",
     "harmonic_coefficients", "build_psd", "psd_eval", "psd_support",

@@ -4,7 +4,7 @@ The autocorrelation of the return is a truncated harmonic series: a constant
 floor plus cosines at multiples of ``n_blades * mean_speed`` whose
 coefficients are squared Bessel values, each damped by a Gaussian in lag
 whenever the rotor-speed distribution has spread.  Its spectrum is a Dirac
-mass at zero plus a symmetric mixture of Gaussian kernels.  With
+mass at zero plus a symmetric mixture of Gaussians.  With
 deterministic rotor speed the autocorrelation collapses to an exact finite
 double sum over blade pairs, which doubles as an independent cross-check of
 the series form.
@@ -29,6 +29,9 @@ _KERNEL_REACH = 39.0
 # float64 phases are a whole radian apart from 2**52 rad on, so no digit of a
 # rotor phase mean_speed*|tau| beyond it is known within its turn
 PHASE_MAX = 2.0 ** 52
+# the one global factor relating psd_eval to the plain integral transform of
+# the autocorrelation, pinned by the transform round-trip check
+CONVENTION_CONSTANT = 1.0
 
 
 def _check_phase(mean_speed: float, tau: np.ndarray) -> None:
@@ -266,13 +269,11 @@ def mainlobe_width(params: SwarmParams) -> float:
 
 @dataclass(frozen=True)
 class PsdMixture:
-    """Spectrum of the return: DC Dirac mass plus Gaussian kernels.
+    """Spectrum of the return: DC Dirac mass plus a mixture of Gaussians.
 
-    Kernels come in mirror pairs at ``+-n_blades*n*mean_speed`` with standard
-    deviation ``speed_std*n*n_blades``; ``side_masses[n-1]`` is the integral
-    of each member of pair ``n``.  ``convention_constant`` is the single
-    global factor relating :func:`psd_eval` to the plain integral transform
-    of the autocorrelation, pinned by the transform round-trip check.
+    The Gaussians come in mirror pairs at ``+-n_blades*n*mean_speed`` with
+    standard deviation ``speed_std*n*n_blades``; ``side_masses[n-1]`` is the
+    integral of each member of pair ``n``.
     """
 
     params: SwarmParams
@@ -281,7 +282,6 @@ class PsdMixture:
     centers: np.ndarray       # positive centers, pair n at index n-1
     stds: np.ndarray
     side_masses: np.ndarray
-    convention_constant: float = 1.0
 
     def __post_init__(self) -> None:
         for name in ("centers", "stds", "side_masses"):
@@ -289,19 +289,12 @@ class PsdMixture:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
-    def kernels(self):
-        """All kernels as (center, std, mass) tuples, mirror pairs included."""
-        pos = [(c, s, m) for c, s, m in zip(self.centers, self.stds, self.side_masses)]
-        neg = [(-c, s, m) for c, s, m in pos]
-        return tuple(sorted(neg + pos))
-
 
 def build_psd(params: SwarmParams, n_terms: int | None = None) -> PsdMixture:
     """Assemble the Gaussian-mixture spectrum for the given swarm.
 
     Requires a spread rotor-speed distribution; in the zero-variance limit
-    the kernels degenerate to Dirac lines, handled by
+    the Gaussians degenerate to Dirac lines, handled by
     :func:`psd_line_spectrum` instead.
     """
     if params.speed_variance == 0.0:
@@ -324,15 +317,15 @@ def psd_eval(psd: PsdMixture, freq):
     """Continuous part of the spectrum at angular frequency ``freq`` (rad/s).
 
     The DC Dirac mass is reported separately in ``psd.dc_weight``, never as a
-    density sample.  Mirror kernels are summed pairwise, so the result is
+    density sample.  Mirror Gaussians are summed pairwise, so the result is
     exactly even in ``freq``.  Returns a float for a scalar frequency,
     otherwise an array of the input's shape; a non-finite frequency raises
     :class:`DomainError`.
 
     Each pair is added, in harmonic order, only on the sorted frequencies
     within 39 standard deviations of ``+c`` or ``-c``, and both of its
-    kernels are evaluated only where those two windows overlap, near DC;
-    elsewhere the far kernel, like both kernels beyond the windows, is
+    Gaussians are evaluated only where those two windows overlap, near DC;
+    elsewhere the far one, like both beyond the windows, is
     exactly zero in double precision.  So the result equals the sum of every
     pair at every frequency bit for bit, in O(n_points) memory, and the cost
     scales with the (kernel, frequency) pairs in reach.
@@ -342,7 +335,7 @@ def psd_eval(psd: PsdMixture, freq):
     s = psd.stds
     order, fs, lo, hi = _kernel_windows(f.ravel(), np.stack([-c, c]), s)
     (lo_neg, lo_pos), (hi_neg, hi_pos) = lo, hi
-    # pair k is -c alone on [lo_neg, near_end), both kernels on the windows'
+    # pair k is -c alone on [lo_neg, near_end), both Gaussians on the windows'
     # overlap [lo_pos, hi_neg) if any, and +c alone on [far_start, hi_pos)
     near_end = np.minimum(hi_neg, lo_pos)
     far_start = np.maximum(hi_neg, lo_pos)
@@ -415,7 +408,7 @@ def coefficient_power_fraction(electrical_size: float, n_blades: int,
     are exposed because neither ordering is canonical.
     """
     _checked_real(fraction, "fraction", gt=0, lt=1)
-    if order not in ("magnitude", "index"):
+    if not isinstance(order, str) or order not in ("magnitude", "index"):
         raise ValidationError(f"order must be 'magnitude' or 'index', got {order!r}")
     coeffs = harmonic_coefficients(electrical_size, n_blades, n_max)
     if order == "magnitude":

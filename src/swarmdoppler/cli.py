@@ -25,12 +25,11 @@ import numpy as np
 
 from . import __version__
 from ._atomic import write_files
-from .analytic import (build_acf, build_psd, acf_eval, acf_deterministic_eval,
-                       coefficient_power_fraction, harmonic_coefficients,
-                       mainlobe_width, psd_eval, psd_line_spectrum, psd_support,
-                       truncation_index)
-from .exceptions import (ConfigError, DomainError, NumericsError, FormatError,
-                         SwarmModelError, ValidationError)
+from .analytic import (CONVENTION_CONSTANT, build_acf, build_psd, acf_eval,
+                       acf_deterministic_eval, coefficient_power_fraction,
+                       harmonic_coefficients, mainlobe_width, psd_eval,
+                       psd_line_spectrum, psd_support, truncation_index)
+from .exceptions import ConfigError, SwarmModelError
 from .model import (Curve, EstimatorSettings, RunConfig, curve_to_csv, curve_to_json,
                     derive, load_config, serialize_config)
 from .simulate import StftConfig, container_chunks, simulate_ensemble, spectrogram
@@ -71,6 +70,8 @@ def _resolve_config(args) -> RunConfig:
             text = Path(args.config).read_text(encoding="utf-8")
         except FileNotFoundError:
             raise ConfigError(f"config not found: {args.config}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config {args.config} is not UTF-8 text: {exc}") from None
         config = load_config(text)
     else:
         config = load_config(json.dumps(PRESETS[args.preset]))
@@ -180,9 +181,9 @@ def cmd_psd(args) -> int:
                       y=psd_eval(psd, freqs),
                       meta={"kind": "psd_mixture",
                             "dc_dirac_weight": psd.dc_weight,
-                            "convention_constant": psd.convention_constant})
+                            "convention_constant": CONVENTION_CONSTANT})
         extra.update(dc_dirac_weight=psd.dc_weight,
-                     convention_constant=psd.convention_constant)
+                     convention_constant=CONVENTION_CONSTANT)
     edges = np.array([lo, hi])
     if args.hz:
         curve = Curve(axis="frequency_hz", x=curve.x / (2.0 * np.pi), y=curve.y,
@@ -376,10 +377,6 @@ def main(argv=None) -> int:
         return EXIT_OK if not exc.code else EXIT_CONFIG
     try:
         return args.func(args)
-    except (ConfigError, ValidationError, DomainError, NumericsError,
-            FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -31,10 +31,6 @@ class DomainError(SwarmModelError):
     """An operation was invoked outside its supported domain."""
 
 
-class NumericsError(SwarmModelError):
-    """A numerical routine could not reach its accuracy target."""
-
-
 class FormatError(SwarmModelError):
     """A binary container is corrupt or has an unsupported version."""
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConfigError, ValidationError, _checked_int, _checked_real
+from .exceptions import (ConfigError, ValidationError, _checked_array, _checked_int,
+                         _checked_real)
 
 CURVE_AXES = ("lag_s", "angular_frequency_rad_per_s", "frequency_hz", "time_s")
 
@@ -143,20 +144,15 @@ def check_grid(params: SwarmParams, grid: SamplingGrid) -> None:
         )
 
 
-def make_grid(params: SwarmParams, t_start: float, dt: float,
-              n_samples: int) -> SamplingGrid:
-    """Construct a grid and verify it against the Nyquist guard."""
-    grid = SamplingGrid(t_start=t_start, dt=dt, n_samples=n_samples)
-    check_grid(params, grid)
-    return grid
-
-
 @dataclass(frozen=True)
 class Curve:
     """A sampled real or complex function of one variable.
 
-    ``axis`` names the x quantity (one of :data:`CURVE_AXES`); ``meta`` is a
-    free-form provenance record (parameters, seed, estimator settings).
+    ``axis`` names the x quantity (one of :data:`CURVE_AXES`); ``x`` is a
+    strictly increasing 1-d array of finite reals and ``y`` a 1-d array of
+    finite real or complex numbers of the same length (else
+    :class:`ValidationError`); ``meta`` is a free-form provenance record
+    (parameters, seed, estimator settings).
     """
 
     axis: str
@@ -165,10 +161,10 @@ class Curve:
     meta: types.MappingProxyType = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.axis not in CURVE_AXES:
+        if not isinstance(self.axis, str) or self.axis not in CURVE_AXES:
             raise ValidationError(f"axis must be one of {CURVE_AXES}, got {self.axis!r}")
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y)
+        x = _checked_array(self.x, "x")
+        y = _checked_array(self.y, "y", complex_ok=True)
         if x.ndim != 1 or y.ndim != 1:
             raise ValidationError("x and y must be one-dimensional")
         if x.shape != y.shape:
@@ -254,12 +250,16 @@ def load_config(text: str) -> RunConfig:
     optional sections; an omitted grid defaults to the Nyquist-matched grid
     of :func:`default_grid`.
     """
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise ConfigError(f"text must be a JSON document as str or bytes, got {text!r}")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config bytes do not decode as JSON text: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     _reject_unknown(doc, _TOP_KEYS, "config")
@@ -281,10 +281,9 @@ def load_config(text: str) -> RunConfig:
         raise ConfigError("grid must be a JSON object")
     _reject_unknown(grid_doc, _GRID_KEYS, "grid")
     if "dt_s" in grid_doc:
-        grid = make_grid(params,
-                         t_start=grid_doc.get("t_start_s", 0.0),
-                         dt=grid_doc["dt_s"],
-                         n_samples=grid_doc.get("n_samples", DEFAULT_N_SAMPLES))
+        grid = SamplingGrid(t_start=grid_doc.get("t_start_s", 0.0), dt=grid_doc["dt_s"],
+                            n_samples=grid_doc.get("n_samples", DEFAULT_N_SAMPLES))
+        check_grid(params, grid)
     else:
         grid = default_grid(params, n_samples=grid_doc.get("n_samples", DEFAULT_N_SAMPLES))
         if "t_start_s" in grid_doc:

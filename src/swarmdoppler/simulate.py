@@ -195,7 +195,9 @@ def synthesize(state: SwarmState, params: SwarmParams, grid: SamplingGrid) -> np
 
 @dataclass(frozen=True)
 class Ensemble:
-    """A batch of signal realizations with its generation provenance."""
+    """A batch of signal realizations with its generation provenance: a 2-d
+    array of finite complex numbers and an unsigned 64-bit seed (else
+    :class:`ValidationError`)."""
 
     params: SwarmParams
     grid: SamplingGrid
@@ -203,9 +205,15 @@ class Ensemble:
     signals: np.ndarray   # (n_realizations, n_samples), complex
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "master_seed", _checked_int(
+            self.master_seed, "master_seed", low=0, high=_SEED_MAX))
         arr = np.asarray(self.signals).view()    # made read-only; the caller's stays as is
         if arr.ndim != 2 or not np.iscomplexobj(arr):
             raise ValidationError("signals must be a 2-d complex array")
+        # block by block, so the check holds no mask the size of the ensemble
+        if not all(np.isfinite(arr[lo:lo + _CHUNK_ROWS]).all()
+                   for lo in range(0, arr.shape[0], _CHUNK_ROWS)):
+            raise ValidationError("signals must be finite, got a non-finite value")
         if arr.shape[1] != self.grid.n_samples:
             raise ValidationError(
                 f"signals have {arr.shape[1]} samples but the grid has {self.grid.n_samples}"
@@ -298,7 +306,10 @@ def simulate_ensemble(params: SwarmParams, grid: SamplingGrid, n_realizations: i
     default, halving memory) or complex128.  An undersampled grid (see
     :func:`check_grid`) raises :class:`ValidationError`.
     """
-    dtype = np.dtype(dtype)
+    try:
+        dtype = np.dtype(dtype)
+    except TypeError:
+        raise ValidationError(f"dtype must be complex64 or complex128, got {dtype!r}") from None
     if dtype not in (np.dtype(np.complex64), np.dtype(np.complex128)):
         raise ValidationError(f"dtype must be complex64 or complex128, got {dtype}")
     # one realization per task keeps the workers evenly loaded; the rows
@@ -322,7 +333,7 @@ def simulate_ensemble(params: SwarmParams, grid: SamplingGrid, n_realizations: i
             f"ensemble generation exhausted memory after {done}/{n_realizations} "
             "realizations"
         ) from exc
-    return Ensemble(params=params, grid=grid, master_seed=int(master_seed), signals=signals)
+    return Ensemble(params=params, grid=grid, master_seed=master_seed, signals=signals)
 
 
 class AcfAccumulator:
@@ -470,7 +481,7 @@ def estimate_psd(acf_curve: Curve) -> Curve:
     order = np.fft.fftshift(np.arange(total))
     freqs = freqs[order]
     spectrum = spectrum[order]
-    residual = float(np.max(np.abs(spectrum.imag))) if m > 1 else 0.0
+    residual = float(np.max(np.abs(spectrum.imag)))
     meta = dict(acf_curve.meta)
     meta.update({
         "dlag_s": float(dlag),
@@ -490,7 +501,7 @@ class StftConfig:
     fft_length: int = 256
 
     def __post_init__(self) -> None:
-        if self.window not in ("hann", "rectangular"):
+        if not isinstance(self.window, str) or self.window not in ("hann", "rectangular"):
             raise ValidationError(f"window must be 'hann' or 'rectangular', got {self.window!r}")
         for name in ("window_length", "hop", "fft_length"):
             object.__setattr__(self, name, _checked_int(getattr(self, name), name))
@@ -593,7 +604,8 @@ def load_ensemble(path) -> Ensemble:
 
     Raises :class:`FormatError` unless the file is one whole container: the
     magic and version, a complete JSON header with valid fields and dtype,
-    and a payload of exactly the declared size with nothing after it.
+    and a payload of exactly the declared size, all finite, with nothing
+    after it.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -626,8 +638,10 @@ def load_ensemble(path) -> Ensemble:
             raise FormatError(f"container dtype must be complex64 or complex128, "
                               f"got {header.get('dtype')!r}")
         n_real, n_samples, master_seed = (
-            _checked_int(header.get(key), f"container header field {key!r}", FormatError, low)
-            for key, low in (("n_realizations", 0), ("n_samples", 1), ("master_seed", 0)))
+            _checked_int(header.get(key), f"container header field {key!r}", FormatError,
+                         low, high)
+            for key, low, high in (("n_realizations", 0, None), ("n_samples", 1, None),
+                                   ("master_seed", 0, _SEED_MAX)))
         try:
             params = SwarmParams(**header["params"])
             grid = SamplingGrid(**header["grid"])
@@ -647,4 +661,7 @@ def load_ensemble(path) -> Ensemble:
         payload = fh.read(n_bytes)
     signals = np.frombuffer(payload, dtype=wire_dtype).astype(dtype_name).reshape(
         n_real, n_samples)
-    return Ensemble(params=params, grid=grid, master_seed=master_seed, signals=signals)
+    try:
+        return Ensemble(params=params, grid=grid, master_seed=master_seed, signals=signals)
+    except ValidationError as exc:
+        raise FormatError(f"container payload is invalid: {exc}") from None

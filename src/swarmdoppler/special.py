@@ -1,4 +1,4 @@
-"""Integer-order Bessel functions of the first kind and phase-average oracles.
+"""Integer-order Bessel functions of the first kind.
 
 There are two routes.  Every order at a scalar argument, and every order
 n > 0 over an array (point by point), comes from one column of a single
@@ -41,8 +41,7 @@ import math
 
 import numpy as np
 
-from .exceptions import (DomainError, NumericsError, _checked_array, _checked_int,
-                         _checked_real)
+from .exceptions import DomainError, _checked_array, _checked_int, _checked_real
 
 MAX_ORDER = 3000
 MAX_ABS_ARG = 2000.0
@@ -61,8 +60,6 @@ _HANKEL_TERMS = 8
 # below _HANKEL_MIN_ARG, J_0 over arrays is Bessel's integral on this many
 # trapezoid panels over a quarter period
 _J0_PANELS = 16
-# i**n for n mod 4; complex integer powers drift for large n, a table does not
-_IPOW = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
 def _start_order(n: int, x: float) -> int:
@@ -222,66 +219,3 @@ def bessel_j(n: int, x):
         vals = np.array([bessel_j_many(n, v)[n] for v in arr.ravel().tolist()])
     vals = vals.reshape(arr.shape)
     return float(vals) if arr.ndim == 0 else vals
-
-
-def squared_bessel_sum_check(z: float, n_terms: int) -> float:
-    """Partial sum J_0(z)^2 + 2*sum_{k=1..n_terms} J_k(z)^2.
-
-    Approaches 1 from below as ``n_terms`` grows; used as a convergence and
-    normalisation oracle for the squared-coefficient family.
-    """
-    z = _checked_real(z, "z", DomainError, ge=0, le=MAX_ABS_ARG)
-    col = bessel_j_many(_checked_int(n_terms, "n_terms", DomainError, 0, MAX_ORDER), z)
-    return float(col[0] ** 2 + 2.0 * np.sum(col[1:] ** 2))
-
-
-def bessel_phase_average(n: int, size: float, *, tol: float = 1e-11) -> float:
-    """Average of J_n(size * sin(phi)) over phi uniform on [0, 2*pi).
-
-    Evaluated as (1 / (2*pi*i**n)) * integral over a full period of
-    J_0(size*cos(t)) * exp(i*n*t), by trapezoid quadrature with doubling
-    resolution.  The integrand is smooth and periodic, so the rule converges
-    geometrically and the change between successive refinements bounds the
-    error; the result is real, with the imaginary residue checked against
-    ``tol`` internally.
-    """
-    n = _checked_int(n, "n", DomainError, 0, MAX_ORDER)
-    size = float(_checked_real(size, "size", DomainError, gt=0, le=MAX_ABS_ARG))
-    # spectral accuracy needs the sample count past the integrand's harmonic
-    # content, roughly size + n
-    npts = 64
-    while npts < 3.0 * (size + n) + 32.0:
-        npts *= 2
-    prev = None
-    while npts <= (1 << 22):
-        theta = (2.0 * np.pi / npts) * np.arange(npts)
-        samples = bessel_j(0, size * np.cos(theta)) * np.exp(1j * n * theta)
-        cur = complex(samples.mean() * 2.0 * np.pi)
-        if prev is not None and abs(cur - prev) <= 0.5 * tol:
-            coeff = cur / (2.0 * np.pi * _IPOW[n % 4])
-            if abs(coeff.imag) > tol:
-                raise NumericsError(
-                    f"phase-average quadrature left imaginary residue {coeff.imag:.3e}"
-                )
-            return float(coeff.real)
-        prev = cur
-        npts *= 2
-    raise NumericsError(
-        f"phase-average quadrature did not converge to tol={tol:g}; "
-        f"last refinement changed the value by {abs(cur - prev):.3e}"
-    )
-
-
-def bessel_phase_average_closed(n: int, size: float) -> float:
-    """Closed form of the even-order phase average: J_{n/2}(size/2)**2.
-
-    Odd orders average to exactly zero and are rejected here.  The closed
-    form was reconciled against :func:`bessel_phase_average` numerically
-    across orders and sizes before being adopted, and the two routes are
-    kept independent so either can check the other.
-    """
-    n = _checked_int(n, "n", DomainError, 0, MAX_ORDER)
-    if n & 1:
-        raise DomainError(f"closed form exists for even orders only, got n={n}")
-    size = float(_checked_real(size, "size", DomainError, gt=0, le=MAX_ABS_ARG))
-    return float(bessel_j(n // 2, size / 2.0) ** 2)

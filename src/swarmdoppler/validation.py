@@ -62,17 +62,17 @@ def compare_acf(params: SwarmParams, grid: SamplingGrid, estimate: Curve) -> Com
 
 
 def compare_psd(params: SwarmParams, spectrum: Curve) -> tuple[Comparison, int]:
-    """A spectrum estimate against the scaled mixture density.
+    """A spectrum estimate against the mixture density.
 
     Compares the support bins at least 1.5 bins from DC and outside
     ``max(5 std, 3 bins)`` of every kernel narrower than two bins, which the
-    bin grid cannot resolve; also returns the count of kernels so excluded.
+    bin grid cannot resolve; also returns how many kernel pairs were excluded.
     Raises :class:`DomainError` when no bin is left, as on a grid too short
     to resolve any kernel.
     """
     psd = build_psd(params)
     freqs = spectrum.x
-    reference = psd.convention_constant * psd_eval(psd, freqs)
+    reference = psd_eval(psd, freqs)
     dfreq = freqs[1] - freqs[0]
     mask = (np.abs(freqs) <= psd_support(params)[1]) & (np.abs(freqs) >= 1.5 * dfreq)
     narrow = psd.stds < 2.0 * dfreq

@@ -197,3 +197,61 @@ def psd_eval_outer(psd: sd.PsdMixture, freq):
     pair = np.exp(-0.5 * ((f[None, :] - c) / s) ** 2) \
         + np.exp(-0.5 * ((f[None, :] + c) / s) ** 2)
     return np.sum(m / (SQRT_TWO_PI * s) * pair, axis=0)
+
+
+# oracles of the paper's phase-average identity, the mean of J_n(size*sin(phi))
+# over phi is J_{n/2}(size/2)**2, behind the series coefficients (A6)
+
+# i**n for n mod 4; complex integer powers drift for large n, a table does not
+_IPOW = (1 + 0j, 1j, -1 + 0j, -1j)
+
+
+def squared_bessel_sum_check(z: float, n_terms: int) -> float:
+    """Partial sum J_0(z)^2 + 2*sum_{k=1..n_terms} J_k(z)^2.
+
+    Approaches 1 from below as ``n_terms`` grows; the convergence and
+    normalisation oracle of the squared-coefficient family.
+    """
+    col = sd.bessel_j_many(n_terms, z)
+    return float(col[0] ** 2 + 2.0 * np.sum(col[1:] ** 2))
+
+
+def bessel_phase_average(n: int, size: float, *, tol: float = 1e-11) -> float:
+    """Average of J_n(size * sin(phi)) over phi uniform on [0, 2*pi).
+
+    Evaluated as (1 / (2*pi*i**n)) * integral over a full period of
+    J_0(size*cos(t)) * exp(i*n*t), by trapezoid quadrature with doubling
+    resolution.  The integrand is smooth and periodic, so the rule converges
+    geometrically and the change between successive refinements bounds the
+    error; the result is real, and an imaginary residue above ``tol``, like
+    a quadrature that does not converge, fails the calling test.
+    """
+    # spectral accuracy needs the sample count past the integrand's harmonic
+    # content, roughly size + n
+    npts = 64
+    while npts < 3.0 * (size + n) + 32.0:
+        npts *= 2
+    prev = None
+    while npts <= (1 << 22):
+        theta = (2.0 * np.pi / npts) * np.arange(npts)
+        samples = sd.bessel_j(0, size * np.cos(theta)) * np.exp(1j * n * theta)
+        cur = complex(samples.mean() * 2.0 * np.pi)
+        if prev is not None and abs(cur - prev) <= 0.5 * tol:
+            coeff = cur / (2.0 * np.pi * _IPOW[n % 4])
+            assert abs(coeff.imag) <= tol, \
+                f"phase-average quadrature left imaginary residue {coeff.imag:.3e}"
+            return float(coeff.real)
+        prev = cur
+        npts *= 2
+    raise AssertionError(f"phase-average quadrature did not converge to tol={tol:g}; "
+                         f"last refinement changed the value by {abs(cur - prev):.3e}")
+
+
+def bessel_phase_average_closed(n: int, size: float) -> float:
+    """Closed form of the even-order phase average: J_{n/2}(size/2)**2.
+
+    Independent of :func:`bessel_phase_average`, so either route checks the
+    other; odd orders average to exactly zero and have no closed form here.
+    """
+    assert n % 2 == 0, f"closed form exists for even orders only, got n={n}"
+    return float(sd.bessel_j(n // 2, size / 2.0) ** 2)

@@ -196,12 +196,6 @@ def test_build_psd_reference_kernels():
     assert np.array_equal(psd.stds, params.speed_std * 2.0 * n)
     assert psd.dc_weight == pytest.approx(math.sqrt(2 * math.pi) * MAVIC_DC_LEVEL,
                                           rel=1e-11)
-    # mirror pairs with equal masses
-    kernels = psd.kernels
-    assert len(kernels) == 2 * psd.centers.size
-    for center, std, mass in kernels:
-        mirrored = (-center, std, mass)
-        assert mirrored in kernels
     # the cutoff kernel sits at the band edge mean_speed * size/2
     cutoff = sd.truncation_index(sd.derive(params).electrical_size, params.n_blades)
     edge = sd.derive(params).mod_index * params.mean_speed
@@ -360,7 +354,7 @@ def test_transform_round_trip_matches_mixture():
     # reproduce the mixture density pointwise with a unit scale constant
     curve, psd = transform_of_analytic_acf(mavic_params())
     scale, max_rel, n_bins = fit_convention_constant(curve, psd)
-    assert abs(scale - psd.convention_constant) <= 1e-3
+    assert abs(scale - sd.analytic.CONVENTION_CONSTANT) <= 1e-3
     assert max_rel <= 0.01
     assert n_bins > 1000
 

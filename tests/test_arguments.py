@@ -5,15 +5,19 @@ with the argument's name; numpy integers are accepted wherever an integer
 is, and are stored as Python ints; an array of reals may hold integers or
 floats of any width, never bools, strings or objects.
 """
+import inspect
 import json
+import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import swarmdoppler as sd
 from swarmdoppler import validation
-from swarmdoppler.exceptions import DomainError, ValidationError
-from helpers import mavic_params
+from swarmdoppler.exceptions import ConfigError, DomainError, ValidationError
+from helpers import MAVIC_LIKE, mavic_params
 
 PARAMS = mavic_params()
 GRID = sd.default_grid(PARAMS, n_samples=64)
@@ -40,10 +44,6 @@ _REFUSED = [
      lambda: sd.harmonic_coefficients("10", 2, 5), ValidationError, "electrical_size"),
     ("bessel_j_many-bool", lambda: sd.bessel_j_many(2, True), DomainError, "x"),
     ("bessel_j_many-str", lambda: sd.bessel_j_many(2, "1.5"), DomainError, "x"),
-    ("squared_bessel_sum_check-str",
-     lambda: sd.squared_bessel_sum_check("a", 3), DomainError, "z"),
-    ("bessel_phase_average-str",
-     lambda: sd.bessel_phase_average(2, "abc"), DomainError, "size"),
 ]
 ACF = sd.build_acf(PARAMS)
 PSD = sd.build_psd(PARAMS)
@@ -107,6 +107,44 @@ for _field in _STATE:
                          lambda f=_field, b=_bad: sd.SwarmState(**{**_STATE, f: np.full((1, 4), b)}),
                          ValidationError, _field))
 
+_SIGNALS = np.zeros((2, GRID.n_samples), np.complex64)
+for _label, _bad in (("str", "x"), ("negative", -1), ("float", 1.5), ("bool", True),
+                     ("past-64-bits", 2 ** 64)):
+    _REFUSED.append((f"Ensemble-master_seed-{_label}",
+                     lambda b=_bad: sd.Ensemble(PARAMS, GRID, b, _SIGNALS), ValidationError,
+                     "master_seed"))
+_REFUSED.append(("Ensemble-signals-nan",
+                 lambda: sd.Ensemble(PARAMS, GRID, 1, np.full(_SIGNALS.shape, np.nan + 0j)),
+                 ValidationError, "signals"))
+_X = np.arange(3.0)
+_CURVE = dict(axis="lag_s", x=_X, y=_X)
+for _field, _label, _bad in (("x", "str", ["a", "b", "c"]), ("x", "complex", _X + 1j),
+                             ("x", "inf", [0.0, 1.0, np.inf]), ("y", "str", ["a", "b", "c"]),
+                             ("y", "object", _X.astype(object)),
+                             ("y", "bool", [True, False, True]), ("y", "nan", [0.0, np.nan, 1.0])):
+    _REFUSED.append((f"Curve-{_field}-{_label}",
+                     lambda f=_field, b=_bad: sd.Curve(**{**_CURVE, f: b}), ValidationError,
+                     _field))
+for _bad in (True, 3, "bogus"):
+    _REFUSED.append((f"simulate_ensemble-dtype-{_bad}",
+                     lambda b=_bad: sd.simulate_ensemble(PARAMS, GRID, 2, 1, dtype=b),
+                     ValidationError, "dtype"))
+for _bad in (None, 5, True):
+    _REFUSED.append((f"load_config-{_bad}", lambda b=_bad: sd.load_config(b), ConfigError,
+                     "text"))
+_CHOICES = np.array(["index", "magnitude"])
+_REFUSED += [
+    ("coefficient_power_fraction-order-array",
+     lambda: sd.coefficient_power_fraction(10.0, 2, 0.5, order=_CHOICES), ValidationError,
+     "order"),
+    ("StftConfig-window-array",
+     lambda: sd.StftConfig(window=np.array(["hann", "rectangular"])), ValidationError,
+     "window"),
+    ("Curve-axis-array",
+     lambda: sd.Curve(**{**_CURVE, "axis": np.array(["lag_s", "time_s"])}),
+     ValidationError, "axis"),
+]
+
 
 @pytest.mark.parametrize("call,error,name", [case[1:] for case in _REFUSED],
                          ids=[case[0] for case in _REFUSED])
@@ -164,3 +202,153 @@ def test_accumulator_stores_a_numpy_integer_seed_as_int():
     acc.add(ROWS, np.uint64(2 ** 64 - 1))
     assert json.loads(sd.curve_to_json(acc.curve()))["meta"]["master_seed"] == 2 ** 64 - 1
     assert type(acc.master_seed) is int
+
+
+# ------------------------------------------------------- fuzzing over __all__
+
+# bad kinds of value, by what the argument takes; none is a huge count, so
+# no call that is refused too late can run without end
+_SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, max_side=3)
+_NOT_NUMBERS = st.one_of(
+    st.booleans(), st.none(), st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.builds(complex, st.floats(-9, 9), st.floats(0.5, 9)),
+    hnp.arrays(object, _SHAPES, elements=st.floats(-9, 9)),
+    hnp.arrays("U3", _SHAPES), hnp.arrays(bool, _SHAPES))
+
+
+def _numbers(refused_ndim=lambda ndim: True, dtype=float):
+    """Finite numeric arrays of the ndims for which ``refused_ndim`` is true."""
+    return hnp.arrays(dtype, _SHAPES.filter(lambda shape: refused_ndim(len(shape))),
+                      elements=st.integers(-9, 9))
+
+
+def _non_finite(shape):
+    """Arrays of ``shape``, real or complex, that hold a NaN or an infinity."""
+    return st.builds(lambda v, c: np.full(shape, complex(v, 0) if c else v),
+                     st.sampled_from([math.nan, math.inf, -math.inf]), st.booleans())
+
+
+def _arrays(ndim=None, complex_ok=False):
+    """Bad values for an argument of finite numbers of ``ndim`` dimensions, or
+    of any if it is None; the walker adds non-finite arrays of the valid shape."""
+    kinds = [_NOT_NUMBERS, st.text(max_size=3)]
+    if ndim is not None:
+        kinds.append(_numbers(lambda n: n != ndim))
+    if not complex_ok:
+        kinds.append(_numbers(dtype=complex))
+    return st.one_of(*kinds)
+
+
+_BAD = {
+    "int": st.one_of(_NOT_NUMBERS, st.text(max_size=3), st.floats(), _numbers(),
+                     _numbers(dtype=int)),
+    "real": st.one_of(_NOT_NUMBERS, st.text(max_size=3), _numbers()),
+    "reals": _arrays(),
+    "reals-1d": _arrays(1),
+    "reals-2d": _arrays(2),
+    "numbers-1d": _arrays(1, complex_ok=True),
+    "numbers-2d": _arrays(2, complex_ok=True),
+    "choice": st.one_of(_NOT_NUMBERS, st.text(max_size=3), st.floats(), _numbers(),
+                        hnp.arrays("U12", _SHAPES, elements=st.sampled_from(
+                            ["lag_s", "hann", "index", "magnitude"]))),
+    "dtype": st.one_of(_NOT_NUMBERS, st.integers(-9, 9), _numbers(),
+                       st.sampled_from(["bogus", "float64", "i4", ">c16"])),
+    "text": st.one_of(_NOT_NUMBERS, st.text(max_size=3), st.floats(), st.integers(-9, 9),
+                      _numbers()),
+}
+_BAD["int-or-none"] = _BAD["int"].filter(lambda v: v is not None)
+_ARRAY_KINDS = {"reals", "reals-1d", "reals-2d", "numbers-1d", "numbers-2d"}
+
+_STFT = sd.StftConfig(window_length=16, hop=4, fft_length=16)
+_ENSEMBLE = sd.simulate_ensemble(PARAMS, GRID, 2, 1)
+# every public callable that takes numbers: (call, valid keyword arguments,
+# kind of each argument the walker spoils)
+_WALK = {
+    "SwarmParams": (sd.SwarmParams, MAVIC_LIKE,
+                    {**dict.fromkeys(("n_drones", "n_rotors", "n_blades"), "int"),
+                     **dict.fromkeys(("blade_length", "wavelength", "mean_speed",
+                                      "speed_variance", "gain_magnitude"), "real")}),
+    "SamplingGrid": (sd.SamplingGrid, dict(t_start=0.0, dt=GRID.dt, n_samples=8),
+                     dict(t_start="real", dt="real", n_samples="int")),
+    "Curve": (sd.Curve, _CURVE, dict(axis="choice", x="reals-1d", y="numbers-1d")),
+    "EstimatorSettings": (sd.EstimatorSettings, dict(n_realizations=2, seed=1),
+                          dict(n_realizations="int", seed="int")),
+    "default_grid": (sd.default_grid, dict(params=PARAMS, oversample=2.0, n_samples=8),
+                     dict(oversample="real", n_samples="int")),
+    "load_config": (sd.load_config, dict(text=sd.serialize_config(sd.RunConfig(
+        PARAMS, GRID, sd.EstimatorSettings()))), dict(text="text")),
+    "bessel_j": (sd.bessel_j, dict(n=2, x=[1.5, 2.0]), dict(n="int", x="reals")),
+    "bessel_j_many": (sd.bessel_j_many, dict(n_max=2, x=1.5), dict(n_max="int", x="real")),
+    "build_acf": (sd.build_acf, dict(params=PARAMS, n_terms=5),
+                  dict(n_terms="int-or-none")),
+    "acf_eval": (sd.acf_eval, dict(acf=ACF, tau=[0.0, 1e-4]), dict(tau="reals")),
+    "acf_deterministic_eval": (sd.acf_deterministic_eval, dict(params=PARAMS0, tau=[0.0, 1e-4]),
+                               dict(tau="reals")),
+    "truncation_index": (sd.truncation_index, dict(electrical_size=10.0, n_blades=2),
+                         dict(electrical_size="real", n_blades="int")),
+    "harmonic_coefficients": (sd.harmonic_coefficients,
+                              dict(electrical_size=10.0, n_blades=2, n_max=5),
+                              dict(electrical_size="real", n_blades="int", n_max="int")),
+    "build_psd": (sd.build_psd, dict(params=PARAMS, n_terms=5), dict(n_terms="int-or-none")),
+    "psd_eval": (sd.psd_eval, dict(psd=PSD, freq=[0.0, 1e3]), dict(freq="reals")),
+    "coefficient_power_fraction": (
+        sd.coefficient_power_fraction,
+        dict(electrical_size=10.0, n_blades=2, fraction=0.5, order="index", n_max=50),
+        dict(electrical_size="real", n_blades="int", fraction="real", order="choice",
+             n_max="int")),
+    "SwarmState": (sd.SwarmState, _STATE, dict.fromkeys(_STATE, "reals-2d")),
+    "Ensemble": (sd.Ensemble, dict(params=PARAMS, grid=GRID, master_seed=1, signals=_SIGNALS),
+                 dict(master_seed="int", signals="numbers-2d")),
+    "StftConfig": (sd.StftConfig, dict(window="hann", window_length=16, hop=4, fft_length=16),
+                   dict(window="choice", window_length="int", hop="int", fft_length="int")),
+    "simulate_ensemble": (sd.simulate_ensemble,
+                          dict(params=PARAMS, grid=GRID, n_realizations=2, master_seed=1,
+                               n_workers=1, dtype=np.complex64),
+                          dict(n_realizations="int", master_seed="int", n_workers="int",
+                               dtype="dtype")),
+    "realization_rng": (sd.realization_rng, dict(master_seed=1, index=0),
+                        dict(master_seed="int", index="int")),
+    "AcfAccumulator": (sd.AcfAccumulator, dict(grid=GRID, t_ref_index=0, n_lags=8),
+                       dict(t_ref_index="int", n_lags="int-or-none")),
+    "AcfAccumulator.add": (lambda **kw: sd.AcfAccumulator(GRID).add(**kw),
+                           dict(rows=ROWS, master_seed=1),
+                           dict(rows="numbers-2d", master_seed="int")),
+    "accumulate": (lambda **kw: sd.accumulate(PARAMS, GRID, accumulators=[
+        sd.AcfAccumulator(GRID)], **kw), dict(master_seed=1, start=0, stop=2, n_workers=1),
+        dict(master_seed="int", start="int", stop="int", n_workers="int")),
+    "estimate_acf": (sd.estimate_acf, dict(ensemble=_ENSEMBLE, t_ref_index=0, n_lags=8),
+                     dict(t_ref_index="int", n_lags="int-or-none")),
+    "spectrogram": (sd.spectrogram, dict(series=_SIGNALS[0], grid=GRID, cfg=_STFT),
+                    dict(series="numbers-1d")),
+}
+# result records the library builds and callers read; they hold their fields unchecked
+_RECORDS = {"DerivedParams", "AcfSeries", "PsdMixture", "SpectralLine", "Spectrogram"}
+# callables that take no number, only the library's own objects or a path
+_NO_NUMBERS = {"RunConfig", "derive", "band_edge", "check_grid", "serialize_config",
+               "curve_to_csv", "curve_to_json", "mainlobe_width", "psd_support",
+               "psd_line_spectrum", "sample_state", "synthesize", "estimate_psd",
+               "save_ensemble", "load_ensemble"}
+_SPOILS = [(name, arg) for name, (_, _, kinds) in _WALK.items() for arg in kinds]
+
+
+def test_the_walk_covers_every_public_callable():
+    public = {name for name in sd.__all__ if callable(getattr(sd, name))
+              and not (inspect.isclass(getattr(sd, name))
+                       and issubclass(getattr(sd, name), sd.SwarmModelError))}
+    walked = {name.split(".")[0] for name in _WALK}
+    assert public == walked | _RECORDS | _NO_NUMBERS
+    for name, (call, valid, _) in _WALK.items():
+        call(**valid)
+
+
+@settings(max_examples=800, deadline=None)
+@given(spoil=st.sampled_from(_SPOILS), data=st.data())
+def test_bad_kinds_of_argument_raise_only_library_errors(spoil, data):
+    name, arg = spoil
+    call, valid, kinds = _WALK[name]
+    bad = _BAD[kinds[arg]]
+    if kinds[arg] in _ARRAY_KINDS:
+        bad = st.one_of(bad, _non_finite(np.shape(valid[arg])))
+    bad = data.draw(bad, label=f"{name}({arg}=...)")
+    with pytest.raises(sd.SwarmModelError):
+        call(**{**valid, arg: bad})

@@ -121,6 +121,25 @@ def test_malformed_config_exits_with_config_error(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_non_utf8_config_exits_with_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    code = main(["acf", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "is not UTF-8 text" in capsys.readouterr().err
+
+
+def test_any_library_error_exits_with_the_config_code(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise sd.SwarmModelError("no such swarm")
+
+    monkeypatch.setattr("swarmdoppler.cli.build_acf", refuse)
+    code = main(["acf", "--preset", "mavic-like", "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: no such swarm\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_usage_error_exit_code():
     assert main(["acf"]) == 2          # neither --config nor --preset
     assert main(["frobnicate"]) == 2   # unknown command
@@ -197,7 +216,7 @@ def test_curve_files_are_the_model_serializations(tmp_path):
     psd = sd.build_psd(params)
     freqs = np.linspace(*sd.psd_support(params), 64)
     meta = {"kind": "psd_mixture", "dc_dirac_weight": psd.dc_weight,
-            "convention_constant": psd.convention_constant}
+            "convention_constant": sd.analytic.CONVENTION_CONSTANT}
     psd_curve = sd.Curve(axis="angular_frequency_rad_per_s", x=freqs,
                          y=sd.psd_eval(psd, freqs), meta=meta)
     hz_curve = sd.Curve(axis="frequency_hz", x=freqs / (2.0 * np.pi), y=psd_curve.y)

@@ -97,11 +97,12 @@ def test_default_grid_nyquist_bound_property(ratio, mean, rel_spread, oversample
     assert product <= math.pi / oversample * (1.0 + 1e-12)
 
 
-def test_make_grid_enforces_nyquist_guard():
+def test_check_grid_enforces_nyquist_guard():
     params = mavic_params()
     bound = math.pi / sd.band_edge(params)
+    sd.check_grid(params, sd.SamplingGrid(t_start=0.0, dt=bound, n_samples=100))
     with pytest.raises(ValidationError, match="undersample") as refused:
-        sd.make_grid(params, 0.0, 2.0 * bound, 100)
+        sd.check_grid(params, sd.SamplingGrid(t_start=0.0, dt=2.0 * bound, n_samples=100))
     message = str(refused.value)      # names no opt-out keyword: there is none
     assert "allow_undersampled" not in message and "=True" not in message
 

@@ -722,6 +722,24 @@ def test_load_ensemble_rejects_bad_header_fields(tmp_path, changes):
         sd.load_ensemble(path)
 
 
+def test_load_ensemble_refuses_a_seed_past_64_bits(tmp_path):
+    path = saved_container(tmp_path)
+    rewrite_header(path, master_seed=2 ** 64 - 1)
+    assert sd.load_ensemble(path).master_seed == 2 ** 64 - 1
+    rewrite_header(path, master_seed=2 ** 64)
+    with pytest.raises(FormatError, match="master_seed"):
+        sd.load_ensemble(path)
+
+
+def test_load_ensemble_refuses_a_non_finite_payload(tmp_path):
+    path = saved_container(tmp_path)
+    data = bytearray(path.read_bytes())
+    data[-8:] = np.array([complex(np.nan, 0.0)], "<c8").tobytes()
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match="finite"):
+        sd.load_ensemble(path)
+
+
 def test_load_ensemble_rejects_malformed_header_json(tmp_path):
     path = saved_container(tmp_path)
     data = bytearray(path.read_bytes())
@@ -737,6 +755,9 @@ WRONG_TYPED = st.one_of(
     st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2))
 
 
+# a flipped digit may leave a valid header whose blade is shorter than the
+# wavelength, which loads with SwarmParams' advisory warning
+@pytest.mark.filterwarnings("ignore:carrier wavelength is not small:UserWarning")
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
