@@ -196,8 +196,7 @@ def synthesize(state: SwarmState, params: SwarmParams, grid: SamplingGrid) -> np
 @dataclass(frozen=True)
 class Ensemble:
     """A batch of signal realizations with its generation provenance: a 2-d
-    array of finite complex numbers and an unsigned 64-bit seed (else
-    :class:`ValidationError`)."""
+    complex array and an unsigned 64-bit seed (else :class:`ValidationError`)."""
 
     params: SwarmParams
     grid: SamplingGrid
@@ -210,10 +209,6 @@ class Ensemble:
         arr = np.asarray(self.signals).view()    # made read-only; the caller's stays as is
         if arr.ndim != 2 or not np.iscomplexobj(arr):
             raise ValidationError("signals must be a 2-d complex array")
-        # block by block, so the check holds no mask the size of the ensemble
-        if not all(np.isfinite(arr[lo:lo + _CHUNK_ROWS]).all()
-                   for lo in range(0, arr.shape[0], _CHUNK_ROWS)):
-            raise ValidationError("signals must be finite, got a non-finite value")
         if arr.shape[1] != self.grid.n_samples:
             raise ValidationError(
                 f"signals have {arr.shape[1]} samples but the grid has {self.grid.n_samples}"
@@ -604,8 +599,7 @@ def load_ensemble(path) -> Ensemble:
 
     Raises :class:`FormatError` unless the file is one whole container: the
     magic and version, a complete JSON header with valid fields and dtype,
-    and a payload of exactly the declared size, all finite, with nothing
-    after it.
+    and a payload of exactly the declared size with nothing after it.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -661,7 +655,4 @@ def load_ensemble(path) -> Ensemble:
         payload = fh.read(n_bytes)
     signals = np.frombuffer(payload, dtype=wire_dtype).astype(dtype_name).reshape(
         n_real, n_samples)
-    try:
-        return Ensemble(params=params, grid=grid, master_seed=master_seed, signals=signals)
-    except ValidationError as exc:
-        raise FormatError(f"container payload is invalid: {exc}") from None
+    return Ensemble(params=params, grid=grid, master_seed=master_seed, signals=signals)

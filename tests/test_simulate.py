@@ -731,13 +731,20 @@ def test_load_ensemble_refuses_a_seed_past_64_bits(tmp_path):
         sd.load_ensemble(path)
 
 
-def test_load_ensemble_refuses_a_non_finite_payload(tmp_path):
-    path = saved_container(tmp_path)
-    data = bytearray(path.read_bytes())
-    data[-8:] = np.array([complex(np.nan, 0.0)], "<c8").tobytes()
-    path.write_bytes(bytes(data))
-    with pytest.raises(FormatError, match="finite"):
-        sd.load_ensemble(path)
+def test_non_finite_signals_round_trip_and_are_refused_where_used(tmp_path):
+    # the container stores what it is given; the estimators refuse NaN and inf
+    params = mavic_params()
+    grid = small_grid(params, 64)
+    signals = sd.simulate_ensemble(params, grid, 2, 9).signals.copy()
+    signals[1, 3] = complex(np.nan, np.inf)
+    path = tmp_path / "nan.bin"
+    sd.save_ensemble(path, sd.Ensemble(params, grid, 9, signals))
+    loaded = sd.load_ensemble(path)
+    assert loaded.signals.tobytes() == signals.tobytes()
+    with pytest.raises(DomainError, match="finite"):
+        sd.estimate_acf(loaded, t_ref_index=0, n_lags=8)
+    with pytest.raises(DomainError, match="finite"):
+        sd.spectrogram(loaded.signals[1], grid, sd.StftConfig("hann", 16, 4, 16))
 
 
 def test_load_ensemble_rejects_malformed_header_json(tmp_path):
