@@ -273,7 +273,9 @@ class PsdMixture:
 
     The Gaussians come in mirror pairs at ``+-n_blades*n*mean_speed`` with
     standard deviation ``speed_std*n*n_blades``; ``side_masses[n-1]`` is the
-    integral of each member of pair ``n``.
+    integral of each member of pair ``n``.  ``centers``, ``stds`` and
+    ``side_masses`` are 1-d arrays of finite reals of one length, the
+    ``stds`` positive (else :class:`ValidationError`).
     """
 
     params: SwarmParams
@@ -285,9 +287,16 @@ class PsdMixture:
 
     def __post_init__(self) -> None:
         for name in ("centers", "stds", "side_masses"):
-            arr = np.asarray(getattr(self, name), dtype=float).view()
+            arr = _checked_array(getattr(self, name), name).view()
+            if arr.ndim != 1:
+                raise ValidationError(f"{name} must be a 1-d array")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+            if arr.size != self.centers.size:
+                raise ValidationError(f"{name} must be as long as centers "
+                                      f"({self.centers.size}), got {arr.size}")
+        if not np.all(self.stds > 0.0):
+            raise ValidationError("stds must be positive, got a value <= 0")
 
 
 def build_psd(params: SwarmParams, n_terms: int | None = None) -> PsdMixture:

@@ -26,7 +26,8 @@ _ENSEMBLE_MAGIC = b"SWEN"
 _ENSEMBLE_VERSION = 1
 # realizations per estimator block: on validate-mavic (2 workers, 2-vCPU
 # Xeon) blocks of 32 held peak RSS to 55-57 MB against 149-157 MB at 256,
-# and ran in 2.0-2.1 s against 2.3-2.7 s
+# and ran in 2.0-2.1 s against 2.3-2.7 s; with the time-average block
+# transformed in place, 32 peak at 51.6-51.9 MB
 _CHUNK_ROWS = 32
 # realizations per synthesis kernel call inside a block: fewer, longer numpy
 # calls hold the interpreter lock for less of each realization; 4, 8 and 16
@@ -92,20 +93,22 @@ def sample_state(params: SwarmParams, rng: np.random.Generator) -> SwarmState:
                       rotor_speeds=speeds[0])
 
 
-def _cos_sin(x: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray | None = None):
-    """``cos x`` into ``cos_out`` and, if given, ``sin x`` into ``sin_out``,
-    from the half-angle tangent: with ``t = tan(x/2)`` and ``w = 2/(1 + t*t)``,
-    ``cos x = w - 1`` and ``sin x = t*w``.  Returns ``cos_out``.
+def _cos_sin(h: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray | None = None):
+    """``cos 2h`` into ``cos_out`` and, if given, ``sin 2h`` into ``sin_out``,
+    from the tangent of the half angle ``h``: with ``t = tan h`` and
+    ``w = 2/(1 + t*t)``, ``cos 2h = w - 1`` and ``sin 2h = t*w``.  Returns
+    ``cos_out``.
 
-    On AVX-512 CPUs numpy's ``tan`` runs SIMD code while its ``cos`` calls
-    libm per element; without AVX-512 both call libm and this is slower
-    than ``cos``.  The rest is four correctly rounded operations, so an
-    element gets the same bits whatever array, offset or stride it sits in.
-    Both outputs are within 4.5e-16 of the true values.  ``cos_out`` may be
-    ``x``; ``sin_out`` must be neither.
+    Callers form the half angle themselves, from halved factors: halving is
+    exact, so ``0.5*a * b + 0.5*c`` has the bits of ``0.5*(a*b + c)`` unless
+    a product is subnormal.  On AVX-512 CPUs numpy's ``tan`` runs SIMD code
+    while its ``cos`` calls libm per element; without AVX-512 both call
+    libm and this is slower than ``cos``.  The rest is four correctly
+    rounded operations, so an element gets the same bits whatever array,
+    offset or stride it sits in.  Both outputs are within 4.5e-16 of the
+    true values.  ``cos_out`` may be ``h``; ``sin_out`` must be neither.
     """
-    t = np.multiply(x, 0.5, out=cos_out if sin_out is None else sin_out)
-    np.tan(t, out=t)
+    t = np.tan(h, out=cos_out if sin_out is None else sin_out)
     w = np.multiply(t, t, out=cos_out)
     w += 1.0
     np.divide(2.0, w, out=w)
@@ -124,19 +127,20 @@ def _synthesize_rows(out: np.ndarray, angles: np.ndarray, phases: np.ndarray,
     or complex128.  Every element goes through the same operations whatever
     ``n`` is, and the rotor sum is one ``einsum`` per row, so a row does not
     depend on the sub-block it was made in.  Every cosine and sine comes from
-    :func:`_cos_sin`, in place.
+    :func:`_cos_sin`, in place, of a half angle formed from halved factors.
     """
-    mod_index = derive(params).mod_index
+    half_mod = 0.5 * derive(params).mod_index
     n_blades = params.n_blades
     paired = n_blades % 2 == 0
-    # one row per rotor of every realization: its angle at every sample time
-    rotor_angles = speeds.reshape(-1, 1) * grid.times()
-    rotor_angles += angles.reshape(-1, 1)
+    # one row per rotor of every realization: half its angle at every sample
+    # time, the argument :func:`_cos_sin` takes
+    half_angles = (0.5 * speeds).reshape(-1, 1) * grid.times()
+    half_angles += 0.5 * angles.reshape(-1, 1)
     # blade 0 sits at the rotor angle itself; the later blades (or pairs)
     # take their phases in one reused buffer, and odd blade counts their
     # sines in one more
-    re = _cos_sin(rotor_angles, np.empty_like(rotor_angles))
-    re *= mod_index
+    re = _cos_sin(half_angles, np.empty_like(half_angles))
+    re *= half_mod
     im = None if paired else np.empty_like(re)
     _cos_sin(re, re, im)
     if not paired:
@@ -144,25 +148,27 @@ def _synthesize_rows(out: np.ndarray, angles: np.ndarray, phases: np.ndarray,
     phase = None
     sine = None if paired or n_blades == 1 else np.empty_like(re)
     for b in range(1, n_blades // 2 if paired else n_blades):
-        phase = np.add(rotor_angles, 2.0 * np.pi * b / n_blades, out=phase)
+        phase = np.add(half_angles, 0.5 * (2.0 * np.pi * b / n_blades), out=phase)
         _cos_sin(phase, phase)
-        phase *= mod_index
+        phase *= half_mod
         _cos_sin(phase, phase, sine)
         if not paired:
             im -= sine
         re += phase
-    # rotate each rotor by exp(-1j * projection phase) and sum the rotors
+    # rotate each rotor by exp(-1j * projection phase) and sum the rotors;
+    # the sines are negated once per rotor, not once per sample
     n = out.shape[0]
-    cos_p = np.empty((n, phases[0].size))
-    sin_p = np.empty_like(cos_p)
-    _cos_sin(phases.reshape(cos_p.shape), cos_p, sin_p)
+    cos_p = np.multiply(phases.reshape(n, -1), 0.5)
+    neg_sin_p = np.empty_like(cos_p)
+    _cos_sin(cos_p, cos_p, neg_sin_p)
+    np.negative(neg_sin_p, out=neg_sin_p)
     re = re.reshape(n, cos_p.shape[1], -1)
     y = np.empty(out.shape, dtype=np.complex128)
     y.real = np.einsum("bk,bkt->bt", cos_p, re)
-    y.imag = -np.einsum("bk,bkt->bt", sin_p, re)
+    y.imag = np.einsum("bk,bkt->bt", neg_sin_p, re)
     if not paired:
         im = im.reshape(re.shape)
-        y.real += np.einsum("bk,bkt->bt", sin_p, im)
+        y.real -= np.einsum("bk,bkt->bt", neg_sin_p, im)
         y.imag += np.einsum("bk,bkt->bt", cos_p, im)
     np.multiply((2.0 if paired else 1.0) * params.gain_magnitude, y, out=out,
                 casting="same_kind")
@@ -361,12 +367,16 @@ class AcfAccumulator:
 
     def _partial(self, rows: np.ndarray) -> np.ndarray:
         """Single reference: ``sum_k y_k(t_ref) * conj(y_k(t_ref + lag))``.  Time
-        average: ``sum_k |FFT y_k|^2`` on a zero-padded length that makes the
-        correlation linear; its inverse transform is the sum of every lagged
-        product (Wiener-Khinchin), taken once in :meth:`curve`."""
+        average: ``sum_k |FFT y_k|^2`` on the shortest power-of-two length
+        that makes the correlation linear, ``n_samples + n_lags - 1`` or
+        more; its inverse transform is the sum of every lagged product
+        (Wiener-Khinchin), taken once in :meth:`curve`."""
         if self.time_average:
-            fft_len = 1 << (self.grid.n_samples + self.n_lags - 1).bit_length()
-            spectra = np.fft.fft(rows.astype(np.complex128), n=fft_len, axis=1)
+            fft_len = 1 << (self.grid.n_samples + self.n_lags - 2).bit_length()
+            # padded by hand and transformed in place: one buffer per block
+            spectra = np.zeros((rows.shape[0], fft_len), dtype=np.complex128)
+            spectra[:, :rows.shape[1]] = rows
+            np.fft.fft(spectra, axis=1, out=spectra)
             parts = spectra.view(np.float64)      # re, im interleaved
             squares = np.einsum("kf,kf->f", parts, parts)
             return squares[0::2] + squares[1::2]

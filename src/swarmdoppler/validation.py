@@ -105,7 +105,8 @@ def validate(params: SwarmParams, grid: SamplingGrid, n_realizations: int,
     the rotor speeds spread, the time-average estimate is accumulated too
     and its spectrum compared, else the series against the finite sum.
     """
-    single = AcfAccumulator(grid)
+    # compare_acf reads only the first acf_window lags
+    single = AcfAccumulator(grid, n_lags=acf_window(params, grid))
     averaged = AcfAccumulator(grid, time_average=True) \
         if params.speed_variance > 0.0 else None
     accumulate(params, grid, seed, [acc for acc in (single, averaged) if acc is not None],

@@ -61,7 +61,7 @@ def synthesize_paired(state: sd.SwarmState, params: sd.SwarmParams,
     The bit-exact reference for the sub-block kernel behind
     :func:`swarmdoppler.synthesize`, which must take the same operations
     element by element and row by row, every cosine and sine from the
-    kernel's half-angle tangent helper.
+    kernel's half-angle tangent helper given the halved angle.
     """
     cos_sin = sd.simulate._cos_sin
     mod_index = sd.derive(params).mod_index
@@ -71,15 +71,15 @@ def synthesize_paired(state: sd.SwarmState, params: sd.SwarmParams,
         + state.rotor_speeds.reshape(-1, 1) * grid.times()
     re = im = 0.0
     for b in range(n_blades // 2 if paired else n_blades):
-        phase = cos_sin(angles + 2.0 * np.pi * b / n_blades, np.empty_like(angles))
+        phase = cos_sin(0.5 * (angles + 2.0 * np.pi * b / n_blades), np.empty_like(angles))
         phase *= mod_index
         sine = np.empty_like(phase)
-        cos_sin(phase, phase, sine)
+        cos_sin(0.5 * phase, phase, sine)
         re = re + phase
         if not paired:
             im = im - sine
     cos_p, sin_p = np.empty(state.projection_phases.size), np.empty(state.projection_phases.size)
-    cos_sin(state.projection_phases.ravel(), cos_p, sin_p)
+    cos_sin(0.5 * state.projection_phases.ravel(), cos_p, sin_p)
     y = np.empty(grid.n_samples, dtype=np.complex128)
     y.real = np.einsum("k,kt->t", cos_p, re)
     y.imag = -np.einsum("k,kt->t", sin_p, re)
@@ -87,6 +87,20 @@ def synthesize_paired(state: sd.SwarmState, params: sd.SwarmParams,
         y.real += np.einsum("k,kt->t", sin_p, im)
         y.imag += np.einsum("k,kt->t", cos_p, im)
     return (2.0 if paired else 1.0) * params.gain_magnitude * y
+
+
+def time_average_partial(rows: np.ndarray, fft_len: int) -> np.ndarray:
+    """``sum_k |FFT y_k|^2`` over the rows, zero-padded to ``fft_len``.
+
+    The time-average partial sum as first written, each row copied to
+    complex128 and padded inside the transform; the reference for
+    :class:`swarmdoppler.AcfAccumulator`, which pads by hand and transforms
+    in place, and must equal this bit for bit.
+    """
+    spectra = np.fft.fft(rows.astype(np.complex128), n=fft_len, axis=1)
+    parts = spectra.view(np.float64)
+    squares = np.einsum("kf,kf->f", parts, parts)
+    return squares[0::2] + squares[1::2]
 
 
 def transform_of_analytic_acf(params: sd.SwarmParams, *, oversample=2.0,

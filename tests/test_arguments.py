@@ -113,6 +113,17 @@ for _label, _bad in (("str", "x"), ("negative", -1), ("float", 1.5), ("bool", Tr
     _REFUSED.append((f"Ensemble-master_seed-{_label}",
                      lambda b=_bad: sd.Ensemble(PARAMS, GRID, b, _SIGNALS), ValidationError,
                      "master_seed"))
+_MIXTURE = dict(params=PARAMS, derived=PSD.derived, dc_weight=PSD.dc_weight,
+                centers=PSD.centers, stds=PSD.stds, side_masses=PSD.side_masses)
+for _field, _label, _bad in (("centers", "str", np.array(["a"])),
+                             ("stds", "nan", np.full(PSD.stds.size, np.nan)),
+                             ("stds", "zero", np.zeros(PSD.stds.size)),
+                             ("stds", "negative", -PSD.stds),
+                             ("side_masses", "2d", PSD.side_masses[None]),
+                             ("side_masses", "short", PSD.side_masses[:-1])):
+    _REFUSED.append((f"PsdMixture-{_field}-{_label}",
+                     lambda f=_field, b=_bad: sd.PsdMixture(**{**_MIXTURE, f: b}),
+                     ValidationError, _field))
 _X = np.arange(3.0)
 _CURVE = dict(axis="lag_s", x=_X, y=_X)
 for _field, _label, _bad in (("x", "str", ["a", "b", "c"]), ("x", "complex", _X + 1j),
@@ -290,6 +301,8 @@ _WALK = {
                               dict(electrical_size=10.0, n_blades=2, n_max=5),
                               dict(electrical_size="real", n_blades="int", n_max="int")),
     "build_psd": (sd.build_psd, dict(params=PARAMS, n_terms=5), dict(n_terms="int-or-none")),
+    "PsdMixture": (sd.PsdMixture, _MIXTURE, dict.fromkeys(
+        ("centers", "stds", "side_masses"), "reals-1d")),
     "psd_eval": (sd.psd_eval, dict(psd=PSD, freq=[0.0, 1e3]), dict(freq="reals")),
     "coefficient_power_fraction": (
         sd.coefficient_power_fraction,
@@ -322,7 +335,7 @@ _WALK = {
                     dict(series="numbers-1d")),
 }
 # result records the library builds and callers read; they hold their fields unchecked
-_RECORDS = {"DerivedParams", "AcfSeries", "PsdMixture", "SpectralLine", "Spectrogram"}
+_RECORDS = {"DerivedParams", "AcfSeries", "SpectralLine", "Spectrogram"}
 # callables that take no number, only the library's own objects or a path
 _NO_NUMBERS = {"RunConfig", "derive", "band_edge", "check_grid", "serialize_config",
                "curve_to_csv", "curve_to_json", "mainlobe_width", "psd_support",

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import swarmdoppler as sd
 from swarmdoppler import simulate, validation
 from swarmdoppler.exceptions import DomainError, FormatError, ValidationError
-from helpers import mavic_params, synthesize_paired, synthesize_per_blade
+from helpers import mavic_params, synthesize_paired, synthesize_per_blade, time_average_partial
 from conftest import MAVIC_N, MAVIC_SEED
 
 
@@ -124,7 +124,7 @@ def test_synthesize_rejects_mismatched_state():
 
 def _cos_and_sin(x):
     c, s = np.empty_like(x), np.empty_like(x)
-    simulate._cos_sin(x, c, s)
+    simulate._cos_sin(0.5 * x, c, s)     # the helper takes the half angle
     return c, s
 
 
@@ -132,8 +132,8 @@ _LONG_DOUBLE_IS_WIDER = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
 
 
 def _kernel_arguments():
-    """Every argument the mavic-like kernel takes a cosine or sine of, for
-    one sub-block: rotor angles, modulation phases and projection phases."""
+    """Every angle the mavic-like kernel takes a cosine or sine of, for one
+    sub-block: rotor angles, modulation phases and projection phases."""
     params = mavic_params()
     grid = sd.default_grid(params)
     angles, phases, speeds = simulate._draw(
@@ -155,7 +155,7 @@ def test_cos_sin_is_within_4_5e_16_of_long_double():
         assert np.max(np.abs(s - np.sin(ref))) <= 4.5e-16
     # cosine only, in place, gives the same bits as beside the sine
     x = rng.uniform(-1e6, 1e6, 1000)
-    in_place = x.copy()
+    in_place = 0.5 * x
     assert np.array_equal(simulate._cos_sin(in_place, in_place), _cos_and_sin(x)[0])
     assert _cos_and_sin(np.zeros(3))[1].tobytes() == np.zeros(3).tobytes()   # +0.0
 
@@ -175,7 +175,7 @@ def test_cos_sin_gives_an_element_the_same_bits_anywhere():
                 == (flat_c[offset:offset + n].tobytes(), flat_s[offset:offset + n].tobytes())
     for view in ((slice(None), slice(None, None, 3)), (slice(None, None, 2), slice(None))):
         c_out, s_out = np.empty_like(x)[view], np.empty_like(x)[view]   # strided out too
-        simulate._cos_sin(x[view], c_out, s_out)
+        simulate._cos_sin((0.5 * x)[view], c_out, s_out)
         assert (c_out.tobytes(), s_out.tobytes()) == (c[view].tobytes(), s[view].tobytes())
 
 
@@ -455,6 +455,47 @@ def test_estimate_acf_matches_brute_force():
         for j in range(48)
     ])
     assert np.allclose(got_ta.y, brute_ta, rtol=1e-10)
+
+
+@pytest.mark.parametrize("n_rows", [1, 8, 32])
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_time_average_partial_is_the_padded_copy_transform(n_rows, dtype):
+    grid = small_grid(mavic_params(), 4001)
+    rng = np.random.default_rng(n_rows)
+    rows = (rng.normal(size=(n_rows, 4001)) + 1j * rng.normal(size=(n_rows, 4001))).astype(dtype)
+    for n_lags in (None, 100):
+        acc = sd.AcfAccumulator(grid, n_lags=n_lags, time_average=True)
+        assert np.array_equal(acc._partial(rows), time_average_partial(rows, 8192))
+
+
+@pytest.mark.parametrize("n_samples, n_lags, fft_len", [
+    (100, 29, 128), (100, 30, 256), (64, 1, 64), (65, 64, 128), (48, 48, 128), (2, 1, 2),
+])
+def test_time_average_transform_is_the_shortest_power_of_two(n_samples, n_lags, fft_len):
+    rng = np.random.default_rng(n_samples + n_lags)
+    sig = rng.normal(size=(3, n_samples)) + 1j * rng.normal(size=(3, n_samples))
+    grid = sd.SamplingGrid(t_start=0.0, dt=1e-5, n_samples=n_samples)
+    acc = sd.AcfAccumulator(grid, n_lags=n_lags, time_average=True)
+    assert acc._partial(sig).shape == (fft_len,)
+    acc.add(sig, 0)
+    direct = np.array([np.mean(sig[:, :n_samples - j] * np.conj(sig[:, j:]))
+                       for j in range(n_lags)])
+    assert np.max(np.abs(acc.curve().y - direct)) <= 1e-12 * abs(direct[0])
+
+
+def test_validate_reports_what_a_full_lag_single_reference_estimate_gives(monkeypatch):
+    params = mavic_params()
+    grid = small_grid(params, 512)
+    n = simulate._CHUNK_ROWS + 5
+    report = validation.validate(params, grid, n, 5, n_workers=2).report
+    assert report["acf"]["window_lags"] < grid.n_samples
+
+    class FullLags(sd.AcfAccumulator):
+        def __init__(self, grid, t_ref_index=0, n_lags=None, *, time_average=False):
+            super().__init__(grid, t_ref_index, time_average=time_average)
+
+    monkeypatch.setattr(validation, "AcfAccumulator", FullLags)
+    assert validation.validate(params, grid, n, 5).report == report
 
 
 def test_estimate_acf_lag_overflow():
