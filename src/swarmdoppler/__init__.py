@@ -14,11 +14,10 @@ from .model import (SwarmParams, DerivedParams, SamplingGrid, Curve,
                     default_grid, check_grid, load_config,
                     serialize_config, curve_to_csv, curve_to_json)
 from .special import bessel_j, bessel_j_many
-from .analytic import (AcfSeries, PsdMixture, SpectralLine, build_acf,
-                       acf_eval, acf_deterministic_eval, mainlobe_width,
-                       truncation_index, harmonic_coefficients, build_psd,
-                       psd_eval, psd_support, psd_line_spectrum,
-                       coefficient_power_fraction)
+from .analytic import (AcfSeries, PsdMixture, build_acf, acf_eval,
+                       acf_deterministic_eval, mainlobe_width, truncation_index,
+                       harmonic_coefficients, build_psd, psd_eval, psd_support,
+                       psd_line_spectrum, coefficient_power_fraction)
 from .simulate import (SwarmState, Ensemble, StftConfig, Spectrogram,
                        sample_state, synthesize, simulate_ensemble,
                        realization_rng, AcfAccumulator, accumulate,
@@ -34,7 +33,7 @@ __all__ = [
     "check_grid", "load_config", "serialize_config",
     "curve_to_csv", "curve_to_json",
     "bessel_j", "bessel_j_many",
-    "AcfSeries", "PsdMixture", "SpectralLine", "build_acf", "acf_eval",
+    "AcfSeries", "PsdMixture", "build_acf", "acf_eval",
     "acf_deterministic_eval", "mainlobe_width", "truncation_index",
     "harmonic_coefficients", "build_psd", "psd_eval", "psd_support",
     "psd_line_spectrum", "coefficient_power_fraction",

@@ -167,12 +167,8 @@ def cmd_psd(args) -> int:
     extra = {"support_rad_s": [lo, hi]}
     line_spectrum = params.speed_variance == 0.0
     if line_spectrum:
-        spectrum = psd_line_spectrum(params)
-        curve = Curve(axis="angular_frequency_rad_per_s",
-                      x=[ln.frequency for ln in spectrum],
-                      y=[ln.weight for ln in spectrum],
-                      meta={"kind": "psd_line_spectrum"})
-        extra.update(line_count=len(spectrum),
+        curve = psd_line_spectrum(params)
+        extra.update(line_count=curve.x.size,
                      line_spacing_rad_s=params.n_blades * params.mean_speed)
     else:
         psd = build_psd(params)

@@ -75,16 +75,22 @@ class DerivedParams:
     ``electrical_size`` is ``8*pi*blade_length/wavelength``.  ``mod_index``
     is half of it: the peak phase swing of the return from a single rotating
     blade tip, i.e. the modulation index of the per-scatterer phase signal.
+    ``electrical_size`` is a finite real > 0, else :class:`ValidationError`.
     """
 
     electrical_size: float
-    mod_index: float
+
+    def __post_init__(self) -> None:
+        _checked_real(self.electrical_size, "electrical_size", gt=0)
+
+    @property
+    def mod_index(self) -> float:
+        return 0.5 * self.electrical_size
 
 
 def derive(params: SwarmParams) -> DerivedParams:
     """Compute the dimensionless blade size and modulation index."""
-    size = 8.0 * math.pi * params.blade_length / params.wavelength
-    return DerivedParams(electrical_size=size, mod_index=0.5 * size)
+    return DerivedParams(8.0 * math.pi * params.blade_length / params.wavelength)
 
 
 def band_edge(params: SwarmParams) -> float:

@@ -523,7 +523,8 @@ class StftConfig:
 
 @dataclass(frozen=True)
 class Spectrogram:
-    """Magnitude-squared short-time transform with annotated axes."""
+    """Magnitude-squared short-time transform with annotated axes; each array
+    holds finite reals (else :class:`ValidationError`)."""
 
     power: np.ndarray   # (n_freqs, n_frames)
     times: np.ndarray   # frame centers, seconds
@@ -531,7 +532,7 @@ class Spectrogram:
 
     def __post_init__(self) -> None:
         for name in ("power", "times", "freqs"):
-            arr = np.asarray(getattr(self, name), dtype=float).view()
+            arr = _checked_array(getattr(self, name), name).view()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -663,6 +664,6 @@ def load_ensemble(path) -> Ensemble:
             raise FormatError(f"container has {remaining - n_bytes} bytes after its "
                               f"{n_bytes}-byte payload")
         payload = fh.read(n_bytes)
-    signals = np.frombuffer(payload, dtype=wire_dtype).astype(dtype_name).reshape(
-        n_real, n_samples)
-    return Ensemble(params=params, grid=grid, master_seed=master_seed, signals=signals)
+    # on a little-endian host the signals are a view of the bytes read, not a copy
+    signals = np.frombuffer(payload, dtype=wire_dtype).astype(dtype_name, copy=False)
+    return Ensemble(params, grid, master_seed, signals.reshape(n_real, n_samples))

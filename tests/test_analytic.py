@@ -203,8 +203,33 @@ def test_build_psd_reference_kernels():
 
 
 def test_build_psd_rejects_zero_variance():
-    with pytest.raises(DomainError, match="line"):
-        sd.build_psd(mavic_params(speed_variance=0.0))
+    params = mavic_params(speed_variance=0.0)
+    with pytest.raises(DomainError, match="line") as built:
+        sd.build_psd(params)
+    with pytest.raises(DomainError) as mixed:
+        sd.PsdMixture(sd.build_acf(params))
+    assert str(mixed.value) == str(built.value)
+
+
+def test_the_analytic_records_take_only_the_inputs_that_define_them():
+    taken = {record: [f.name for f in dataclasses.fields(record) if f.init]
+             for record in (sd.AcfSeries, sd.PsdMixture, sd.DerivedParams)}
+    assert taken == {sd.AcfSeries: ["params", "n_terms"], sd.PsdMixture: ["acf"],
+                     sd.DerivedParams: ["electrical_size"]}
+
+
+def test_build_psd_fields_are_the_mixture_formulas_of_the_series():
+    for params in (mavic_params(), mavic_params(n_blades=3, speed_variance=400.0)):
+        psd = sd.build_psd(params)
+        acf = sd.build_acf(params)
+        n = np.arange(1, acf.n_terms + 1, dtype=float)
+        scale = params.gain_magnitude ** 2 * params.n_drones * params.n_rotors \
+            * params.n_blades ** 2
+        assert psd.acf == acf and psd.params is params and psd.derived == acf.derived
+        assert np.array_equal(psd.centers, params.n_blades * params.mean_speed * n)
+        assert np.array_equal(psd.stds, params.speed_std * params.n_blades * n)
+        assert np.array_equal(psd.side_masses, 2.0 * np.pi * scale * acf.coefficients)
+        assert psd.dc_weight == math.sqrt(2.0 * math.pi) * acf.dc_level
 
 
 def test_psd_eval_symmetry_is_exact():
@@ -252,19 +277,18 @@ def test_psd_support_reference_interval():
 def test_line_spectrum_reference_layout():
     params = mavic_params(speed_variance=0.0)
     lines = sd.psd_line_spectrum(params)
-    freqs = np.array([ln.frequency for ln in lines])
-    weights = np.array([ln.weight for ln in lines])
-    assert len(lines) == 2 * 44 + 1
+    freqs, weights = lines.x, lines.y
+    assert len(freqs) == 2 * 44 + 1
     # paired components land within one of electrical_size / n_blades
     size = sd.derive(params).electrical_size
-    assert abs((len(lines) - 1) - size / params.n_blades) <= 1.0
+    assert abs((len(freqs) - 1) - size / params.n_blades) <= 1.0
     positive = freqs[freqs > 0]
     assert np.array_equal(np.diff(positive), np.full(43, 1046.0))
     assert np.array_equal(freqs, -freqs[::-1])
     acf = sd.build_acf(params)
     assert weights.sum() == pytest.approx(sd.acf_eval(acf, 0.0), rel=0.05)
-    mirrored = {(-ln.frequency, ln.weight) for ln in lines}
-    assert mirrored == {(ln.frequency, ln.weight) for ln in lines}
+    mirrored = set(zip(-freqs, weights))
+    assert mirrored == set(zip(freqs, weights))
 
 
 def test_line_spectrum_minimal_case():
@@ -274,28 +298,12 @@ def test_line_spectrum_minimal_case():
                                 wavelength=1.0, mean_speed=1.0,
                                 speed_variance=0.0)
     lines = sd.psd_line_spectrum(params)
-    assert [ln.frequency for ln in lines] == [-1.0, 0.0, 1.0]
+    assert lines.x.tolist() == [-1.0, 0.0, 1.0]
 
 
 def test_line_spectrum_rejects_spread_speeds():
     with pytest.raises(DomainError):
         sd.psd_line_spectrum(mavic_params())
-
-
-def test_acf_series_keeps_a_read_only_view_of_the_callers_array():
-    coefficients = sd.build_acf(mavic_params()).coefficients.copy()
-    acf = dataclasses.replace(sd.build_acf(mavic_params()), coefficients=coefficients)
-    assert coefficients.flags.writeable and not acf.coefficients.flags.writeable
-    assert np.shares_memory(acf.coefficients, coefficients)
-
-
-def test_psd_mixture_keeps_read_only_views_of_the_callers_arrays():
-    psd = sd.build_psd(mavic_params())
-    arrays = {name: getattr(psd, name).copy() for name in ("centers", "stds", "side_masses")}
-    psd = dataclasses.replace(psd, **arrays)
-    for name, arr in arrays.items():
-        assert arr.flags.writeable and not getattr(psd, name).flags.writeable
-        assert np.shares_memory(getattr(psd, name), arr)
 
 
 def test_harmonic_coefficients_match_direct_bessel():

@@ -433,11 +433,11 @@ def test_psd_line_spectrum_table_follows_the_format(tmp_path, fmt):
     if fmt == "json":
         doc = json.loads(text)
         assert doc["meta"] == {"kind": "psd_line_spectrum"}
-        assert doc["x"] == [ln.frequency for ln in lines]
-        assert doc["y_re"] == [ln.weight for ln in lines]
+        assert doc["x"] == lines.x.tolist()
+        assert doc["y_re"] == lines.y.tolist()
     else:
         assert text.splitlines()[0] == "angular_frequency_rad_per_s,weight"
-        assert len(text.splitlines()) == len(lines) + 1
+        assert len(text.splitlines()) == len(lines.x) + 1
 
 
 def test_simulate_command_determinism(tmp_path):

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -678,6 +679,22 @@ def test_ensemble_round_trip(tmp_path):
     second = tmp_path / "ens2.bin"
     sd.save_ensemble(second, ens)
     assert path.read_bytes() == second.read_bytes()
+
+
+def test_load_ensemble_holds_the_payload_once(tmp_path):
+    params = mavic_params()
+    signals = np.full((16, 2 ** 15), 1.0 + 2.0j)
+    path = tmp_path / "ens.bin"
+    sd.save_ensemble(path, sd.Ensemble(params, small_grid(params, 2 ** 15), 3, signals))
+    tracemalloc.start()
+    try:
+        back = sd.load_ensemble(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the bytes read, viewed in place; a converted copy would double the peak
+    assert peak < 1.1 * signals.nbytes
+    assert np.array_equal(back.signals, signals)
 
 
 def test_ensemble_container_rejects_garbage(tmp_path):
