@@ -1,0 +1,128 @@
+#!/usr/bin/env python3
+"""Check that the CLI writes the same bytes as at a git revision.
+
+    python3 scripts/same_outputs.py REV
+
+Runs a fixed matrix of ``swarmdoppler`` commands twice, each command in a
+fresh interpreter: once on the package in this checkout's ``src/``, and once
+on the package of ``git archive REV``, unpacked under a temporary directory.
+Then it compares the two output trees and prints one line per file,
+``identical`` or ``different`` (or ``only in ...``).  In a manifest the
+``created_utc`` stamp is left out of the comparison.  Exit code 0 if every
+file and every command's exit code agree, 1 if not.
+"""
+import argparse
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# the mavic-like preset with deterministic rotor speed: its spectrum is the
+# line spectrum
+ZERO_SPREAD = {"n_drones": 1, "n_rotors": 4, "n_blades": 2, "blade_length_m": 0.21,
+               "wavelength_m": 0.03, "mean_speed_rad_s": 523.0, "speed_variance": 0.0,
+               "gain_magnitude": 1.0}
+SEED = ["--seed", "20240"]
+MAVIC = ["--preset", "mavic-like"]
+ZERO = ["--config", "{zero}"]
+MATRIX = {
+    "acf-csv": ["acf", *MAVIC],
+    "acf-json": ["acf", *MAVIC, "--format", "json"],
+    "acf-deterministic": ["acf", *MAVIC, "--deterministic"],
+    "psd-csv": ["psd", *MAVIC],
+    "psd-json": ["psd", *MAVIC, "--format", "json"],
+    "psd-hz": ["psd", *MAVIC, "--hz"],
+    "psd-zero-variance-csv": ["psd", *ZERO],
+    "psd-zero-variance-json": ["psd", *ZERO, "--format", "json"],
+    "coeffs": ["coeffs", *MAVIC],
+    "validate-1-worker": ["validate", *MAVIC, "--n", "2000", "--workers", "1", *SEED],
+    "validate-2-workers": ["validate", *MAVIC, "--n", "2000", "--workers", "2", *SEED],
+    "simulate-spectrogram": ["simulate", *MAVIC, "--n", "64", "--spectrogram", *SEED],
+}
+
+
+def run_matrix(src: Path, out: Path, zero_config: Path) -> dict:
+    """Run every command of MATRIX on the package in ``src``, writing
+    ``out/<name>``; returns each command's exit code."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    codes = {}
+    for name, argv in MATRIX.items():
+        argv = [arg.format(zero=zero_config) for arg in argv]
+        proc = subprocess.run(
+            [sys.executable, "-m", "swarmdoppler.cli", *argv, "--out", str(out / name)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        codes[name] = proc.returncode
+        if proc.stderr:
+            print(f"{out.name} {name}: {proc.stderr.strip()}", file=sys.stderr)
+    return codes
+
+
+def _comparable(path: Path) -> bytes:
+    data = path.read_bytes()
+    if path.name != "manifest.json":
+        return data
+    manifest = json.loads(data)
+    manifest.pop("created_utc", None)
+    return json.dumps(manifest, sort_keys=True).encode("utf-8")
+
+
+def compare_trees(ours: Path, theirs: Path) -> list:
+    """``(relative path, verdict)`` for every file under either tree, sorted;
+    the verdict is ``identical``, ``different``, ``only in ours`` or
+    ``only in theirs``."""
+    def files(root):
+        return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+
+    mine, other = files(ours), files(theirs)
+    verdicts = []
+    for rel in sorted(mine | other):
+        if rel not in other:
+            verdicts.append((rel, "only in ours"))
+        elif rel not in mine:
+            verdicts.append((rel, "only in theirs"))
+        else:
+            same = _comparable(ours / rel) == _comparable(theirs / rel)
+            verdicts.append((rel, "identical" if same else "different"))
+    return verdicts
+
+
+def export(rev: str, dest: Path) -> Path:
+    """Unpack ``git archive rev`` into ``dest``; returns its ``src``."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                             check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest / "src"
+
+
+def run(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("rev", help="git revision to compare the working tree against")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
+        tmp = Path(tmp)
+        zero_config = tmp / "zero-spread.json"
+        zero_config.write_text(json.dumps(ZERO_SPREAD), encoding="utf-8")
+        theirs_src = export(args.rev, tmp / "rev")
+        ours_codes = run_matrix(ROOT / "src", tmp / "ours", zero_config)
+        theirs_codes = run_matrix(theirs_src, tmp / "theirs", zero_config)
+        verdicts = compare_trees(tmp / "ours", tmp / "theirs")
+    for name in MATRIX:
+        agree = "same" if ours_codes[name] == theirs_codes[name] else "DIFFERENT"
+        print(f"exit {ours_codes[name]} / {theirs_codes[name]} {agree}: {name}")
+    for rel, verdict in verdicts:
+        print(f"{verdict}: {rel}")
+    same = ours_codes == theirs_codes and all(v == "identical" for _, v in verdicts)
+    print(f"{len(verdicts)} files, all identical" if same else "outputs differ")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(run())

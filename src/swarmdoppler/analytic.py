@@ -199,7 +199,8 @@ def acf_eval(acf: AcfSeries, tau):
     is exactly zero in double precision, and the sum stops at the first term
     that reaches no lag; the result equals the sum of every term at every
     lag bit for bit, and the cost scales with the (term, lag) pairs in
-    reach.  At zero spread every term runs on every lag.
+    reach.  At zero spread every term runs on every lag, undamped: its
+    damping is exactly 1.0, so the term is the coefficient times the cosine.
     """
     p = acf.params
     t = _checked_array(tau, "tau", DomainError)
@@ -219,22 +220,28 @@ def acf_eval(acf: AcfSeries, tau):
     # from one over a longer array, so the phasors always turn over at least
     # two elements; a lone lag turns beside a copy of itself
     turning = np.maximum(ends, 2)
-    decay = -0.5 * np.square(u[:ends[0]])
+    # at zero spread every damping is exp(-0.0) == 1.0, which changes no bit
+    damped = p.speed_std != 0.0
+    if damped:
+        decay = -0.5 * np.square(u[:ends[0]])
     step = phi[order[:turning[0]]]
     step = np.exp(1j * (np.repeat(step, 2) if step.size == 1 else step))
     phasor = step.copy()
     series = acc = np.zeros_like(u)
-    term = np.empty_like(decay)
+    term = np.empty(ends[0])
     for n, (coeff, end, turn) in enumerate(zip(acf.coefficients, ends.tolist(),
                                                turning.tolist()), start=1):
         if end == 0:
             break
-        decay, term, acc = decay[:end], term[:end], acc[:end]
+        term, acc = term[:end], acc[:end]
         step, phasor = step[:turn], phasor[:turn]
-        np.multiply(decay, float(n * n), out=term)
-        np.exp(term, out=term)
-        term *= coeff
-        term *= phasor.real[:end]
+        if damped:
+            np.multiply(decay[:end], float(n * n), out=term)
+            np.exp(term, out=term)
+            term *= coeff
+            term *= phasor.real[:end]
+        else:
+            np.multiply(coeff, phasor.real[:end], out=term)
         acc += term
         phasor *= step
     values = np.empty_like(series)

@@ -542,7 +542,8 @@ def spectrogram(series: np.ndarray, grid: SamplingGrid,
     """Magnitude-squared short-time transform of one complex series.
 
     ``series`` must be a one-dimensional array of finite real or complex
-    numbers; anything else raises :class:`DomainError`.
+    numbers whose short-time power is finite; anything else raises
+    :class:`DomainError`.
     """
     series = _checked_array(series, "series", DomainError, complex_ok=True)
     if series.ndim != 1:
@@ -559,8 +560,11 @@ def spectrogram(series: np.ndarray, grid: SamplingGrid,
     n_frames = 1 + (series.size - cfg.window_length) // cfg.hop
     starts = cfg.hop * np.arange(n_frames)
     frames = series[starts[:, None] + np.arange(cfg.window_length)[None, :]] * win
-    transform = np.fft.fft(frames, n=cfg.fft_length, axis=1)
-    power = np.abs(np.fft.fftshift(transform, axes=1)) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        transform = np.fft.fft(frames, n=cfg.fft_length, axis=1)
+        power = np.abs(np.fft.fftshift(transform, axes=1)) ** 2
+    if not np.isfinite(power).all():
+        raise DomainError("series too large: its short-time power overflows float64")
     freqs = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(cfg.fft_length, d=grid.dt))
     times = grid.t_start + (starts + 0.5 * (cfg.window_length - 1)) * grid.dt
     return Spectrogram(power=power.T, times=times, freqs=freqs)

@@ -14,6 +14,12 @@ Intermediate growth is tamed with exact power-of-two rescaling, so rescaling
 itself never rounds; per-order shift counts are kept so early-captured
 orders survive later rescales without underflow.
 
+The closed forms of one swarm read the same columns many times, so one
+column is kept per (order, argument) pair, the 16 most recently used: each
+is read-only, and :func:`bessel_j_many` hands out a copy.  An array of
+order n > 0 runs the recurrence uncached, point by point, so a dense array
+never evicts them.
+
 This is stable straight across the order-equals-argument turning point,
 which is exactly where the series truncation of the swarm model lives.
 Measured against 40-digit references, relative error stays below ~1e-13
@@ -37,6 +43,7 @@ degrade.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -86,14 +93,20 @@ def _tiny_arg_column(n_max: int, x: float) -> np.ndarray:
     return out
 
 
-def bessel_j_many(n_max: int, x: float) -> np.ndarray:
-    """J_0(x) .. J_{n_max}(x) in one downward pass at scalar ``x``."""
-    n_max = _checked_int(n_max, "n_max", DomainError, 0, MAX_ORDER)
-    x = float(_checked_real(x, "x", DomainError, ge=-MAX_ABS_ARG, le=MAX_ABS_ARG))
+# the closed forms of one swarm read the same few (order, argument) pairs
+# again and again; 16 columns of at most 3,001 doubles are ~384 KB
+@functools.lru_cache(maxsize=16)
+def _miller_column(n_max: int, x: float) -> np.ndarray:
+    """Read-only J_0(x) .. J_{n_max}(x) of checked ``n_max`` and ``x``.
+
+    Memoized on the (order, argument) pair; ``__wrapped__`` is the plain
+    recurrence, which stores nothing.
+    """
     ax = abs(x)
     if ax == 0.0:
         out = np.zeros(n_max + 1)
         out[0] = 1.0
+        out.setflags(write=False)
         return out
     if ax < _TINY_ARG:
         out = _tiny_arg_column(n_max, ax)
@@ -129,7 +142,19 @@ def bessel_j_many(n_max: int, x: float) -> np.ndarray:
         out = np.ldexp(out / norm, (_SHIFT * (cap_shift - shifts)).astype(np.int32))
     if x < 0.0:
         out[1::2] = -out[1::2]
+    out.setflags(write=False)
     return out
+
+
+def bessel_j_many(n_max: int, x: float) -> np.ndarray:
+    """J_0(x) .. J_{n_max}(x) in one downward pass at scalar ``x``.
+
+    The last 16 columns are kept, so a repeated (``n_max``, ``x``) costs a
+    copy; the caller owns the array returned.
+    """
+    n_max = _checked_int(n_max, "n_max", DomainError, 0, MAX_ORDER)
+    x = float(_checked_real(x, "x", DomainError, ge=-MAX_ABS_ARG, le=MAX_ABS_ARG))
+    return _miller_column(n_max, x).copy()
 
 
 def _hankel_coefficients(terms: int) -> tuple[tuple, tuple]:
@@ -212,10 +237,11 @@ def bessel_j(n: int, x):
     if np.any(np.abs(arr) > limit):
         raise DomainError(f"argument outside supported range |x| <= {limit}")
     if arr.ndim == 0 and abs(arr) <= MAX_ABS_ARG:
-        return float(bessel_j_many(n, float(arr))[n])
+        return float(_miller_column(n, float(arr))[n])
     if n == 0:
         vals = _j0_vector(np.abs(arr).ravel())
     else:
-        vals = np.array([bessel_j_many(n, v)[n] for v in arr.ravel().tolist()])
+        # uncached, so a dense array cannot evict the columns the closed forms reuse
+        vals = np.array([_miller_column.__wrapped__(n, v)[n] for v in arr.ravel().tolist()])
     vals = vals.reshape(arr.shape)
     return float(vals) if arr.ndim == 0 else vals

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.special
+from hypothesis import given, settings, strategies as st
 
 import swarmdoppler as sd
 from swarmdoppler import validation
@@ -433,6 +434,19 @@ def test_acf_eval_equals_every_term_at_every_lag_bit_for_bit(swarm, variance):
         values = sd.acf_eval(acf, taus)
         assert np.shape(values) == np.shape(taus), case
         assert np.array_equal(np.ravel(values), acf_eval_every_term(acf, taus)), case
+
+
+@pytest.mark.filterwarnings("ignore:carrier wavelength is not small:UserWarning")
+@settings(max_examples=40, deadline=None)
+@given(ratio=st.floats(min_value=0.0, max_value=159.0, exclude_min=True),
+       n_blades=st.integers(min_value=1, max_value=4),
+       taus=st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=2, max_size=40))
+def test_zero_spread_acf_eval_equals_every_term_bit_for_bit(ratio, n_blades, taus):
+    # zero spread skips the damping, exactly 1.0; up to the envelope's edge
+    acf = sd.build_acf(mavic_params(blade_length=ratio, wavelength=1.0,
+                                    n_blades=n_blades, speed_variance=0.0))
+    taus = np.array(taus) * (8.0 * np.pi / acf.params.mean_speed)
+    assert np.array_equal(sd.acf_eval(acf, taus), acf_eval_every_term(acf, taus))
 
 
 def test_kernel_reach_is_past_float64_underflow():

@@ -648,6 +648,15 @@ def test_spectrogram_refuses_series_that_are_not_finite_numbers(series, match):
         sd.spectrogram(series, grid)
 
 
+@pytest.mark.parametrize("series", [np.full(512, 1e200 + 0j),
+                                    np.resize([1.7e308, -1.7e308], 512)])
+def test_spectrogram_refuses_a_finite_series_whose_power_overflows(series):
+    grid = sd.SamplingGrid(t_start=0.0, dt=1e-4, n_samples=512)
+    # RuntimeWarnings are errors here, so an overflow warning fails this too
+    with pytest.raises(DomainError, match="series"):
+        sd.spectrogram(series, grid)
+
+
 def test_spectrogram_keeps_the_imaginary_part_and_takes_real_numbers():
     grid = sd.SamplingGrid(t_start=0.0, dt=1e-4, n_samples=1024)
     tone = np.exp(1j * 2000.0 * grid.times()).astype(np.complex64)

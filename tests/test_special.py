@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.special
@@ -146,6 +149,85 @@ def test_recurrence_residual_randomized():
         col = sd.bessel_j_many(n + 1, x)
         residual = abs(col[n - 1] + col[n + 1] - (2.0 * n / x) * col[n])
         assert residual <= 1e-10 * max(1.0, abs(col[n])), (n, x)
+
+
+MEMO_ORDERS = (0, 1, 7, 150, 2999, 3000)
+MEMO_ARGS = (0.0, -0.0, 5e-101, -3e-150, -35.5, 2000.0, -2000.0)
+
+
+def _bits(col: np.ndarray) -> np.ndarray:
+    return col.view(np.uint64)
+
+
+def test_kept_columns_equal_the_plain_recurrence_bit_for_bit():
+    fresh = sd.special._miller_column.__wrapped__
+    # more pairs than the cache holds, each asked for twice: once computed,
+    # once (if still kept) read back
+    for _ in range(2):
+        for n_max in MEMO_ORDERS:
+            for x in MEMO_ARGS:
+                got = sd.bessel_j_many(n_max, x)
+                assert np.array_equal(_bits(got), _bits(fresh(n_max, x))), (n_max, x)
+
+
+def test_a_returned_column_is_the_callers_to_change():
+    col = sd.bessel_j_many(60, 35.5)
+    assert col.flags.writeable
+    col[:] = np.nan
+    again = sd.bessel_j_many(60, 35.5)
+    assert np.array_equal(_bits(again), _bits(sd.special._miller_column.__wrapped__(60, 35.5)))
+
+
+def test_the_kept_columns_are_bounded_and_read_only():
+    memo = sd.special._miller_column
+    assert memo.cache_info().maxsize == 16
+    assert not memo(40, 12.5).flags.writeable
+
+
+def test_an_array_of_positive_order_keeps_no_column():
+    memo = sd.special._miller_column
+    memo.cache_clear()
+    kept = sd.bessel_j_many(5, 1.0)
+    before = memo.cache_info()
+    vals = sd.bessel_j(3, np.linspace(-2000.0, 2000.0, 1000))
+    after = memo.cache_info()
+    assert (after.currsize, after.hits, after.misses) == \
+        (before.currsize, before.hits, before.misses)
+    assert vals[0] == -sd.bessel_j(3, 2000.0)
+    # the column kept before the array is still there
+    assert np.array_equal(sd.bessel_j_many(5, 1.0), kept)
+    assert memo.cache_info().hits == after.hits + 1
+
+
+def test_threads_asking_at_once_get_the_same_columns():
+    # more threads than CPUs and more pairs than the cache holds, so columns
+    # are computed, read and evicted by several threads at once
+    pairs = [(3000, 1234.5)] + [(100 + k, 80.0 + k) for k in range(19)]
+    fresh = sd.special._miller_column.__wrapped__
+    reference = [_bits(fresh(n_max, x)) for n_max, x in pairs]
+    sd.special._miller_column.cache_clear()
+    start = threading.Barrier(4)
+    wrong = []
+
+    def ask(shift):
+        start.wait()
+        for k in range(2 * len(pairs)):
+            k = (k + shift) % len(pairs)
+            if not np.array_equal(_bits(sd.bessel_j_many(*pairs[k])), reference[k]):
+                wrong.append(pairs[k])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(shift,)) for shift in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 @pytest.mark.parametrize("n,x", [(-1, 1.0), (3001, 1.0), (2.5, 1.0),
