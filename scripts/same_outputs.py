@@ -23,14 +23,23 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# the mavic-like preset with deterministic rotor speed: its spectrum is the
-# line spectrum
-ZERO_SPREAD = {"n_drones": 1, "n_rotors": 4, "n_blades": 2, "blade_length_m": 0.21,
-               "wavelength_m": 0.03, "mean_speed_rad_s": 523.0, "speed_variance": 0.0,
-               "gain_magnitude": 1.0}
+MAVIC_LIKE = {"n_drones": 1, "n_rotors": 4, "n_blades": 2, "blade_length_m": 0.21,
+              "wavelength_m": 0.03, "mean_speed_rad_s": 523.0, "speed_variance": 27.0,
+              "gain_magnitude": 1.0}
+# config documents the matrix reads, by the name its arguments use in braces
+CONFIGS = {
+    # deterministic rotor speed: the spectrum is the line spectrum
+    "zero": {**MAVIC_LIKE, "speed_variance": 0.0},
+    # every grid and estimator key given (the step is below the Nyquist bound)
+    "explicit": {**MAVIC_LIKE, "grid": {"t_start_s": 0.25, "dt_s": 5e-5, "n_samples": 2048},
+                 "estimator": {"n_realizations": 300, "seed": 77}},
+    # a start time alone: the step is the default one
+    "late": {**MAVIC_LIKE, "grid": {"t_start_s": 2.5}},
+}
 SEED = ["--seed", "20240"]
 MAVIC = ["--preset", "mavic-like"]
 ZERO = ["--config", "{zero}"]
+EXPLICIT = ["--config", "{explicit}"]
 MATRIX = {
     "acf-csv": ["acf", *MAVIC],
     "acf-json": ["acf", *MAVIC, "--format", "json"],
@@ -44,16 +53,23 @@ MATRIX = {
     "validate-1-worker": ["validate", *MAVIC, "--n", "2000", "--workers", "1", *SEED],
     "validate-2-workers": ["validate", *MAVIC, "--n", "2000", "--workers", "2", *SEED],
     "simulate-spectrogram": ["simulate", *MAVIC, "--n", "64", "--spectrogram", *SEED],
+    "simulate-complex128-2-workers": ["simulate", *MAVIC, "--n", "64", "--dtype", "complex128",
+                                      "--workers", "2", "--spectrogram", *SEED],
+    "acf-explicit-grid": ["acf", *EXPLICIT],
+    "validate-explicit-grid": ["validate", *EXPLICIT, "--n", "200"],
+    "simulate-late-start": ["simulate", "--config", "{late}", "--n", "5"],
+    "validate-zero-variance": ["validate", *ZERO, "--n", "200"],
 }
 
 
-def run_matrix(src: Path, out: Path, zero_config: Path) -> dict:
+def run_matrix(src: Path, out: Path, configs: dict) -> dict:
     """Run every command of MATRIX on the package in ``src``, writing
-    ``out/<name>``; returns each command's exit code."""
+    ``out/<name>``; ``configs`` maps each name of CONFIGS to its file.
+    Returns each command's exit code."""
     env = {**os.environ, "PYTHONPATH": str(src)}
     codes = {}
     for name, argv in MATRIX.items():
-        argv = [arg.format(zero=zero_config) for arg in argv]
+        argv = [arg.format(**configs) for arg in argv]
         proc = subprocess.run(
             [sys.executable, "-m", "swarmdoppler.cli", *argv, "--out", str(out / name)],
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
@@ -108,11 +124,12 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
         tmp = Path(tmp)
-        zero_config = tmp / "zero-spread.json"
-        zero_config.write_text(json.dumps(ZERO_SPREAD), encoding="utf-8")
+        configs = {name: tmp / f"{name}.json" for name in CONFIGS}
+        for name, path in configs.items():
+            path.write_text(json.dumps(CONFIGS[name]), encoding="utf-8")
         theirs_src = export(args.rev, tmp / "rev")
-        ours_codes = run_matrix(ROOT / "src", tmp / "ours", zero_config)
-        theirs_codes = run_matrix(theirs_src, tmp / "theirs", zero_config)
+        ours_codes = run_matrix(ROOT / "src", tmp / "ours", configs)
+        theirs_codes = run_matrix(theirs_src, tmp / "theirs", configs)
         verdicts = compare_trees(tmp / "ours", tmp / "theirs")
     for name in MATRIX:
         agree = "same" if ours_codes[name] == theirs_codes[name] else "DIFFERENT"

@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +31,10 @@ from .analytic import (CONVENTION_CONSTANT, build_acf, build_psd, acf_eval,
                        harmonic_coefficients, mainlobe_width, psd_eval,
                        psd_line_spectrum, psd_support, truncation_index)
 from .exceptions import ConfigError, SwarmModelError
-from .model import (Curve, EstimatorSettings, RunConfig, curve_to_csv, curve_to_json,
-                    derive, load_config, serialize_config)
-from .simulate import StftConfig, container_chunks, simulate_ensemble, spectrogram
+from .model import (Curve, RunConfig, _csv_text, curve_to_csv, curve_to_json, derive,
+                    load_config, serialize_config)
+from .simulate import (_WIRE_DTYPES, StftConfig, container_chunks, simulate_ensemble,
+                       spectrogram)
 from .svgplot import heatmap_svg, line_svg
 from .validation import validate
 
@@ -77,10 +79,7 @@ def _resolve_config(args) -> RunConfig:
         config = load_config(json.dumps(PRESETS[args.preset]))
     seed = getattr(args, "seed", None)
     if seed is not None:
-        config = RunConfig(params=config.params, grid=config.grid,
-                           estimator=EstimatorSettings(
-                               n_realizations=config.estimator.n_realizations,
-                               seed=seed))
+        config = replace(config, estimator=replace(config.estimator, seed=seed))
     return config
 
 
@@ -92,12 +91,6 @@ _UNRECORDED = frozenset({"command", "func", "config", "preset", "out", "seed"})
 
 def _json_text(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
-
-
-def _table_text(header: str, columns) -> str:
-    rows = zip(*columns)
-    lines = [header] + [",".join(repr(float(v)) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
 
 
 def _curve_file(stem: str, curve: Curve, fmt: str) -> tuple[str, str]:
@@ -190,8 +183,8 @@ def cmd_psd(args) -> int:
         if args.format == "json":
             name, table = _curve_file("psd_lines", curve, "json")
         else:
-            name, table = "psd_lines.csv", _table_text(f"{curve.axis},weight",
-                                                       (curve.x, curve.y))
+            name, table = "psd_lines.csv", _csv_text(f"{curve.axis},weight",
+                                                     (curve.x, curve.y))
         svg = line_svg([], stems=list(zip(curve.x, curve.y)), vlines=vlines,
                        title="line spectrum (deterministic rotor speed)",
                        xlabel=curve.axis, ylabel="line power")
@@ -207,20 +200,18 @@ def cmd_psd(args) -> int:
 def cmd_simulate(args) -> int:
     config = _resolve_config(args)
     n_real = args.n if args.n is not None else config.estimator.n_realizations
-    dtype = np.complex128 if args.dtype == "complex128" else np.complex64
     ensemble = simulate_ensemble(config.params, config.grid, n_real,
                                  config.estimator.seed, n_workers=args.workers,
-                                 dtype=dtype)
+                                 dtype=args.dtype)
     files = {"ensemble.bin": container_chunks(ensemble)}
     if args.spectrogram:
-        spec = spectrogram(ensemble.signals[0].astype(np.complex128), config.grid,
-                           StftConfig())
+        spec = spectrogram(ensemble.signals[0], config.grid, StftConfig())
         files["spectrogram.svg"] = heatmap_svg(
             spec.power, spec.times, spec.freqs, title="spectrogram, realization 0",
             xlabel="time (s)", ylabel="angular frequency (rad/s)")
     _write_outputs(args, config, files,
                    {"n_realizations": n_real, "master_seed": config.estimator.seed,
-                    "dtype": str(np.dtype(dtype))})
+                    "dtype": args.dtype})
     return EXIT_OK
 
 
@@ -264,7 +255,7 @@ def cmd_coeffs(args) -> int:
     lines = ["electrical_size,fraction,k_magnitude_order,k_index_order"]
     lines += [f"{s!r},{f!r},{km},{ki}" for s, f, km, ki in rows]
     files = {
-        "coefficients.csv": _table_text("n,coefficient", (index, coeffs)),
+        "coefficients.csv": _csv_text("n,coefficient", (index, coeffs)),
         "coefficients.svg": line_svg(
             [(index.astype(float), coeffs, "squared-Bessel coefficient")],
             title="series coefficients", xlabel="harmonic index n",
@@ -342,8 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "seed")
     p.add_argument("--n", type=_positive_int, default=None, help="realization count")
     p.add_argument("--workers", type=_positive_int, default=1)
-    p.add_argument("--dtype", choices=("complex64", "complex128"),
-                   default="complex64")
+    p.add_argument("--dtype", choices=tuple(_WIRE_DTYPES), default="complex64")
     p.add_argument("--spectrogram", action="store_true",
                    help="also render the spectrogram of realization 0")
     p.set_defaults(func=cmd_simulate)

@@ -9,7 +9,7 @@ import json
 import math
 import types
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -145,8 +145,8 @@ def check_grid(params: SwarmParams, grid: SamplingGrid) -> None:
     bound = math.pi / band_edge(params)
     if grid.dt > bound * (1.0 + 1e-12):
         raise ValidationError(
-            f"dt={grid.dt!r} undersamples the signal band (Nyquist bound "
-            f"{bound:.6e} s); use a step within the bound"
+            f"dt must be within the Nyquist bound {bound:.6e} s, got {grid.dt!r}: "
+            "it undersamples the signal band"
         )
 
 
@@ -190,14 +190,18 @@ class Curve:
         return np.iscomplexobj(self.y)
 
 
+def _csv_text(header: str, columns) -> str:
+    """``header``, then one line per row of ``columns``: each cell the
+    ``repr`` of a float, which reads back as the same float."""
+    lines = [header] + [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
+    return "\n".join(lines) + "\n"
+
+
 def curve_to_csv(curve: Curve) -> str:
     """Render a curve as ``x,y_re,y_im`` CSV text."""
-    lines = [f"{curve.axis},y_re,y_im"]
     yre = np.real(curve.y)
     yim = np.imag(curve.y) if curve.is_complex else np.zeros_like(yre)
-    for xv, re, im in zip(curve.x, yre, yim):
-        lines.append(f"{float(xv)!r},{float(re)!r},{float(im)!r}")
-    return "\n".join(lines) + "\n"
+    return _csv_text(f"{curve.axis},y_re,y_im", (curve.x, yre, yim))
 
 
 def curve_to_json(curve: Curve) -> str:
@@ -228,18 +232,45 @@ class EstimatorSettings:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A fully validated configuration: parameters, grid and estimator."""
+    """A fully validated configuration: parameters, grid and estimator.
+
+    Each field must be of its record type and the grid must respect the
+    Nyquist bound of the parameters (see :func:`check_grid`), else
+    :class:`ValidationError`; so :func:`serialize_config` of any
+    ``RunConfig`` is a document that :func:`load_config` reads back.
+    """
 
     params: SwarmParams
     grid: SamplingGrid
     estimator: EstimatorSettings
 
+    def __post_init__(self) -> None:
+        for name, kind in (("params", SwarmParams), ("grid", SamplingGrid),
+                           ("estimator", EstimatorSettings)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValidationError(f"{name} must be a {kind.__name__}, got {value!r}")
+        check_grid(self.params, self.grid)
 
-_REQUIRED_KEYS = ("n_drones", "n_rotors", "n_blades", "blade_length_m",
-                  "wavelength_m", "mean_speed_rad_s", "speed_variance")
-_TOP_KEYS = _REQUIRED_KEYS + ("gain_magnitude", "grid", "estimator")
-_GRID_KEYS = ("t_start_s", "dt_s", "n_samples")
-_ESTIMATOR_KEYS = ("n_realizations", "seed")
+
+# the configuration document's key for each record field, in document order;
+# of the parameters only gain_magnitude may be omitted, and the estimator
+# section's keys are the EstimatorSettings field names
+_PARAM_KEYS = {"n_drones": "n_drones", "n_rotors": "n_rotors", "n_blades": "n_blades",
+               "blade_length": "blade_length_m", "wavelength": "wavelength_m",
+               "mean_speed": "mean_speed_rad_s", "speed_variance": "speed_variance",
+               "gain_magnitude": "gain_magnitude"}
+_GRID_KEYS = {"t_start": "t_start_s", "dt": "dt_s", "n_samples": "n_samples"}
+
+
+def _section(doc: dict, name: str, allowed) -> dict:
+    """The optional object ``doc[name]``, refused if it holds a key not in
+    ``allowed``."""
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    _reject_unknown(section, allowed, name)
+    return section
 
 
 def _reject_unknown(section: dict, allowed, where: str) -> None:
@@ -253,8 +284,8 @@ def load_config(text: str) -> RunConfig:
 
     The schema is strict: unknown keys are rejected so parameter typos
     cannot silently alter an experiment.  ``grid`` and ``estimator`` are
-    optional sections; an omitted grid defaults to the Nyquist-matched grid
-    of :func:`default_grid`.
+    optional sections; an omitted ``dt_s`` defaults to the Nyquist-matched
+    step of :func:`default_grid`.
     """
     if not isinstance(text, (str, bytes, bytearray)):
         raise ConfigError(f"text must be a JSON document as str or bytes, got {text!r}")
@@ -268,64 +299,26 @@ def load_config(text: str) -> RunConfig:
         raise ConfigError(f"config bytes do not decode as JSON text: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    _reject_unknown(doc, _TOP_KEYS, "config")
-    for key in _REQUIRED_KEYS:
-        if key not in doc:
+    _reject_unknown(doc, [*_PARAM_KEYS.values(), "grid", "estimator"], "config")
+    for name, key in _PARAM_KEYS.items():
+        if key not in doc and name != "gain_magnitude":
             raise ConfigError(f"missing required key {key!r}")
-    params = SwarmParams(
-        n_drones=doc["n_drones"],
-        n_rotors=doc["n_rotors"],
-        n_blades=doc["n_blades"],
-        blade_length=doc["blade_length_m"],
-        wavelength=doc["wavelength_m"],
-        mean_speed=doc["mean_speed_rad_s"],
-        speed_variance=doc["speed_variance"],
-        gain_magnitude=doc.get("gain_magnitude", 1.0),
-    )
-    grid_doc = doc.get("grid", {})
-    if not isinstance(grid_doc, dict):
-        raise ConfigError("grid must be a JSON object")
-    _reject_unknown(grid_doc, _GRID_KEYS, "grid")
-    if "dt_s" in grid_doc:
-        grid = SamplingGrid(t_start=grid_doc.get("t_start_s", 0.0), dt=grid_doc["dt_s"],
-                            n_samples=grid_doc.get("n_samples", DEFAULT_N_SAMPLES))
-        check_grid(params, grid)
-    else:
-        grid = default_grid(params, n_samples=grid_doc.get("n_samples", DEFAULT_N_SAMPLES))
-        if "t_start_s" in grid_doc:
-            grid = SamplingGrid(t_start=grid_doc["t_start_s"], dt=grid.dt,
-                                n_samples=grid.n_samples)
-    est_doc = doc.get("estimator", {})
-    if not isinstance(est_doc, dict):
-        raise ConfigError("estimator must be a JSON object")
-    _reject_unknown(est_doc, _ESTIMATOR_KEYS, "estimator")
-    estimator = EstimatorSettings(
-        n_realizations=est_doc.get("n_realizations", DEFAULT_N_REALIZATIONS),
-        seed=est_doc.get("seed", DEFAULT_SEED),
-    )
+    params = SwarmParams(**{name: doc[key] for name, key in _PARAM_KEYS.items()
+                            if key in doc})
+    grid_doc = _section(doc, "grid", _GRID_KEYS.values())
+    grid_args = {"t_start": 0.0, "n_samples": DEFAULT_N_SAMPLES,
+                 **{name: grid_doc[key] for name, key in _GRID_KEYS.items() if key in grid_doc}}
+    if "dt" not in grid_args:
+        grid_args["dt"] = default_grid(params).dt
+    grid = SamplingGrid(**grid_args)
+    estimator = EstimatorSettings(**_section(
+        doc, "estimator", [f.name for f in fields(EstimatorSettings)]))
     return RunConfig(params=params, grid=grid, estimator=estimator)
 
 
 def serialize_config(config: RunConfig) -> str:
     """Render a configuration as canonical JSON; inverse of :func:`load_config`."""
-    p = config.params
-    doc = {
-        "n_drones": p.n_drones,
-        "n_rotors": p.n_rotors,
-        "n_blades": p.n_blades,
-        "blade_length_m": p.blade_length,
-        "wavelength_m": p.wavelength,
-        "mean_speed_rad_s": p.mean_speed,
-        "speed_variance": p.speed_variance,
-        "gain_magnitude": p.gain_magnitude,
-        "grid": {
-            "t_start_s": config.grid.t_start,
-            "dt_s": config.grid.dt,
-            "n_samples": config.grid.n_samples,
-        },
-        "estimator": {
-            "n_realizations": config.estimator.n_realizations,
-            "seed": config.estimator.seed,
-        },
-    }
+    doc = {key: getattr(config.params, name) for name, key in _PARAM_KEYS.items()}
+    doc["grid"] = {key: getattr(config.grid, name) for name, key in _GRID_KEYS.items()}
+    doc["estimator"] = asdict(config.estimator)
     return json.dumps(doc, sort_keys=True, indent=1)

@@ -113,6 +113,12 @@ for _label, _bad in (("str", "x"), ("negative", -1), ("float", 1.5), ("bool", Tr
     _REFUSED.append((f"Ensemble-master_seed-{_label}",
                      lambda b=_bad: sd.Ensemble(PARAMS, GRID, b, _SIGNALS), ValidationError,
                      "master_seed"))
+# a container stores complex64 or complex128 only; where long double is double,
+# clongdouble is complex128 and stores whole
+if np.dtype(np.clongdouble).itemsize > 16:
+    _REFUSED.append(("Ensemble-signals-clongdouble",
+                     lambda: sd.Ensemble(PARAMS, GRID, 1, np.full(
+                         _SIGNALS.shape, np.clongdouble(1) / 3)), ValidationError, "signals"))
 _SPECTROGRAM = dict(power=np.ones((4, 3)), times=np.arange(3.0), freqs=np.arange(4.0))
 _REFUSED += [
     ("AcfSeries-params-dict", lambda: sd.AcfSeries(MAVIC_LIKE, 5), ValidationError, "params"),
@@ -143,6 +149,14 @@ for _bad in (True, 3, "bogus"):
 for _bad in (None, 5, True):
     _REFUSED.append((f"load_config-{_bad}", lambda b=_bad: sd.load_config(b), ConfigError,
                      "text"))
+_RUN_CONFIG = dict(params=PARAMS, grid=GRID, estimator=sd.EstimatorSettings())
+for _field in _RUN_CONFIG:
+    _REFUSED.append((f"RunConfig-{_field}-str",
+                     lambda f=_field: sd.RunConfig(**{**_RUN_CONFIG, f: "x"}), ValidationError,
+                     _field))
+_REFUSED.append(("RunConfig-grid-undersampled",
+                 lambda: sd.RunConfig(**{**_RUN_CONFIG, "grid": sd.SamplingGrid(
+                     t_start=0.0, dt=2.0 * GRID.dt, n_samples=64)}), ValidationError, "dt"))
 _CHOICES = np.array(["index", "magnitude"])
 _REFUSED += [
     ("coefficient_power_fraction-order-array",

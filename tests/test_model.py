@@ -201,6 +201,37 @@ def test_config_round_trip_identity(ratio, mean, rel_spread, drones, n_real,
     assert sd.load_config(sd.serialize_config(config)) == config
 
 
+# the document layout, written out by hand: the one key table in model.py
+# must keep writing these names
+MAVIC_EXPLICIT_TEXT = """{
+ "blade_length_m": 0.21,
+ "estimator": {
+  "n_realizations": 300,
+  "seed": 77
+ },
+ "gain_magnitude": 1.0,
+ "grid": {
+  "dt_s": 5e-05,
+  "n_samples": 2048,
+  "t_start_s": 0.25
+ },
+ "mean_speed_rad_s": 523.0,
+ "n_blades": 2,
+ "n_drones": 1,
+ "n_rotors": 4,
+ "speed_variance": 27.0,
+ "wavelength_m": 0.03
+}"""
+
+
+def test_serialize_config_writes_the_documented_keys():
+    config = sd.RunConfig(mavic_params(),
+                          sd.SamplingGrid(t_start=0.25, dt=5e-5, n_samples=2048),
+                          sd.EstimatorSettings(n_realizations=300, seed=77))
+    assert sd.serialize_config(config) == MAVIC_EXPLICIT_TEXT
+    assert sd.load_config(MAVIC_EXPLICIT_TEXT) == config
+
+
 def test_curve_axis_and_shape_validation():
     with pytest.raises(ValidationError):
         sd.Curve(axis="volts", x=np.arange(3.0), y=np.arange(3.0))

@@ -706,6 +706,40 @@ def test_load_ensemble_holds_the_payload_once(tmp_path):
     assert np.array_equal(back.signals, signals)
 
 
+def _container_header(dtype_name):
+    return ('{"dtype": "%s", "grid": {"dt": 1e-05, "n_samples": 4, "t_start": 0.0}, '
+            '"master_seed": 7, "n_realizations": 2, "n_samples": 4, "params": '
+            '{"blade_length": 0.21, "gain_magnitude": 1.0, "mean_speed": 523.0, '
+            '"n_blades": 2, "n_drones": 1, "n_rotors": 4, "speed_variance": 27.0, '
+            '"wavelength": 0.03}, "version": 1}' % dtype_name).encode("utf-8")
+
+
+@pytest.mark.parametrize("dtype,wire", [("complex64", "<c8"), ("complex128", "<c16")])
+def test_container_layout_is_pinned(dtype, wire):
+    # magic, version and header length, header, payload: the bytes of the
+    # documented layout, written out by hand
+    grid = sd.SamplingGrid(t_start=0.0, dt=1e-5, n_samples=4)
+    signals = (np.arange(8) + 1j * np.arange(8)).reshape(2, 4).astype(dtype)
+    chunks = simulate.container_chunks(sd.Ensemble(mavic_params(), grid, 7, signals))
+    header = _container_header(dtype)
+    assert [bytes(c) for c in chunks[:3]] == [b"SWEN", struct.pack("<IQ", 1, len(header)),
+                                             header]
+    assert bytes(chunks[3]) == signals.astype(wire).tobytes()
+
+
+def test_a_big_endian_ensemble_saves_in_its_own_width(tmp_path):
+    params = mavic_params()
+    grid = small_grid(params, 16)
+    native = sd.simulate_ensemble(params, grid, 3, 9)
+    swapped = sd.Ensemble(params, grid, 9, native.signals.astype(">c8"))
+    sd.save_ensemble(tmp_path / "native.bin", native)
+    sd.save_ensemble(tmp_path / "swapped.bin", swapped)
+    assert (tmp_path / "swapped.bin").read_bytes() == (tmp_path / "native.bin").read_bytes()
+    back = sd.load_ensemble(tmp_path / "swapped.bin")
+    assert back.signals.dtype == np.complex64
+    assert np.array_equal(back.signals, swapped.signals)
+
+
 def test_ensemble_container_rejects_garbage(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
