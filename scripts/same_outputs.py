@@ -35,6 +35,10 @@ CONFIGS = {
                  "estimator": {"n_realizations": 300, "seed": 77}},
     # a start time alone: the step is the default one
     "late": {**MAVIC_LIKE, "grid": {"t_start_s": 2.5}},
+    # mean/std = 11.7: every pair's mirror Gaussians overlap around DC
+    "wide": {**MAVIC_LIKE, "speed_variance": 2000.0},
+    # blade/wavelength 148.5, near the top of the Bessel envelope
+    "ratio148": {**MAVIC_LIKE, "blade_length_m": 4.455},
 }
 SEED = ["--seed", "20240"]
 MAVIC = ["--preset", "mavic-like"]
@@ -59,6 +63,9 @@ MATRIX = {
     "validate-explicit-grid": ["validate", *EXPLICIT, "--n", "200"],
     "simulate-late-start": ["simulate", "--config", "{late}", "--n", "5"],
     "validate-zero-variance": ["validate", *ZERO, "--n", "200"],
+    "psd-wide-spread": ["psd", "--config", "{wide}"],
+    "acf-ratio-148": ["acf", "--config", "{ratio148}"],
+    "psd-ratio-148": ["psd", "--config", "{ratio148}"],
 }
 
 

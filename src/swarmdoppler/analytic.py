@@ -26,6 +26,11 @@ SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 MAINLOBE_CONSTANT = 4.8
 # exp(-z**2/2) is exactly 0.0 in double precision for |z| > 38.61
 _KERNEL_REACH = 39.0
+# and a normal double for |z| <= _NORMAL_REACH (37.64): the root of
+# exp(-z**2/2) == tiny, one ulp down so that exp rounds to tiny or above.
+# Between the two reaches it is subnormal, which numpy's exp and multiply
+# take ~100x and ~30x longer to produce on x86 without flush-to-zero
+_NORMAL_REACH = math.nextafter(math.sqrt(-2.0 * math.log(np.finfo(float).tiny)), 0.0)
 # float64 phases are a whole radian apart from 2**52 rad on, so no digit of a
 # rotor phase mean_speed*|tau| beyond it is known within its turn
 PHASE_MAX = 2.0 ** 52
@@ -45,26 +50,21 @@ def _check_phase(mean_speed: float, tau: np.ndarray) -> None:
                           f"radian apart")
 
 
-def _kernel_windows(points: np.ndarray, centers, stds):
-    """Sort ``points`` once and find where each Gaussian kernel is non-zero.
+def _kernel_windows(points: np.ndarray, centers, stds, reach: float):
+    """Sort ``points`` once and find where each Gaussian is within ``reach``.
 
     Returns the stable sort permutation ``order``, the sorted points, and
     index arrays ``lo``, ``hi`` of the shape of ``centers`` and ``stds``
-    broadcast: kernel k is non-zero only on ``sorted[lo[k]:hi[k]]``, the
-    points within ``_KERNEL_REACH`` standard deviations of its center.
-    Results computed on the sorted points go back through ``order``.
+    broadcast: Gaussian k is evaluated only on ``sorted[lo[k]:hi[k]]``, the
+    points within ``reach`` standard deviations of its center.  Results
+    computed on the sorted points go back through ``order``.
     """
     order = np.argsort(points, kind="stable")
     ordered = points[order]
-    reach = _KERNEL_REACH * stds
-    lo, hi = np.searchsorted(ordered, np.stack(np.broadcast_arrays(centers - reach,
-                                                                   centers + reach)))
+    bound = reach * stds
+    lo, hi = np.searchsorted(ordered, np.stack(np.broadcast_arrays(centers - bound,
+                                                                   centers + bound)))
     return order, ordered, lo, hi
-
-
-def _gaussian(x: np.ndarray, center, std) -> np.ndarray:
-    """The unit-height kernel ``exp(-((x - center)/std)**2 / 2)``."""
-    return np.exp(-0.5 * ((x - center) / std) ** 2)
 
 
 def _shaped(flat: np.ndarray, like: np.ndarray):
@@ -195,11 +195,14 @@ def acf_eval(acf: AcfSeries, tau):
     ``cos(n*phi)`` is the real part of a phasor rotated by ``exp(i*phi)``
     once per term, and each term keeps its exact Gaussian damping
     ``exp(-(n*u)**2/2)``, ``u = n_blades*speed_std*|tau|``.  Term n runs
-    only on the sorted lags with ``n*u`` within 39, beyond which the damping
-    is exactly zero in double precision, and the sum stops at the first term
-    that reaches no lag; the result equals the sum of every term at every
-    lag bit for bit, and the cost scales with the (term, lag) pairs in
-    reach.  At zero spread every term runs on every lag, undamped: its
+    only on the sorted lags with ``n*u`` below ``_NORMAL_REACH`` (37.64),
+    where the damping is a normal double, and the sum stops at the first
+    term that reaches no lag.  A skipped term is below 2**-1021, so it
+    cannot move a partial sum of magnitude 2**-966 or more, and where the
+    partial sum is smaller ``j0_squared + 2*series`` rounds to
+    ``j0_squared`` either way: the result equals the sum of every term at
+    every lag bit for bit, and the cost scales with the (term, lag) pairs
+    in reach.  At zero spread every term runs on every lag, undamped: its
     damping is exactly 1.0, so the term is the coefficient times the cosine.
     """
     p = acf.params
@@ -215,7 +218,8 @@ def acf_eval(acf: AcfSeries, tau):
     phi[overflow] = 0.0
     u[overflow] = np.inf
     # in u, term n is a Gaussian of standard deviation 1/n centred at zero
-    order, u, _, ends = _kernel_windows(u, 0.0, 1.0 / np.arange(1, acf.n_terms + 1))
+    order, u, _, ends = _kernel_windows(u, 0.0, 1.0 / np.arange(1, acf.n_terms + 1),
+                                        _NORMAL_REACH)
     # numpy rounds an in-place complex product over one element differently
     # from one over a longer array, so the phasors always turn over at least
     # two elements; a lone lag turns beside a copy of itself
@@ -335,6 +339,43 @@ def build_psd(params: SwarmParams, n_terms: int | None = None) -> PsdMixture:
     return PsdMixture(build_acf(params, n_terms))
 
 
+def _gaussian(x: np.ndarray, center, std, buffer: np.ndarray) -> np.ndarray:
+    """The unit-height ``exp(-0.5*((x - center)/std)**2)``, computed in place
+    in ``buffer[:x.size]`` in that order of operations, which it returns."""
+    out = buffer[:x.size]
+    np.subtract(x, center, out=out)
+    out /= std
+    np.square(out, out=out)
+    out *= -0.5
+    return np.exp(out, out=out)
+
+
+def _mixture_sum(points: np.ndarray, psd: PsdMixture, scale: np.ndarray,
+                 reach: float) -> np.ndarray:
+    """The mixture at the non-negative ``points``, each Gaussian taken only
+    within ``reach`` standard deviations of its center.
+
+    Pair k adds ``scale[k]*(g(+c) + g(-c))``, in harmonic order, on two
+    buffers reused across pairs; every point gets the bits of that sum over
+    the pairs in reach, whatever the other points are.
+    """
+    c, s = psd.centers, psd.stds
+    order, fs, (lo, _), (hi, hi_neg) = _kernel_windows(points, np.stack([c, -c]), s, reach)
+    acc = np.zeros_like(fs)
+    near, mirror = np.empty_like(fs), np.empty_like(fs)
+    for k in np.flatnonzero(hi > lo):
+        g = _gaussian(fs[lo[k]:hi[k]], c[k], s[k], near)
+        # the -c window is [0, hi_neg); its upper bound is the negated lower
+        # bound of +c, so where it is not empty lo[k] == 0
+        if hi_neg[k]:
+            g[:hi_neg[k]] += _gaussian(fs[:hi_neg[k]], -c[k], s[k], mirror)
+        g *= scale[k]
+        acc[lo[k]:hi[k]] += g
+    values = np.empty_like(acc)
+    values[order] = acc
+    return values
+
+
 def psd_eval(psd: PsdMixture, freq):
     """Continuous part of the spectrum at angular frequency ``freq`` (rad/s).
 
@@ -345,31 +386,23 @@ def psd_eval(psd: PsdMixture, freq):
     :class:`DomainError`.
 
     The mixture is evaluated at ``|freq|``, where the ``-c`` Gaussian of a
-    pair is non-zero only near DC, inside the window of ``+c``.  Each pair
-    is added, in harmonic order, only on the sorted ``|freq|`` within 39
-    standard deviations of ``+c``, and its ``-c`` Gaussian only on those
-    within 39 of ``-c``; elsewhere a Gaussian is exactly zero in double
-    precision.  So the result equals the sum of every pair at every
+    pair is non-zero only near DC, inside the window of ``+c``.  A first
+    pass adds each Gaussian only on the sorted ``|freq|`` within
+    ``_NORMAL_REACH`` (37.64) standard deviations of its center, where it
+    is a normal double; a skipped one is below 2**-1021 of its pair's
+    height.  A density has no floor to absorb that, so every point whose
+    first-pass value is below 2**-200 of the largest height is summed again
+    within 39 standard deviations, past which a Gaussian is exactly zero in
+    double precision.  So the result equals the sum of every pair at every
     frequency bit for bit, in O(n_points) memory, and the cost scales with
-    the (kernel, frequency) pairs in reach.
+    the (Gaussian, frequency) pairs in reach.
     """
     f = _checked_array(freq, "freq", DomainError)
-    c = psd.centers
-    s = psd.stds
-    order, fs, lo, hi = _kernel_windows(np.abs(f.ravel()), np.stack([c, -c]), s)
-    lo_pos, (hi_pos, hi_neg) = lo[0], hi
-    # on |freq| the -c window is [0, hi_neg), within the +c one: pair k is
-    # both Gaussians there and +c alone on [max(hi_neg, lo_pos), hi_pos)
-    pos_start = np.maximum(hi_neg, lo_pos)
-    scale = psd.side_masses / (SQRT_TWO_PI * s)
-    acc = np.zeros_like(fs)
-    for k in np.flatnonzero(hi_pos > lo_pos):
-        both, pos = slice(0, hi_neg[k]), slice(pos_start[k], hi_pos[k])
-        acc[both] += scale[k] * (_gaussian(fs[both], c[k], s[k])
-                                 + _gaussian(fs[both], -c[k], s[k]))
-        acc[pos] += scale[k] * _gaussian(fs[pos], c[k], s[k])
-    values = np.empty_like(acc)
-    values[order] = acc
+    points = np.abs(f.ravel())
+    scale = psd.side_masses / (SQRT_TWO_PI * psd.stds)
+    values = _mixture_sum(points, psd, scale, _NORMAL_REACH)
+    faint = np.flatnonzero(values < 2.0 ** -200 * scale.max())
+    values[faint] = _mixture_sum(points[faint], psd, scale, _KERNEL_REACH)
     return _shaped(values, f)
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import swarmdoppler as sd
 from swarmdoppler import validation
 from swarmdoppler.exceptions import DomainError, ValidationError
-from swarmdoppler.analytic import _KERNEL_REACH, _kernel_windows
+from swarmdoppler.analytic import _KERNEL_REACH, _NORMAL_REACH, _kernel_windows
 from helpers import (acf_eval_every_term, acf_eval_outer, mavic_params,
                      fit_convention_constant, psd_eval_outer, random_params,
                      transform_of_analytic_acf)
@@ -449,31 +449,81 @@ def test_zero_spread_acf_eval_equals_every_term_bit_for_bit(ratio, n_blades, tau
     assert np.array_equal(sd.acf_eval(acf, taus), acf_eval_every_term(acf, taus))
 
 
-def test_kernel_reach_is_past_float64_underflow():
+def test_the_first_pass_ends_where_a_gaussian_stops_being_a_normal_double():
+    tiny = np.finfo(float).tiny
+    assert np.exp(-_NORMAL_REACH ** 2 / 2) >= tiny
+    assert np.exp(-0.5 * (_NORMAL_REACH * (1.0 + 1e-12)) ** 2) < tiny
+    # the exact pass reaches past float64 underflow
     assert _KERNEL_REACH >= 38.62
     assert np.exp(-0.5 * 38.62 ** 2) == 0.0
 
 
-def test_evaluators_skip_only_pairs_whose_kernel_is_exactly_zero():
-    params = mavic_params(**RATIO_150)
+@pytest.mark.parametrize("swarm", [RATIO_150, dict(speed_variance=WIDE_SPREAD)],
+                         ids=["ratio 150", "wide spread"])
+def test_evaluators_skip_only_pairs_below_2_to_the_minus_1021(swarm):
+    params = mavic_params(**swarm)
     acf = sd.build_acf(params)
     n = np.arange(1, acf.n_terms + 1)
-    lags = np.linspace(0.0, 5e-2, 2001)
     # acf_eval: term n is damped by exp(-0.5*(n*u)**2), u = n_blades*speed_std*|tau|
-    _, u, lo, hi = _kernel_windows((params.n_blades * params.speed_std) * lags, 0.0, 1.0 / n)
-    assert np.all(lo == 0) and hi[0] == lags.size and hi[-1] < lags.size
+    lags = np.linspace(0.0, 5e-2, 2001)
+    _, u, lo, hi = _kernel_windows((params.n_blades * params.speed_std) * lags, 0.0, 1.0 / n,
+                                   _NORMAL_REACH)
+    assert np.all(lo == 0) and hi[0] == u.size and hi[-1] < u.size
     decay = -0.5 * np.square(u)
     for k, end in zip(n, hi):
-        assert np.all(np.exp(decay[end:] * float(k * k)) == 0.0), k
-    # psd_eval: each kernel of each mirror pair, outside its window
+        assert np.all(np.exp(decay[end:] * float(k * k)) < 2.0 ** -1021), k
+    # psd_eval's first pass: each Gaussian of each mirror pair, outside its window
     psd = sd.build_psd(params)
-    freqs = np.linspace(*sd.psd_support(params), 2001)
-    centers = np.stack([-psd.centers, psd.centers])
-    _, fs, lo, hi = _kernel_windows(freqs, centers, psd.stds)
-    assert np.any(hi - lo < freqs.size)
+    freqs = np.abs(np.linspace(*sd.psd_support(params), 2001))
+    centers = np.stack([psd.centers, -psd.centers])
+    _, fs, lo, hi = _kernel_windows(freqs, centers, psd.stds, _NORMAL_REACH)
+    assert np.any(hi - lo < fs.size)
     for center, s, a, b in zip(centers.ravel(), np.tile(psd.stds, 2), lo.ravel(), hi.ravel()):
         outside = np.concatenate([fs[:a], fs[b:]])
-        assert np.all(np.exp(-0.5 * ((outside - center) / s) ** 2) == 0.0), center
+        assert np.all(np.exp(-0.5 * ((outside - center) / s) ** 2) < 2.0 ** -1021), center
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@pytest.mark.filterwarnings("ignore:carrier wavelength is not small:UserWarning")
+@settings(max_examples=60, deadline=None)
+@given(ratio=st.floats(min_value=0.05, max_value=159.0),
+       n_blades=st.integers(min_value=1, max_value=5),
+       variance=st.floats(min_value=0.01, max_value=5000.0),
+       gain=st.floats(min_value=1e-3, max_value=1e6),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_windowed_evaluators_equal_every_term_bit_for_bit(ratio, n_blades, variance, gain,
+                                                          seed):
+    params = mavic_params(blade_length=ratio, wavelength=1.0, n_blades=n_blades,
+                          speed_variance=variance, gain_magnitude=gain)
+    rng = np.random.default_rng(seed)
+    acf, psd = sd.build_acf(params), sd.build_psd(params)
+    # points where a Gaussian is subnormal, 37-39.5 standard deviations out,
+    # on both sides of random pairs and of the first, whose lower tail and
+    # whose mirror's upper tail reach into the gap at DC
+    k = np.append(rng.integers(0, acf.n_terms, 15), np.zeros(5, dtype=int))
+    z = rng.uniform(37.0, 39.5, k.size)
+    c, s = psd.centers[k], psd.stds[k]
+    tails = np.concatenate([c - z * s, c + z * s, z * s - c])
+    edge = sd.psd_support(params)[1]
+    freqs = np.concatenate([rng.uniform(-1.3 * edge, 1.3 * edge, 100), tails, -tails,
+                            rng.uniform(0.0, psd.centers[0], 10)])
+    assert np.array_equal(_bits(sd.psd_eval(psd, freqs)), _bits(psd_eval_outer(psd, freqs)))
+    # lags where the damping of random terms is subnormal
+    n = rng.integers(1, acf.n_terms + 1, 20)
+    band = rng.uniform(37.0, 39.5, n.size) / (n * (params.n_blades * params.speed_std))
+    taus = np.concatenate([rng.uniform(-1.5, 1.5, 100) * (8.0 * np.pi / params.mean_speed),
+                           band, -band])
+    assert np.array_equal(_bits(sd.acf_eval(acf, taus)), _bits(acf_eval_every_term(acf, taus)))
+
+
+def test_psd_eval_keeps_the_subnormal_density_in_the_gap_at_dc():
+    # mavic-like psd.csv holds this value; the first pass alone gives 0.0
+    f = 651.9267452444037
+    values = sd.psd_eval(sd.build_psd(mavic_params()), np.array([f, -f]))
+    assert values.tolist() == [8.436972213e-315] * 2
 
 
 @pytest.mark.parametrize("evaluate, build, span", [

@@ -194,6 +194,8 @@ def test_commands_refuse_flags_they_do_not_read(tmp_path, argv, capsys):
      "blade/wavelength <= 159.15"),
     (["validate"], {"grid": {"n_samples": 128},             # no PSD bin survives
                     "estimator": {"n_realizations": 20, "seed": 2}}, "n_samples"),
+    # time rounding moves the phase by up to 2.9 rad: ACF nRMSE 0.53, exit 4
+    (["validate", "--n", "4000"], {"grid": {"t_start_s": 1e12}}, "t_start"),
 ])
 def test_failing_command_leaves_no_output_directory(tmp_path, argv, config, message,
                                                     capsys):

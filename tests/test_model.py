@@ -107,6 +107,21 @@ def test_check_grid_enforces_nyquist_guard():
     assert "allow_undersampled" not in message and "=True" not in message
 
 
+def test_check_grid_refuses_times_whose_rounding_moves_the_phase_too_far():
+    params = mavic_params()
+    dt = math.pi / sd.band_edge(params)
+    # mavic-like: half an ulp moves the phase 0.0058 rad below 2**31 s, 0.0115 above
+    span = dt * 99
+    sd.check_grid(params, sd.SamplingGrid(t_start=2.0 ** 31 - 2 * span, dt=dt, n_samples=100))
+    sd.check_grid(params, sd.SamplingGrid(t_start=-2.0 ** 31 + span, dt=dt, n_samples=100))
+    for late in (sd.SamplingGrid(t_start=2.0 ** 31 - span / 2, dt=dt, n_samples=100),
+                 sd.SamplingGrid(t_start=-2.0 ** 31, dt=dt, n_samples=100),
+                 sd.SamplingGrid(t_start=0.0, dt=dt, n_samples=2 ** 46),
+                 sd.SamplingGrid(t_start=1e12, dt=dt, n_samples=100)):
+        with pytest.raises(ValidationError, match="t_start .* too late"):
+            sd.check_grid(params, late)
+
+
 def test_grid_field_validation():
     with pytest.raises(ValidationError):
         sd.SamplingGrid(t_start=0.0, dt=0.0, n_samples=10)
