@@ -39,11 +39,17 @@ CONFIGS = {
     "wide": {**MAVIC_LIKE, "speed_variance": 2000.0},
     # blade/wavelength 148.5, near the top of the Bessel envelope
     "ratio148": {**MAVIC_LIKE, "blade_length_m": 4.455},
+    # the synthesis kernel's other branches: one blade, an odd count past
+    # one, and a second blade pair
+    "blades1": {**MAVIC_LIKE, "n_blades": 1},
+    "blades3": {**MAVIC_LIKE, "n_blades": 3},
+    "blades4": {**MAVIC_LIKE, "n_blades": 4},
 }
 SEED = ["--seed", "20240"]
 MAVIC = ["--preset", "mavic-like"]
 ZERO = ["--config", "{zero}"]
 EXPLICIT = ["--config", "{explicit}"]
+PAIR = ["--workers", "2", *SEED]
 MATRIX = {
     "acf-csv": ["acf", *MAVIC],
     "acf-json": ["acf", *MAVIC, "--format", "json"],
@@ -66,6 +72,12 @@ MATRIX = {
     "psd-wide-spread": ["psd", "--config", "{wide}"],
     "acf-ratio-148": ["acf", "--config", "{ratio148}"],
     "psd-ratio-148": ["psd", "--config", "{ratio148}"],
+    "simulate-1-blade": ["simulate", "--config", "{blades1}", "--n", "64", *PAIR],
+    "simulate-3-blades": ["simulate", "--config", "{blades3}", "--n", "64", *PAIR],
+    "simulate-4-blades": ["simulate", "--config", "{blades4}", "--n", "64", *PAIR],
+    "validate-1-blade": ["validate", "--config", "{blades1}", "--n", "2000", *PAIR],
+    "validate-3-blades": ["validate", "--config", "{blades3}", "--n", "2000", *PAIR],
+    "validate-4-blades": ["validate", "--config", "{blades4}", "--n", "2000", *PAIR],
 }
 
 

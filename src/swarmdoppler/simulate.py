@@ -30,8 +30,12 @@ _WIRE_DTYPES = {"complex64": "<c8", "complex128": "<c16"}
 # realizations per estimator block: on validate-mavic (2 workers, 2-vCPU
 # Xeon) blocks of 32 held peak RSS to 55-57 MB against 149-157 MB at 256,
 # and ran in 2.0-2.1 s against 2.3-2.7 s; with the time-average block
-# transformed in place, 32 peak at 51.6-51.9 MB
+# transformed in place, 32 peak at 51.6-51.9 MB, and with a smaller working
+# set per block (_FFT_ROWS, the in-place kernel passes) at 46.7-46.8 MB
 _CHUNK_ROWS = 32
+# rows per time-average transform: a block reuses one (4, fft_len)
+# complex128 buffer, 512 KB at validate-mavic's fft_len of 8192
+_FFT_ROWS = 4
 # realizations per synthesis kernel call inside a block: fewer, longer numpy
 # calls hold the interpreter lock for less of each realization; 4, 8 and 16
 # ran validate-mavic equally fast
@@ -71,16 +75,16 @@ def _draw(params: SwarmParams, rngs) -> tuple:
     of ``Generator.uniform(0, 2*pi)`` and ``mean + std*standard_normal()``.
     """
     shape = (len(rngs), params.n_drones, params.n_rotors)
-    angles, phases, speeds = np.empty(shape), np.empty(shape), np.empty(shape)
-    for rng, angle, phase, speed in zip(rngs, angles, phases, speeds):
-        rng.random(out=angle)
-        rng.random(out=phase)
+    # each realization's angle and phase blocks side by side: one call draws
+    # both, the same stream as two
+    uniforms, speeds = np.empty((shape[0], 2, *shape[1:])), np.empty(shape)
+    for rng, uniform, speed in zip(rngs, uniforms, speeds):
+        rng.random(out=uniform)
         rng.standard_normal(out=speed)
-    angles *= 2.0 * np.pi
-    phases *= 2.0 * np.pi
+    uniforms *= 2.0 * np.pi
     speeds *= params.speed_std
     speeds += params.mean_speed
-    return angles, phases, speeds
+    return uniforms[:, 0], uniforms[:, 1], speeds
 
 
 def sample_state(params: SwarmParams, rng: np.random.Generator) -> SwarmState:
@@ -135,23 +139,35 @@ def _synthesize_rows(out: np.ndarray, angles: np.ndarray, phases: np.ndarray,
     half_mod = 0.5 * derive(params).mod_index
     n_blades = params.n_blades
     paired = n_blades % 2 == 0
-    # one row per rotor of every realization: half its angle at every sample
-    # time, the argument :func:`_cos_sin` takes
-    half_angles = (0.5 * speeds).reshape(-1, 1) * grid.times()
+    later = n_blades > 2    # blades, or blade pairs, past the first
+    n, n_samples = out.shape
+    # every buffer of the call in one allocation: planes of one row per rotor
+    # of every realization, then the rotor sums.  malloc keeps one large
+    # block per call for the next; several ~1 MB ones it returned to the
+    # system after each 32-row block and faulted in again (~20 page faults
+    # per realization on validate-mavic, one worker)
+    n_planes = 1 + 2 * later + (not paired) * (1 + later)
+    work = np.empty((n_planes * speeds.size + 2 * n) * n_samples)
+    planes = work[:n_planes * speeds.size * n_samples].reshape(n_planes, -1, n_samples)
+    y = work[planes.size:].view(np.complex128).reshape(n, n_samples)
+    # plane 0: half of every rotor's angle at every sample time, the
+    # argument :func:`_cos_sin` takes
+    half_angles = np.multiply((0.5 * speeds).reshape(-1, 1), grid.times(), out=planes[0])
     half_angles += 0.5 * angles.reshape(-1, 1)
-    # blade 0 sits at the rotor angle itself; the later blades (or pairs)
-    # take their phases in one reused buffer, and odd blade counts their
-    # sines in one more
-    re = _cos_sin(half_angles, np.empty_like(half_angles))
+    # blade 0 sits at the rotor angle itself, in the half angles' own plane
+    # unless a later blade reads them; the later blades (or pairs) take
+    # their phases in one more plane, odd blade counts their sines in
+    # another and their imaginary parts in the last
+    re = _cos_sin(half_angles, planes[1] if later else half_angles)
     re *= half_mod
-    im = None if paired else np.empty_like(re)
+    im = None if paired else planes[-1]
     _cos_sin(re, re, im)
     if not paired:
         np.subtract(0.0, im, out=im)    # not -sin: a zero sine stays +0.0
-    phase = None
-    sine = None if paired or n_blades == 1 else np.empty_like(re)
+    phase = planes[2] if later else None
+    sine = planes[3] if later and not paired else None
     for b in range(1, n_blades // 2 if paired else n_blades):
-        phase = np.add(half_angles, 0.5 * (2.0 * np.pi * b / n_blades), out=phase)
+        np.add(half_angles, 0.5 * (2.0 * np.pi * b / n_blades), out=phase)
         _cos_sin(phase, phase)
         phase *= half_mod
         _cos_sin(phase, phase, sine)
@@ -160,19 +176,20 @@ def _synthesize_rows(out: np.ndarray, angles: np.ndarray, phases: np.ndarray,
         re += phase
     # rotate each rotor by exp(-1j * projection phase) and sum the rotors;
     # the sines are negated once per rotor, not once per sample
-    n = out.shape[0]
     cos_p = np.multiply(phases.reshape(n, -1), 0.5)
     neg_sin_p = np.empty_like(cos_p)
     _cos_sin(cos_p, cos_p, neg_sin_p)
     np.negative(neg_sin_p, out=neg_sin_p)
     re = re.reshape(n, cos_p.shape[1], -1)
-    y = np.empty(out.shape, dtype=np.complex128)
-    y.real = np.einsum("bk,bkt->bt", cos_p, re)
-    y.imag = np.einsum("bk,bkt->bt", neg_sin_p, re)
+    np.einsum("bk,bkt->bt", cos_p, re, out=y.real)
+    np.einsum("bk,bkt->bt", neg_sin_p, re, out=y.imag)
     if not paired:
         im = im.reshape(re.shape)
-        y.real -= np.einsum("bk,bkt->bt", neg_sin_p, im)
-        y.imag += np.einsum("bk,bkt->bt", cos_p, im)
+        # past one blade, each sum of the imaginary parts goes through the
+        # spent blade-phase plane
+        term = None if phase is None else phase[:n]
+        y.real -= np.einsum("bk,bkt->bt", neg_sin_p, im, out=term)
+        y.imag += np.einsum("bk,bkt->bt", cos_p, im, out=term)
     np.multiply((2.0 if paired else 1.0) * params.gain_magnitude, y, out=out,
                 casting="same_kind")
 
@@ -241,7 +258,9 @@ def realization_rng(master_seed: int, index: int) -> np.random.Generator:
 
 def _substreams(master_seed: int, start: int, stop: int) -> list:
     """Generators of realizations ``[start, stop)`` of ``master_seed``."""
-    return [np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(k,)))
+    # what default_rng builds from a SeedSequence, without its dispatch
+    return [np.random.Generator(np.random.PCG64(np.random.SeedSequence(master_seed,
+                                                                      spawn_key=(k,))))
             for k in range(start, stop)]
 
 
@@ -253,19 +272,23 @@ def _blocks(params: SwarmParams, grid: SamplingGrid, master_seed: int, start: in
     Checks the grid, the range, the seed and the worker count when called,
     before any realization is made, and returns a generator of the reduced
     blocks, in order.  Block ``j`` holds realizations
-    ``[start + j*B, start + (j+1)*B)`` with ``B = block_rows``, drawn and
-    synthesized ``_SUB_ROWS`` at a time by one kernel call and rounded to
-    ``dtype``: each row has the bits of ``synthesize(sample_state(params,
-    realization_rng(master_seed, k)), params, grid)`` rounded alone.  The
-    block is built and reduced on one of ``min(n_workers, os.cpu_count())``
-    pool threads.  At most twice as many blocks as threads, plus one, are in
-    flight, so memory is O(B) whatever the range is.
+    ``[start + j*B, start + (j+1)*B)`` with ``B = block_rows``, drawn all
+    at once, synthesized ``_SUB_ROWS`` at a time by one kernel call and
+    rounded to ``dtype``: each row has the bits of
+    ``synthesize(sample_state(params, realization_rng(master_seed, k)),
+    params, grid)`` rounded alone.  The block is built and reduced on one of
+    ``n_workers`` pool threads, at most one per CPU the process may run on.
+    At most twice as many blocks as threads, plus one, are in flight, so
+    memory is O(B) whatever the range is.
     """
     check_grid(params, grid)
     start = _checked_int(start, "realization index start", low=0)
     stop = _checked_int(stop, "realization index stop (start < stop)", low=start + 1)
     _checked_int(master_seed, "master_seed", low=0, high=_SEED_MAX)
-    n_threads = min(_checked_int(n_workers, "n_workers"), os.cpu_count() or 1)
+    # the CPUs this process may run on, where the platform says
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    n_threads = min(_checked_int(n_workers, "n_workers"), cpus)
 
     def work(lo: int):
         rows = np.empty((min(block_rows, stop - lo), grid.n_samples), dtype=dtype)
@@ -275,10 +298,10 @@ def _blocks(params: SwarmParams, grid: SamplingGrid, master_seed: int, start: in
             rows[0] = synthesize(sample_state(params, realization_rng(master_seed, lo)),
                                  params, grid)
         else:
+            draws = _draw(params, _substreams(master_seed, lo, lo + rows.shape[0]))
             for i in range(0, rows.shape[0], _SUB_ROWS):
-                sub = rows[i:i + _SUB_ROWS]
-                draws = _draw(params, _substreams(master_seed, lo + i, lo + i + sub.shape[0]))
-                _synthesize_rows(sub, *draws, params, grid)
+                _synthesize_rows(rows[i:i + _SUB_ROWS],
+                                 *(draw[i:i + _SUB_ROWS] for draw in draws), params, grid)
         return reduce(rows)
 
     def generate():
@@ -377,13 +400,23 @@ class AcfAccumulator:
         more; its inverse transform is the sum of every lagged product
         (Wiener-Khinchin), taken once in :meth:`curve`."""
         if self.time_average:
-            fft_len = 1 << (self.grid.n_samples + self.n_lags - 2).bit_length()
-            # padded by hand and transformed in place: one buffer per block
-            spectra = np.zeros((rows.shape[0], fft_len), dtype=np.complex128)
-            spectra[:, :rows.shape[1]] = rows
-            np.fft.fft(spectra, axis=1, out=spectra)
-            parts = spectra.view(np.float64)      # re, im interleaved
-            squares = np.einsum("kf,kf->f", parts, parts)
+            n_samples = self.grid.n_samples
+            fft_len = 1 << (n_samples + self.n_lags - 2).bit_length()
+            # padded by hand, transformed and squared in place, _FFT_ROWS
+            # rows at a time in one reused buffer; each row's squared parts
+            # (re, im interleaved) are added in row order, the sum
+            # einsum("kf,kf->f") takes over all the rows at once
+            buffer = np.empty((min(_FFT_ROWS, rows.shape[0]), fft_len), dtype=np.complex128)
+            squares = np.zeros(2 * fft_len)
+            for lo in range(0, rows.shape[0], _FFT_ROWS):
+                spectra = buffer[:rows.shape[0] - lo]
+                spectra[:, :n_samples] = rows[lo:lo + _FFT_ROWS]
+                spectra[:, n_samples:] = 0.0
+                np.fft.fft(spectra, axis=1, out=spectra)
+                parts = spectra.view(np.float64)
+                np.multiply(parts, parts, out=parts)
+                for part in parts:
+                    squares += part
             return squares[0::2] + squares[1::2]
         lo = self.t_ref_index
         return np.sum(rows[:, lo:lo + 1] * np.conj(rows[:, lo:lo + self.n_lags]),

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -250,6 +251,25 @@ def test_pool_never_starts_more_threads_than_cpus(monkeypatch):
     assert np.array_equal(ens.signals, sd.simulate_ensemble(params, grid, 4, 3).signals)
 
 
+def test_pool_threads_are_capped_at_the_cpus_the_process_may_use(monkeypatch):
+    # an affinity mask of one CPU: every block is made and reduced on the
+    # calling thread, whatever the worker count
+    monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    params = mavic_params()
+    grid = small_grid(params, 64)
+    threads = []
+
+    def reduce(rows):
+        threads.append(threading.get_ident())
+        return rows
+
+    n = 4 * simulate._CHUNK_ROWS
+    rows = np.concatenate(list(simulate._blocks(params, grid, 3, 0, n, 8,
+                                                np.dtype(np.complex64), reduce)))
+    assert len(threads) == 4 and set(threads) == {threading.get_ident()}
+    assert np.array_equal(rows, sd.simulate_ensemble(params, grid, n, 3).signals)
+
+
 def test_ensemble_keeps_a_read_only_view_of_the_callers_array():
     params = mavic_params()
     signals = np.zeros((2, 8), complex)
@@ -458,12 +478,15 @@ def test_estimate_acf_matches_brute_force():
     assert np.allclose(got_ta.y, brute_ta, rtol=1e-10)
 
 
-@pytest.mark.parametrize("n_rows", [1, 8, 32])
-@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+# whole and partial groups of the transform's rows
+@pytest.mark.parametrize("n_rows", [1, 3, 4, 5, 8, 31, 32])
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128, np.float64])
 def test_time_average_partial_is_the_padded_copy_transform(n_rows, dtype):
     grid = small_grid(mavic_params(), 4001)
     rng = np.random.default_rng(n_rows)
-    rows = (rng.normal(size=(n_rows, 4001)) + 1j * rng.normal(size=(n_rows, 4001))).astype(dtype)
+    rows = rng.normal(size=(n_rows, 4001))
+    if dtype is not np.float64:
+        rows = (rows + 1j * rng.normal(size=(n_rows, 4001))).astype(dtype)
     for n_lags in (None, 100):
         acc = sd.AcfAccumulator(grid, n_lags=n_lags, time_average=True)
         assert np.array_equal(acc._partial(rows), time_average_partial(rows, 8192))
@@ -704,6 +727,26 @@ def test_load_ensemble_holds_the_payload_once(tmp_path):
     # the bytes read, viewed in place; a converted copy would double the peak
     assert peak < 1.1 * signals.nbytes
     assert np.array_equal(back.signals, signals)
+
+
+# traced peak of one mavic-like validate block by blade count: below 3 MB
+# with two blades, and else no higher than with one (32, fft_len) transform
+# buffer per block (5.42, 6.92 and 5.42 MB; 2-vCPU Xeon, numpy 2.4.6)
+@pytest.mark.parametrize("n_blades, bound_mb", [(1, 5.42), (2, 3.0), (3, 6.92), (4, 5.42)])
+def test_one_validate_block_working_set(n_blades, bound_mb):
+    params = mavic_params(n_blades=n_blades)
+    grid = sd.default_grid(params)
+    accs = [sd.AcfAccumulator(grid, n_lags=validation.acf_window(params, grid)),
+            sd.AcfAccumulator(grid, time_average=True)]
+    block = simulate._CHUNK_ROWS
+    sd.accumulate(params, grid, MAVIC_SEED, accs, 0, block)    # warm-up
+    tracemalloc.start()
+    try:
+        sd.accumulate(params, grid, MAVIC_SEED, accs, block, 2 * block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 1e6
 
 
 def _container_header(dtype_name):
