@@ -39,6 +39,9 @@ CONFIGS = {
     "wide": {**MAVIC_LIKE, "speed_variance": 2000.0},
     # blade/wavelength 148.5, near the top of the Bessel envelope
     "ratio148": {**MAVIC_LIKE, "blade_length_m": 4.455},
+    # blade/wavelength 2: a short series whose density falls below 2**-35
+    # of its peak on ~28% of the support, where psd_eval's first pass goes on
+    "ratio2": {**MAVIC_LIKE, "blade_length_m": 0.06},
     # the synthesis kernel's other branches: one blade, an odd count past
     # one, and a second blade pair
     "blades1": {**MAVIC_LIKE, "n_blades": 1},
@@ -72,6 +75,10 @@ MATRIX = {
     "psd-wide-spread": ["psd", "--config", "{wide}"],
     "acf-ratio-148": ["acf", "--config", "{ratio148}"],
     "psd-ratio-148": ["psd", "--config", "{ratio148}"],
+    # out to 1 s ~40% of the lags have damped to ~0, where acf_eval's first
+    # pass goes on with the terms it skipped
+    "acf-long-lags": ["acf", *MAVIC, "--tau-max", "1", "--points", "20001"],
+    "psd-small-ratio": ["psd", "--config", "{ratio2}"],
     "simulate-1-blade": ["simulate", "--config", "{blades1}", "--n", "64", *PAIR],
     "simulate-3-blades": ["simulate", "--config", "{blades3}", "--n", "64", *PAIR],
     "simulate-4-blades": ["simulate", "--config", "{blades4}", "--n", "64", *PAIR],

@@ -31,6 +31,17 @@ _KERNEL_REACH = 39.0
 # Between the two reaches it is subnormal, which numpy's exp and multiply
 # take ~100x and ~30x longer to produce on x86 without flush-to-zero
 _NORMAL_REACH = math.nextafter(math.sqrt(-2.0 * math.log(np.finfo(float).tiny)), 0.0)
+# The evaluators' first pass stops each term where it is below _EPSILON (in
+# units of the largest coefficient or Gaussian height) and keeps a point's sum
+# A only when np.spacing(|A|) > 4*_EPSILON, so that adding any skipped term
+# to A rounds back to A; the other points go on with the terms they skipped.
+# A power of two, so a kept series sum has spacing >= 8*_EPSILON, that is
+# |A| >= 2**-35.  A larger value sends more points on
+# (2**-70 took a fifth to a third longer on the benchmark's sweep); a smaller
+# one widens every reach as sqrt(2*ln(1/_EPSILON)), 11.2 standard deviations
+# for a unit height here.  The sweep's evaluator time was flat within 5%
+# from 2**-80 to 2**-120, and 2**-90 sits inside that plateau
+_EPSILON = 2.0 ** -90
 # float64 phases are a whole radian apart from 2**52 rad on, so no digit of a
 # rotor phase mean_speed*|tau| beyond it is known within its turn
 PHASE_MAX = 2.0 ** 52
@@ -50,21 +61,43 @@ def _check_phase(mean_speed: float, tau: np.ndarray) -> None:
                           f"radian apart")
 
 
-def _kernel_windows(points: np.ndarray, centers, stds, reach: float):
+def _kernel_windows(points: np.ndarray, centers, stds, reach):
     """Sort ``points`` once and find where each Gaussian is within ``reach``.
 
     Returns the stable sort permutation ``order``, the sorted points, and
-    index arrays ``lo``, ``hi`` of the shape of ``centers`` and ``stds``
-    broadcast: Gaussian k is evaluated only on ``sorted[lo[k]:hi[k]]``, the
-    points within ``reach`` standard deviations of its center.  Results
-    computed on the sorted points go back through ``order``.
+    the windows :func:`_windows` finds on them.  Results computed on the
+    sorted points go back through ``order``.
     """
     order = np.argsort(points, kind="stable")
     ordered = points[order]
+    return (order, ordered, *_windows(ordered, centers, stds, reach))
+
+
+def _windows(ordered: np.ndarray, centers, stds, reach):
+    """Index arrays ``lo``, ``hi`` of the shape of ``centers``, ``stds`` and
+    ``reach`` broadcast: Gaussian k is evaluated only on
+    ``ordered[lo[k]:hi[k]]``, the sorted points within ``reach[k]``
+    standard deviations of its center."""
     bound = reach * stds
-    lo, hi = np.searchsorted(ordered, np.stack(np.broadcast_arrays(centers - bound,
-                                                                   centers + bound)))
-    return order, ordered, lo, hi
+    return np.searchsorted(ordered, np.stack(np.broadcast_arrays(centers - bound,
+                                                                 centers + bound)))
+
+
+def _reaches(heights: np.ndarray, floor: float) -> np.ndarray:
+    """Reach of each term of the first pass, in its standard deviations.
+
+    Term k, a Gaussian of height ``heights[k]``, runs out to
+    ``min(_NORMAL_REACH, sqrt(2*ln(T_k/floor)))``, where ``T_k`` is the
+    largest of ``heights[k:]`` (0 where ``T_k <= floor``): past its reach a
+    term is below ``floor``.  The reach never grows with k, so the terms a
+    point is beyond are a suffix in harmonic order.
+    """
+    tail = np.maximum.accumulate(heights[::-1])[::-1]
+    # a floor that underflowed to 0 gives T_k/floor = inf, or nan where
+    # T_k is 0 too: reach _NORMAL_REACH, or 0 for a term that is 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        logs = np.log(tail / floor)
+    return np.minimum(_NORMAL_REACH, np.sqrt(2.0 * np.fmax(logs, 0.0)))
 
 
 def _shaped(flat: np.ndarray, like: np.ndarray):
@@ -180,6 +213,44 @@ def build_acf(params: SwarmParams, n_terms: int | None = None) -> AcfSeries:
     return AcfSeries(params, n_terms)
 
 
+def _series_sum(acf: AcfSeries, u: np.ndarray, phi: np.ndarray, acc: np.ndarray,
+                start: np.ndarray, stop: np.ndarray, damped: bool) -> np.ndarray:
+    """Add the harmonics to ``acc`` at the sorted ``u`` (``phi`` in the same
+    order) and return it.
+
+    Term n is added on ``u[start[n-1]:stop[n-1]]``, in harmonic order, and
+    the sum stops at the first term whose ``stop`` is 0; ``stop`` never
+    grows with n.  Every lag's phasor turns once per term up to there.
+    """
+    # numpy rounds an in-place complex product over one element differently
+    # from one over a longer array, so the phasors always turn over at least
+    # two elements; a lone lag turns beside a copy of itself
+    turning = np.maximum(stop, 2)
+    if damped:
+        decay = -0.5 * np.square(u[:stop[0]])
+    step = phi[:turning[0]]
+    step = np.exp(1j * (np.repeat(step, 2) if step.size == 1 else step))
+    phasor = step.copy()
+    term = np.empty(stop[0])
+    for n, (coeff, a, b, turn) in enumerate(zip(acf.coefficients, start.tolist(),
+                                                stop.tolist(), turning.tolist()), start=1):
+        if b == 0:
+            break
+        step, phasor = step[:turn], phasor[:turn]
+        if b > a:
+            out = term[:b - a]
+            if damped:
+                np.multiply(decay[a:b], float(n * n), out=out)
+                np.exp(out, out=out)
+                out *= coeff
+                out *= phasor.real[a:b]
+            else:
+                np.multiply(coeff, phasor.real[a:b], out=out)
+            acc[a:b] += out
+        phasor *= step
+    return acc
+
+
 def acf_eval(acf: AcfSeries, tau):
     """Evaluate the series autocorrelation at lag(s) ``tau`` (seconds).
 
@@ -194,16 +265,23 @@ def acf_eval(acf: AcfSeries, tau):
     The harmonics are summed one at a time in O(n_points) memory:
     ``cos(n*phi)`` is the real part of a phasor rotated by ``exp(i*phi)``
     once per term, and each term keeps its exact Gaussian damping
-    ``exp(-(n*u)**2/2)``, ``u = n_blades*speed_std*|tau|``.  Term n runs
-    only on the sorted lags with ``n*u`` below ``_NORMAL_REACH`` (37.64),
-    where the damping is a normal double, and the sum stops at the first
-    term that reaches no lag.  A skipped term is below 2**-1021, so it
-    cannot move a partial sum of magnitude 2**-966 or more, and where the
-    partial sum is smaller ``j0_squared + 2*series`` rounds to
-    ``j0_squared`` either way: the result equals the sum of every term at
-    every lag bit for bit, and the cost scales with the (term, lag) pairs
-    in reach.  At zero spread every term runs on every lag, undamped: its
-    damping is exactly 1.0, so the term is the coefficient times the cosine.
+    ``exp(-(n*u)**2/2)``, ``u = n_blades*speed_std*|tau|``.  On the sorted
+    lags, a first pass runs term n only where ``n*u`` is below its reach
+    ``R_n = min(37.64, sqrt(2*ln(T_n/2**-90)))``, ``T_n`` the largest
+    coefficient from n on, so a skipped term is below 2**-90 and the terms
+    skipped at a lag are a suffix in harmonic order.  A lag keeps its sum A
+    when ``np.spacing(|A|) > 2**-88``: each skipped term is below a quarter
+    ulp of A, so adding them changes no bit.  The other lags, mostly where
+    the series has damped to ~0, go on with the terms they skipped, in
+    harmonic order, term n out to ``_NORMAL_REACH`` (37.64), where the
+    damping stops being a normal double: a term skipped there is below 2**-1021, so it cannot move a
+    partial sum of magnitude 2**-966 or more, and where the partial sum is
+    smaller ``j0_squared + 2*series`` rounds to ``j0_squared`` either way.
+    Every lag's value is decided by that lag alone, and it equals the sum
+    of every term at every lag bit for bit; the cost scales with the
+    (term, lag) pairs in reach.  At zero spread every damping is exactly
+    1.0, so the term is the coefficient times the cosine, and every term
+    with a tail above 2**-90 runs on every lag.
     """
     p = acf.params
     t = _checked_array(tau, "tau", DomainError)
@@ -218,36 +296,22 @@ def acf_eval(acf: AcfSeries, tau):
     phi[overflow] = 0.0
     u[overflow] = np.inf
     # in u, term n is a Gaussian of standard deviation 1/n centred at zero
-    order, u, _, ends = _kernel_windows(u, 0.0, 1.0 / np.arange(1, acf.n_terms + 1),
-                                        _NORMAL_REACH)
-    # numpy rounds an in-place complex product over one element differently
-    # from one over a longer array, so the phasors always turn over at least
-    # two elements; a lone lag turns beside a copy of itself
-    turning = np.maximum(ends, 2)
+    widths = 1.0 / np.arange(1, acf.n_terms + 1)
+    reach = _reaches(acf.coefficients, _EPSILON)
+    order, u, _, ends = _kernel_windows(u, 0.0, widths, reach)
+    phi = phi[order]
     # at zero spread every damping is exp(-0.0) == 1.0, which changes no bit
     damped = p.speed_std != 0.0
-    if damped:
-        decay = -0.5 * np.square(u[:ends[0]])
-    step = phi[order[:turning[0]]]
-    step = np.exp(1j * (np.repeat(step, 2) if step.size == 1 else step))
-    phasor = step.copy()
-    series = acc = np.zeros_like(u)
-    term = np.empty(ends[0])
-    for n, (coeff, end, turn) in enumerate(zip(acf.coefficients, ends.tolist(),
-                                               turning.tolist()), start=1):
-        if end == 0:
-            break
-        term, acc = term[:end], acc[:end]
-        step, phasor = step[:turn], phasor[:turn]
-        if damped:
-            np.multiply(decay[:end], float(n * n), out=term)
-            np.exp(term, out=term)
-            term *= coeff
-            term *= phasor.real[:end]
-        else:
-            np.multiply(coeff, phasor.real[:end], out=term)
-        acc += term
-        phasor *= step
+    series = _series_sum(acf, u, phi, np.zeros_like(u), np.zeros_like(ends), ends, damped)
+    # only the lags past the last term's reach skipped a term; the rest go
+    # on with the terms they skipped
+    rest = ends[-1] + np.flatnonzero(np.spacing(np.abs(series[ends[-1]:]))
+                                     <= 4.0 * _EPSILON)
+    if rest.size:
+        sub = u[rest]
+        _, full = _windows(sub, 0.0, widths, _NORMAL_REACH)
+        series[rest] = _series_sum(acf, sub, phi[rest], series[rest],
+                                   np.searchsorted(sub, reach * widths), full, damped)
     values = np.empty_like(series)
     values[order] = series
     return _shaped(_prefactor(p) * (acf.j0_squared + 2.0 * values), t)
@@ -350,30 +414,29 @@ def _gaussian(x: np.ndarray, center, std, buffer: np.ndarray) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def _mixture_sum(points: np.ndarray, psd: PsdMixture, scale: np.ndarray,
-                 reach: float) -> np.ndarray:
-    """The mixture at the non-negative ``points``, each Gaussian taken only
-    within ``reach`` standard deviations of its center.
+def _add_pairs(fs: np.ndarray, acc: np.ndarray, psd: PsdMixture, scale: np.ndarray,
+               start: np.ndarray, stop: np.ndarray, mirror_stop: np.ndarray) -> np.ndarray:
+    """Add the mixture's pairs to ``acc`` at the sorted non-negative ``fs``.
 
-    Pair k adds ``scale[k]*(g(+c) + g(-c))``, in harmonic order, on two
-    buffers reused across pairs; every point gets the bits of that sum over
-    the pairs in reach, whatever the other points are.
+    Pair k adds ``scale[k]*(g(+c) + g(-c))`` on ``fs[start[k]:stop[k]]``,
+    in harmonic order, with the ``-c`` Gaussian only below
+    ``mirror_stop[k]``, on two buffers reused across pairs; every point
+    gets the bits of that sum over the pairs in reach, whatever the other
+    points are.  Returns ``acc``.
     """
     c, s = psd.centers, psd.stds
-    order, fs, (lo, _), (hi, hi_neg) = _kernel_windows(points, np.stack([c, -c]), s, reach)
-    acc = np.zeros_like(fs)
     near, mirror = np.empty_like(fs), np.empty_like(fs)
-    for k in np.flatnonzero(hi > lo):
-        g = _gaussian(fs[lo[k]:hi[k]], c[k], s[k], near)
-        # the -c window is [0, hi_neg); its upper bound is the negated lower
-        # bound of +c, so where it is not empty lo[k] == 0
-        if hi_neg[k]:
-            g[:hi_neg[k]] += _gaussian(fs[:hi_neg[k]], -c[k], s[k], mirror)
+    for k in np.flatnonzero(stop > start):
+        a, b = start[k], stop[k]
+        g = _gaussian(fs[a:b], c[k], s[k], near)
+        # the -c window's upper bound is the negated lower bound of +c, so
+        # it ends inside the +c window
+        m = min(mirror_stop[k], b)
+        if m > a:
+            g[:m - a] += _gaussian(fs[a:m], -c[k], s[k], mirror)
         g *= scale[k]
-        acc[lo[k]:hi[k]] += g
-    values = np.empty_like(acc)
-    values[order] = acc
-    return values
+        acc[a:b] += g
+    return acc
 
 
 def psd_eval(psd: PsdMixture, freq):
@@ -385,24 +448,50 @@ def psd_eval(psd: PsdMixture, freq):
     otherwise an array of the input's shape; a non-finite frequency raises
     :class:`DomainError`.
 
-    The mixture is evaluated at ``|freq|``, where the ``-c`` Gaussian of a
-    pair is non-zero only near DC, inside the window of ``+c``.  A first
-    pass adds each Gaussian only on the sorted ``|freq|`` within
-    ``_NORMAL_REACH`` (37.64) standard deviations of its center, where it
-    is a normal double; a skipped one is below 2**-1021 of its pair's
-    height.  A density has no floor to absorb that, so every point whose
-    first-pass value is below 2**-200 of the largest height is summed again
-    within 39 standard deviations, past which a Gaussian is exactly zero in
-    double precision.  So the result equals the sum of every pair at every
-    frequency bit for bit, in O(n_points) memory, and the cost scales with
-    the (Gaussian, frequency) pairs in reach.
+    The mixture is evaluated at the sorted ``|freq|``, where the ``-c``
+    Gaussian of a pair is non-zero only near DC, inside the window of
+    ``+c``.  Each pair runs up to ``_NORMAL_REACH`` (37.64) standard
+    deviations above its center, where a Gaussian stops being a normal
+    double; a Gaussian skipped there is below 2**-1021 of its pair's
+    height.  Below its center, a first pass runs pair k only from
+    ``min_{m>=k} (c_m - R_m*s_m)``, with ``R_m = min(37.64,
+    sqrt(2*ln(T_m/(2**-90*H))))``, ``T_m`` the largest pair height (twice
+    the Gaussian's) from m on and H the largest Gaussian height: a pair
+    skipped there is below 2**-90*H, and the pairs a point skips are a
+    suffix in harmonic order.  A point keeps its sum A when
+    ``np.spacing(A) > 2**-88*H``, so each skipped pair is below half an
+    ulp of A and adding it changes no bit.  The other points go on with
+    the skipped pairs out to 37.64 standard deviations, in harmonic order.
+    A density has no floor to absorb what even that skips, so every point
+    whose value is below 2**-200*H is summed again within 39 standard
+    deviations, past which a Gaussian is exactly zero in double precision.
+    Every point's value is decided by that point alone, and it equals the
+    sum of every pair at every frequency bit for bit, in O(n_points)
+    memory; the cost scales with the (Gaussian, frequency) pairs in reach.
     """
     f = _checked_array(freq, "freq", DomainError)
     points = np.abs(f.ravel())
-    scale = psd.side_masses / (SQRT_TWO_PI * psd.stds)
-    values = _mixture_sum(points, psd, scale, _NORMAL_REACH)
-    faint = np.flatnonzero(values < 2.0 ** -200 * scale.max())
-    values[faint] = _mixture_sum(points[faint], psd, scale, _KERNEL_REACH)
+    c, s = psd.centers, psd.stds
+    both = np.stack([c, -c])
+    scale = psd.side_masses / (SQRT_TWO_PI * s)
+    height = scale.max()
+    order, fs, _, (hi, mirror_hi) = _kernel_windows(points, both, s, _NORMAL_REACH)
+    starts = c - _reaches(2.0 * scale, _EPSILON * height) * s
+    starts = np.minimum.accumulate(starts[::-1])[::-1]
+    first = np.searchsorted(fs, starts)
+    acc = _add_pairs(fs, np.zeros_like(fs), psd, scale, first, hi, mirror_hi)
+    rest = np.flatnonzero(np.spacing(acc) <= 4.0 * _EPSILON * height)
+    if rest.size:
+        sub = fs[rest]
+        (lo, _), (_, mirror_hi) = _windows(sub, both, s, _NORMAL_REACH)
+        acc[rest] = _add_pairs(sub, acc[rest], psd, scale, lo,
+                               np.searchsorted(sub, starts), mirror_hi)
+        faint = rest[acc[rest] < 2.0 ** -200 * height]
+        sub = fs[faint]
+        (lo, _), (hi, mirror_hi) = _windows(sub, both, s, _KERNEL_REACH)
+        acc[faint] = _add_pairs(sub, np.zeros_like(sub), psd, scale, lo, hi, mirror_hi)
+    values = np.empty_like(acc)
+    values[order] = acc
     return _shaped(values, f)
 
 

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 import swarmdoppler as sd
 from swarmdoppler import validation
 from swarmdoppler.exceptions import DomainError, ValidationError
-from swarmdoppler.analytic import _KERNEL_REACH, _NORMAL_REACH, _kernel_windows
+from swarmdoppler.analytic import (_EPSILON, _KERNEL_REACH, _NORMAL_REACH, SQRT_TWO_PI,
+                                   _kernel_windows, _reaches)
 from helpers import (acf_eval_every_term, acf_eval_outer, mavic_params,
                      fit_convention_constant, psd_eval_outer, random_params,
                      transform_of_analytic_acf)
@@ -472,7 +473,8 @@ def test_evaluators_skip_only_pairs_below_2_to_the_minus_1021(swarm):
     decay = -0.5 * np.square(u)
     for k, end in zip(n, hi):
         assert np.all(np.exp(decay[end:] * float(k * k)) < 2.0 ** -1021), k
-    # psd_eval's first pass: each Gaussian of each mirror pair, outside its window
+    # psd_eval's windows out to 37.64 standard deviations: each Gaussian of
+    # each mirror pair, outside its window
     psd = sd.build_psd(params)
     freqs = np.abs(np.linspace(*sd.psd_support(params), 2001))
     centers = np.stack([psd.centers, -psd.centers])
@@ -487,19 +489,35 @@ def _bits(values):
     return np.asarray(values, dtype=float).view(np.uint64)
 
 
+# blade/wavelength 2: a 33-term series, whose density falls below 2**-35 of
+# its peak on ~28% of the support
+RATIO_2 = dict(blade_length=0.06, wavelength=0.03)
+# blade/wavelength ratios where J_0(electrical_size/2) is ~1e-16: there the
+# floor j0_squared of acf_eval no longer hides the bits of a damped series
+J0_ZERO_RATIOS = scipy.special.jn_zeros(0, 630) / (4.0 * np.pi)
+
+
+def _pair_heights(psd):
+    return psd.side_masses / (SQRT_TWO_PI * psd.stds)
+
+
 @pytest.mark.filterwarnings("ignore:carrier wavelength is not small:UserWarning")
 @settings(max_examples=60, deadline=None)
-@given(ratio=st.floats(min_value=0.05, max_value=159.0),
-       n_blades=st.integers(min_value=1, max_value=5),
-       variance=st.floats(min_value=0.01, max_value=5000.0),
-       gain=st.floats(min_value=1e-3, max_value=1e6),
+@given(ratio=st.one_of(st.floats(min_value=0.05, max_value=159.0),
+                       st.sampled_from(J0_ZERO_RATIOS.tolist())),
+       n_blades=st.integers(min_value=1, max_value=8),
+       variance=st.floats(min_value=1e-4, max_value=2e4),
+       # down to gains whose largest Gaussian height is subnormal
+       gain_exponent=st.floats(min_value=-165.0, max_value=6.0),
        seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
-def test_windowed_evaluators_equal_every_term_bit_for_bit(ratio, n_blades, variance, gain,
-                                                          seed):
+def test_windowed_evaluators_equal_every_term_bit_for_bit(ratio, n_blades, variance,
+                                                          gain_exponent, seed):
     params = mavic_params(blade_length=ratio, wavelength=1.0, n_blades=n_blades,
-                          speed_variance=variance, gain_magnitude=gain)
+                          speed_variance=variance, gain_magnitude=10.0 ** gain_exponent)
     rng = np.random.default_rng(seed)
     acf, psd = sd.build_acf(params), sd.build_psd(params)
+    # factors near 1 for points near a term's first-pass reach
+    near = np.concatenate([rng.uniform(0.98, 1.02, 30), [1.0 - 2.0 ** -52, 1.0, 1.0 + 2.0 ** -52]])
     # points where a Gaussian is subnormal, 37-39.5 standard deviations out,
     # on both sides of random pairs and of the first, whose lower tail and
     # whose mirror's upper tail reach into the gap at DC
@@ -507,16 +525,87 @@ def test_windowed_evaluators_equal_every_term_bit_for_bit(ratio, n_blades, varia
     z = rng.uniform(37.0, 39.5, k.size)
     c, s = psd.centers[k], psd.stds[k]
     tails = np.concatenate([c - z * s, c + z * s, z * s - c])
+    # z standard deviations below random centers, z near the pair's
+    # first-pass reach
+    scale = _pair_heights(psd)
+    k = rng.integers(0, acf.n_terms, near.size)
+    z = _reaches(2.0 * scale, _EPSILON * scale.max())[k] * near
+    reach = psd.centers[k] - z * psd.stds[k]
+    # and, on the rest path, the gap at DC and out to 1.3 times the support
     edge = sd.psd_support(params)[1]
     freqs = np.concatenate([rng.uniform(-1.3 * edge, 1.3 * edge, 100), tails, -tails,
-                            rng.uniform(0.0, psd.centers[0], 10)])
+                            reach, -reach, rng.uniform(0.0, psd.centers[0], 20)])
     assert np.array_equal(_bits(sd.psd_eval(psd, freqs)), _bits(psd_eval_outer(psd, freqs)))
-    # lags where the damping of random terms is subnormal
+    # lags where the damping of random terms is subnormal, and where n*u is
+    # near term n's first-pass reach
     n = rng.integers(1, acf.n_terms + 1, 20)
     band = rng.uniform(37.0, 39.5, n.size) / (n * (params.n_blades * params.speed_std))
+    n = rng.integers(1, acf.n_terms + 1, near.size)
+    reach = _reaches(acf.coefficients, _EPSILON)[n - 1] * near
+    reach /= n * (params.n_blades * params.speed_std)
+    # on the rest path: where the first term is damped by 2**-50 ... 2**-150,
+    # and past ~1 s, the series has damped to ~0
+    damped = rng.uniform(8.3, 14.5, 20) / (params.n_blades * params.speed_std)
     taus = np.concatenate([rng.uniform(-1.5, 1.5, 100) * (8.0 * np.pi / params.mean_speed),
-                           band, -band])
+                           band, -band, reach, -reach, damped, rng.uniform(1.0, 3.0, 20)])
     assert np.array_equal(_bits(sd.acf_eval(acf, taus)), _bits(acf_eval_every_term(acf, taus)))
+
+
+@pytest.mark.parametrize("swarm", [{}, RATIO_2, RATIO_150, dict(speed_variance=WIDE_SPREAD)],
+                         ids=["mavic-like", "ratio 2", "ratio 150", "wide spread"])
+def test_the_first_pass_skips_a_suffix_of_terms_below_epsilon(swarm):
+    params = mavic_params(**swarm)
+    acf, psd = sd.build_acf(params), sd.build_psd(params)
+    n = np.arange(1, acf.n_terms + 1)
+    # acf_eval: term n runs on the lags with n*u below its reach R_n
+    lags = np.linspace(0.0, 1.0, 4001)
+    _, u, _, ends = _kernel_windows((params.n_blades * params.speed_std) * lags, 0.0, 1.0 / n,
+                                    _reaches(acf.coefficients, _EPSILON))
+    assert ends[-1] < u.size
+    # a lag past term n's window is past every later one
+    assert np.all(np.diff(ends) <= 0)
+    decay = -0.5 * np.square(u)
+    for k, coeff, end in zip(n, acf.coefficients, ends):
+        assert np.all(coeff * np.exp(decay[end:] * float(k * k)) < _EPSILON), k
+    # psd_eval: pair k runs from min_{m>=k} (c_m - R_m*s_m) up
+    scale = _pair_heights(psd)
+    height = scale.max()
+    c, s = psd.centers, psd.stds
+    starts = c - _reaches(2.0 * scale, _EPSILON * height) * s
+    starts = np.minimum.accumulate(starts[::-1])[::-1]
+    fs = np.sort(np.abs(np.linspace(*sd.psd_support(params), 4001)))
+    first = np.searchsorted(fs, starts)
+    assert first[-1] > 0
+    # point i skips pair k when i < first[k]: a suffix, since first never falls
+    assert np.all(np.diff(first) >= 0)
+    for k, a in enumerate(first):
+        below = fs[:a]
+        pair = scale[k] * (np.exp(-0.5 * ((below - c[k]) / s[k]) ** 2)
+                           + np.exp(-0.5 * ((below + c[k]) / s[k]) ** 2))
+        assert np.all(pair < _EPSILON * height), k
+
+
+def test_a_point_has_the_same_bits_alone_and_among_others():
+    # the rest path is chosen point by point, so no neighbour moves a bit
+    params = mavic_params()
+    acf, psd = sd.build_acf(params), sd.build_psd(params)
+    rng = np.random.default_rng(11)
+    # main-lobe lags keep their first pass; past 0.8 s the series is ~0
+    taus = np.concatenate([rng.uniform(-20.0, 20.0, 25) * sd.mainlobe_width(params),
+                           rng.uniform(0.8, 1.5, 25)])
+    series = np.abs(sd.acf_eval(acf, taus) - acf.dc_level) / sd.analytic._prefactor(params)
+    assert np.all(series[:25] > 2.0 ** -30) and np.all(series[25:] < 2.0 ** -40)
+    # near strong centers the first pass holds; the gap at DC takes the rest
+    scale = _pair_heights(psd)
+    k = rng.choice(np.flatnonzero(scale > 2.0 ** -20 * scale.max()), 25)
+    freqs = np.concatenate([psd.centers[k] + rng.uniform(-3.0, 3.0, 25) * psd.stds[k],
+                            rng.uniform(-0.5, 0.5, 25) * psd.centers[0]])
+    density = sd.psd_eval(psd, freqs) / scale.max()
+    assert np.all(density[:25] > 2.0 ** -30) and np.all(density[25:] < 2.0 ** -40)
+    for evaluate, model, points in ((sd.acf_eval, acf, taus), (sd.psd_eval, psd, freqs)):
+        together = evaluate(model, points)
+        alone = [evaluate(model, float(x)) for x in points]
+        assert np.array_equal(_bits(alone), _bits(together))
 
 
 def test_psd_eval_keeps_the_subnormal_density_in_the_gap_at_dc():
