@@ -35,6 +35,9 @@ CONFIGS = {
                  "estimator": {"n_realizations": 300, "seed": 77}},
     # a start time alone: the step is the default one
     "late": {**MAVIC_LIKE, "grid": {"t_start_s": 2.5}},
+    # a start where absolute sample times would round by up to 6e-5 s, a
+    # phase of 2.9 rad at the band edge: the kernel's times run from it
+    "late12": {**MAVIC_LIKE, "grid": {"t_start_s": 1e12}},
     # mean/std = 11.7: every pair's mirror Gaussians overlap around DC
     "wide": {**MAVIC_LIKE, "speed_variance": 2000.0},
     # blade/wavelength 148.5, near the top of the Bessel envelope
@@ -71,6 +74,7 @@ MATRIX = {
     "acf-explicit-grid": ["acf", *EXPLICIT],
     "validate-explicit-grid": ["validate", *EXPLICIT, "--n", "200"],
     "simulate-late-start": ["simulate", "--config", "{late}", "--n", "5"],
+    "validate-late-start": ["validate", "--config", "{late12}", "--n", "2000", *PAIR],
     "validate-zero-variance": ["validate", *ZERO, "--n", "200"],
     "psd-wide-spread": ["psd", "--config", "{wide}"],
     "acf-ratio-148": ["acf", "--config", "{ratio148}"],

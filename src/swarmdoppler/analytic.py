@@ -496,11 +496,12 @@ def psd_eval(psd: PsdMixture, freq):
 
 
 def psd_support(params: SwarmParams) -> tuple[float, float]:
-    """Frequency interval (rad/s) that carries the whole spectrum tail.
+    """Frequency interval (rad/s) the ``psd`` curve and ``compare_psd``'s
+    mask cover: ``+-band_edge(params)``, that is
+    ``+-(electrical_size/2) * (mean_speed + 5*speed_std)``.
 
-    Symmetric: ``+-(electrical_size/2) * (mean_speed + 5*speed_std)``; the
-    five-standard-deviation margin beyond the outermost kernel captures its
-    tail entirely.
+    Not the whole spectrum: the series' higher Gaussians lie past the edge,
+    with 0.25% of the side mass on mavic-like (see :func:`band_edge`).
     """
     edge = band_edge(params)
     return (-edge, edge)

@@ -45,7 +45,9 @@ _SUB_ROWS = 8
 @dataclass(frozen=True)
 class SwarmState:
     """Latent draws of one realization: per-rotor angles, phases and speeds,
-    each a 2-d array of finite reals (else :class:`ValidationError`)."""
+    each a 2-d array of finite reals (else :class:`ValidationError`).
+    ``initial_angles`` are the rotor angles at t = 0, whatever the grid's
+    ``t_start``."""
 
     initial_angles: np.ndarray      # (n_drones, n_rotors), [0, 2*pi)
     projection_phases: np.ndarray   # (n_drones, n_rotors), [0, 2*pi)
@@ -150,10 +152,20 @@ def _synthesize_rows(out: np.ndarray, angles: np.ndarray, phases: np.ndarray,
     work = np.empty((n_planes * speeds.size + 2 * n) * n_samples)
     planes = work[:n_planes * speeds.size * n_samples].reshape(n_planes, -1, n_samples)
     y = work[planes.size:].view(np.complex128).reshape(n, n_samples)
+    # each rotor's angle at the grid start, its turn over t_start reduced
+    # (exactly) by fmod: the rounding of speed*t_start is one constant per
+    # rotor, which the uniform start angle absorbs, and no sample time is
+    # rounded at the scale of t_start
+    with np.errstate(over="ignore"):
+        turned = speeds * grid.t_start
+    if not np.isfinite(turned).all():
+        raise DomainError(f"t_start {grid.t_start!r} s times a rotor speed of up to "
+                          f"{np.abs(speeds).max():.6g} rad/s overflows float64")
     # plane 0: half of every rotor's angle at every sample time, the
     # argument :func:`_cos_sin` takes
-    half_angles = np.multiply((0.5 * speeds).reshape(-1, 1), grid.times(), out=planes[0])
-    half_angles += 0.5 * angles.reshape(-1, 1)
+    half_angles = np.multiply((0.5 * speeds).reshape(-1, 1), grid.dt * np.arange(n_samples),
+                              out=planes[0])
+    half_angles += (0.5 * (angles + np.fmod(turned, 2.0 * np.pi))).reshape(-1, 1)
     # blade 0 sits at the rotor angle itself, in the half angles' own plane
     # unless a later blade reads them; the later blades (or pairs) take
     # their phases in one more plane, odd blade counts their sines in
@@ -206,7 +218,9 @@ def synthesize(state: SwarmState, params: SwarmParams, grid: SamplingGrid) -> np
     blade ``b``, so its phasor is the complex conjugate and the pair sums to
     the real ``2*cos(m*cos(angle))``.  Odd blade counts take the real and
     imaginary parts blade by blade.  This is the one-realization case of the
-    sub-block kernel that ensembles and streamed estimates run.
+    sub-block kernel that ensembles and streamed estimates run.  Sample
+    times run from ``grid.t_start``; a start whose product with a rotor
+    speed overflows float64 raises :class:`DomainError` naming ``t_start``.
     """
     if state.initial_angles.shape != (params.n_drones, params.n_rotors):
         raise ValidationError(

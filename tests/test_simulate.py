@@ -122,6 +122,22 @@ def test_synthesize_rejects_mismatched_state():
         sd.synthesize(state, mavic_params(), grid)
 
 
+@settings(max_examples=60, deadline=None)
+@given(t_start=st.floats(min_value=-1e300, max_value=1e300),
+       n_blades=st.integers(1, 4), dtype=st.sampled_from([np.complex64, np.complex128]))
+def test_a_late_row_is_the_row_at_zero_turned_by_its_start(t_start, n_blades, dtype):
+    params = mavic_params(n_blades=n_blades)
+    dt = sd.default_grid(params).dt
+    angles, phases, speeds = simulate._draw(params, simulate._substreams(3, 0, 2))
+    late, turned = np.empty((2, 2, 64), dtype=dtype)
+    simulate._synthesize_rows(late, angles, phases, speeds, params,
+                              sd.SamplingGrid(t_start=t_start, dt=dt, n_samples=64))
+    simulate._synthesize_rows(turned, angles + np.fmod(speeds * t_start, 2.0 * np.pi),
+                              phases, speeds, params,
+                              sd.SamplingGrid(t_start=0.0, dt=dt, n_samples=64))
+    assert late.tobytes() == turned.tobytes()
+
+
 # ------------------------------------------------------- half-angle helper
 
 def _cos_and_sin(x):
