@@ -1,8 +1,8 @@
 """Monte Carlo check of the closed forms: the one comparison path.
 
-The ``validate`` command, the acceptance tests and the study scripts all
-compare through these functions, and the verdict thresholds below are the
-acceptance gate's tolerances.
+The ``validate`` command and the acceptance tests both compare through
+these functions, and the verdict thresholds below are the acceptance gate's
+tolerances.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import numpy as np
 
 from .analytic import (acf_deterministic_eval, acf_eval, build_acf, build_psd,
                        mainlobe_width, psd_eval, psd_support)
-from .exceptions import DomainError
+from .exceptions import DomainError, _checked_int
 from .model import Curve, SamplingGrid, SwarmParams
 from .simulate import AcfAccumulator, accumulate, estimate_psd
 
@@ -96,6 +96,16 @@ def sigma_zero_error(params: SwarmParams) -> float:
     return float(np.max(gap) / abs(acf_eval(acf, 0.0)))
 
 
+def _loglog_slope(points: list) -> float | None:
+    """Least-squares slope of ln nrmse on ln n, or None below two points."""
+    if len(points) < 2:
+        return None
+    x = np.log([point["n"] for point in points])
+    y = np.log([point["nrmse"] for point in points])
+    x -= x.mean()
+    return float(x @ (y - y.mean()) / (x @ x))
+
+
 def validate(params: SwarmParams, grid: SamplingGrid, n_realizations: int,
              seed: int, *, n_workers: int = 1) -> ValidationResult:
     """Compare a seeded Monte Carlo ensemble against the closed forms.
@@ -104,23 +114,39 @@ def validate(params: SwarmParams, grid: SamplingGrid, n_realizations: int,
     O(block), and the result is bit-identical for any ``n_workers``.  When
     the rotor speeds spread, the time-average estimate is accumulated too
     and its spectrum compared, else the series against the finite sum.
+
+    The realizations are fed in consecutive ranges that end at 128, 256,
+    512, ... below ``n_realizations`` and then at ``n_realizations``; the
+    ACF nRMSE after each range is the report's ``acf.convergence``, and
+    ``acf.convergence_slope`` is the least-squares slope of its log-log
+    line (near -1/2; None for one point).  Every split is a multiple of the
+    32-row block from 0, so the blocks and the folded sums are bit for bit
+    those of one call over ``[0, n_realizations)``.
     """
+    n_realizations = _checked_int(n_realizations, "n_realizations")
     # compare_acf reads only the first acf_window lags
     single = AcfAccumulator(grid, n_lags=acf_window(params, grid))
     averaged = AcfAccumulator(grid, time_average=True) \
         if params.speed_variance > 0.0 else None
-    accumulate(params, grid, seed, [acc for acc in (single, averaged) if acc is not None],
-               0, n_realizations, n_workers=n_workers)
-    acf = compare_acf(params, grid, single.curve())
+    accumulators = [acc for acc in (single, averaged) if acc is not None]
+    convergence, start = [], 0
+    while start < n_realizations:
+        stop = min(max(2 * start, 128), n_realizations)
+        accumulate(params, grid, seed, accumulators, start, stop, n_workers=n_workers)
+        acf = compare_acf(params, grid, single.curve())
+        convergence.append({"n": stop, "nrmse": acf.nrmse})
+        start = stop
     acf_pass = bool(acf.nrmse <= ACF_NRMSE_MAX)
     report = {
-        "n_realizations": int(n_realizations),
+        "n_realizations": n_realizations,
         "master_seed": int(seed),
         "thresholds": {"acf_nrmse": ACF_NRMSE_MAX, "psd_nrmse": PSD_NRMSE_MAX,
                        "sigma_zero_consistency": CONSISTENCY_MAX},
         "acf": {"estimator": "single_reference", "nrmse": acf.nrmse, "pass": acf_pass,
                 "window_lags": int(acf.x.size), "window_span_s": float(acf.x[-1]),
-                "mainlobe_width_s": mainlobe_width(params)},
+                "mainlobe_width_s": mainlobe_width(params),
+                "convergence": convergence,
+                "convergence_slope": _loglog_slope(convergence)},
     }
     psd = None
     if averaged is not None:

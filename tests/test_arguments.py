@@ -98,6 +98,11 @@ for _workers in (0, -3, 2.5):
          ValidationError, "n_workers"),
     ]
 
+for _count in (0, -1, 2.5, True, "10"):
+    _REFUSED.append((f"validate-n_realizations-{_count}",
+                     lambda n=_count: validation.validate(PARAMS, VALIDATE_GRID, n, 1),
+                     ValidationError, "n_realizations"))
+
 _STATE = dict(initial_angles=np.zeros((1, 4)), projection_phases=np.zeros((1, 4)),
               rotor_speeds=np.full((1, 4), 523.0))
 for _field in _STATE:

@@ -5,13 +5,6 @@ from pathlib import Path
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def test_convergence_study_writes_its_table(tmp_path):
-    run = runpy.run_path(str(SCRIPTS / "convergence_study.py"))["run"]
-    assert run(["--out", str(tmp_path), "--n-max", "400"]) == 0
-    rows = (tmp_path / "convergence.csv").read_text().splitlines()
-    assert [row.split(",")[0] for row in rows] == ["n_realizations", "100", "200", "400"]
-
-
 def test_mavic_study_drives_every_command(tmp_path):
     run = runpy.run_path(str(SCRIPTS / "mavic_study.py"))["run"]
     # 40 realizations are too few for the Monte Carlo thresholds: the last
@@ -19,6 +12,10 @@ def test_mavic_study_drives_every_command(tmp_path):
     assert run(["--out", str(tmp_path), "--n", "40"]) == 4
     for step in ("acf", "psd", "coeffs", "signal"):
         assert (tmp_path / step / "manifest.json").is_file(), step
+    # the report carries the estimator's convergence table
+    acf = json.loads((tmp_path / "validate" / "report.json").read_text())["acf"]
+    assert acf["convergence"] == [{"n": 40, "nrmse": acf["nrmse"]}]
+    assert acf["convergence_slope"] is None
 
 
 def test_same_outputs_compares_trees_file_by_file(tmp_path):

@@ -538,6 +538,39 @@ def test_validate_reports_what_a_full_lag_single_reference_estimate_gives(monkey
     assert validation.validate(params, grid, n, 5).report == report
 
 
+def test_validate_checkpoints_give_the_bits_of_one_accumulate():
+    params = mavic_params()
+    grid = small_grid(params, 512)
+    n = 300
+    result = validation.validate(params, grid, n, 5)
+    single = sd.AcfAccumulator(grid, n_lags=validation.acf_window(params, grid))
+    averaged = sd.AcfAccumulator(grid, time_average=True)
+    sd.accumulate(params, grid, 5, [single, averaged], 0, n)
+    acf = validation.compare_acf(params, grid, single.curve())
+    psd, _ = validation.compare_psd(params, sd.estimate_psd(averaged.curve()))
+    for got, want in ((result.acf, acf), (result.psd, psd)):
+        for field in ("x", "reference", "estimate"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+    assert result.report["acf"]["nrmse"] == acf.nrmse
+    assert result.report["psd"]["nrmse"] == psd.nrmse
+
+
+def test_validate_reports_its_convergence_at_each_doubling():
+    params = mavic_params()
+    grid = small_grid(params, 512)
+    report = validation.validate(params, grid, 600, 5).report
+    points = report["acf"]["convergence"]
+    assert [point["n"] for point in points] == [128, 256, 512, 600]
+    assert points[-1]["nrmse"] == report["acf"]["nrmse"]
+    n = np.log([point["n"] for point in points])
+    slope = np.polyfit(n, np.log([point["nrmse"] for point in points]), 1)[0]
+    assert report["acf"]["convergence_slope"] == pytest.approx(slope, rel=1e-12)
+    assert validation.validate(params, grid, 600, 5, n_workers=2).report == report
+    one = validation.validate(params, grid, 40, 5).report["acf"]
+    assert one["convergence"] == [{"n": 40, "nrmse": one["nrmse"]}]
+    assert one["convergence_slope"] is None
+
+
 def test_estimate_acf_lag_overflow():
     params, state = static_scatterer()
     grid = sd.SamplingGrid(t_start=0.0, dt=1e-4, n_samples=8)
