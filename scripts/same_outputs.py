@@ -38,6 +38,9 @@ CONFIGS = {
     # a start where absolute sample times would round by up to 6e-5 s, a
     # phase of 2.9 rad at the band edge: the kernel's times run from it
     "late12": {**MAVIC_LIKE, "grid": {"t_start_s": 1e12}},
+    # a start whose product with every rotor speed overflows float64: the
+    # turn over it is reduced exactly in scaled steps
+    "late306": {**MAVIC_LIKE, "grid": {"t_start_s": 1e306}},
     # mean/std = 11.7: every pair's mirror Gaussians overlap around DC
     "wide": {**MAVIC_LIKE, "speed_variance": 2000.0},
     # blade/wavelength 148.5, near the top of the Bessel envelope
@@ -75,6 +78,8 @@ MATRIX = {
     "validate-explicit-grid": ["validate", *EXPLICIT, "--n", "200"],
     "simulate-late-start": ["simulate", "--config", "{late}", "--n", "5"],
     "validate-late-start": ["validate", "--config", "{late12}", "--n", "2000", *PAIR],
+    "validate-overflow-start": ["validate", "--config", "{late306}", "--n", "2000",
+                                "--workers", "2", "--seed", "5"],
     "validate-zero-variance": ["validate", *ZERO, "--n", "200"],
     "psd-wide-spread": ["psd", "--config", "{wide}"],
     "acf-ratio-148": ["acf", "--config", "{ratio148}"],

@@ -61,18 +61,6 @@ def _check_phase(mean_speed: float, tau: np.ndarray) -> None:
                           f"radian apart")
 
 
-def _kernel_windows(points: np.ndarray, centers, stds, reach):
-    """Sort ``points`` once and find where each Gaussian is within ``reach``.
-
-    Returns the stable sort permutation ``order``, the sorted points, and
-    the windows :func:`_windows` finds on them.  Results computed on the
-    sorted points go back through ``order``.
-    """
-    order = np.argsort(points, kind="stable")
-    ordered = points[order]
-    return (order, ordered, *_windows(ordered, centers, stds, reach))
-
-
 def _windows(ordered: np.ndarray, centers, stds, reach):
     """Index arrays ``lo``, ``hi`` of the shape of ``centers``, ``stds`` and
     ``reach`` broadcast: Gaussian k is evaluated only on
@@ -298,8 +286,9 @@ def acf_eval(acf: AcfSeries, tau):
     # in u, term n is a Gaussian of standard deviation 1/n centred at zero
     widths = 1.0 / np.arange(1, acf.n_terms + 1)
     reach = _reaches(acf.coefficients, _EPSILON)
-    order, u, _, ends = _kernel_windows(u, 0.0, widths, reach)
-    phi = phi[order]
+    order = np.argsort(u, kind="stable")
+    u, phi = u[order], phi[order]
+    _, ends = _windows(u, 0.0, widths, reach)
     # at zero spread every damping is exp(-0.0) == 1.0, which changes no bit
     damped = p.speed_std != 0.0
     series = _series_sum(acf, u, phi, np.zeros_like(u), np.zeros_like(ends), ends, damped)
@@ -475,7 +464,9 @@ def psd_eval(psd: PsdMixture, freq):
     both = np.stack([c, -c])
     scale = psd.side_masses / (SQRT_TWO_PI * s)
     height = scale.max()
-    order, fs, _, (hi, mirror_hi) = _kernel_windows(points, both, s, _NORMAL_REACH)
+    order = np.argsort(points, kind="stable")
+    fs = points[order]
+    _, (hi, mirror_hi) = _windows(fs, both, s, _NORMAL_REACH)
     starts = c - _reaches(2.0 * scale, _EPSILON * height) * s
     starts = np.minimum.accumulate(starts[::-1])[::-1]
     first = np.searchsorted(fs, starts)

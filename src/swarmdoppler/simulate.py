@@ -9,6 +9,7 @@ are bit-identical regardless of worker count or scheduling.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from collections import deque
@@ -155,17 +156,20 @@ def _synthesize_rows(out: np.ndarray, angles: np.ndarray, phases: np.ndarray,
     # each rotor's angle at the grid start, its turn over t_start reduced
     # (exactly) by fmod: the rounding of speed*t_start is one constant per
     # rotor, which the uniform start angle absorbs, and no sample time is
-    # rounded at the scale of t_start
-    with np.errstate(over="ignore"):
-        turned = speeds * grid.t_start
-    if not np.isfinite(turned).all():
-        raise DomainError(f"t_start {grid.t_start!r} s times a rotor speed of up to "
-                          f"{np.abs(speeds).max():.6g} rad/s overflows float64")
+    # rounded at the scale of t_start.  Where the product could overflow,
+    # t_start is scaled by 2**-k first and the remainder doubled back k
+    # times; scaling, doubling and fmod are exact, so the turn is fmod of
+    # the rounded product, as if float64 had no largest exponent
+    k = max(0, math.frexp(grid.t_start)[1] + math.frexp(float(np.abs(speeds).max()))[1]
+            - 1023)
+    turned = np.fmod(speeds * math.ldexp(grid.t_start, -k), 2.0 * np.pi)
+    for _ in range(k):
+        turned = np.fmod(2.0 * turned, 2.0 * np.pi)
     # plane 0: half of every rotor's angle at every sample time, the
     # argument :func:`_cos_sin` takes
     half_angles = np.multiply((0.5 * speeds).reshape(-1, 1), grid.dt * np.arange(n_samples),
                               out=planes[0])
-    half_angles += (0.5 * (angles + np.fmod(turned, 2.0 * np.pi))).reshape(-1, 1)
+    half_angles += (0.5 * (angles + turned)).reshape(-1, 1)
     # blade 0 sits at the rotor angle itself, in the half angles' own plane
     # unless a later blade reads them; the later blades (or pairs) take
     # their phases in one more plane, odd blade counts their sines in
@@ -219,8 +223,9 @@ def synthesize(state: SwarmState, params: SwarmParams, grid: SamplingGrid) -> np
     the real ``2*cos(m*cos(angle))``.  Odd blade counts take the real and
     imaginary parts blade by blade.  This is the one-realization case of the
     sub-block kernel that ensembles and streamed estimates run.  Sample
-    times run from ``grid.t_start``; a start whose product with a rotor
-    speed overflows float64 raises :class:`DomainError` naming ``t_start``.
+    times run from ``grid.t_start``, and any finite start synthesizes: each
+    rotor's turn over it is ``fmod(speed*t_start, 2*pi)`` of the rounded
+    product, reduced exactly even where that product overflows float64.
     """
     if state.initial_angles.shape != (params.n_drones, params.n_rotors):
         raise ValidationError(

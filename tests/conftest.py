@@ -4,11 +4,13 @@ import os
 import pytest
 
 import swarmdoppler as sd
-from swarmdoppler import _atomic
+from swarmdoppler import _atomic, validation
 from helpers import mavic_params
 
 MAVIC_SEED = 424242
 MAVIC_N = 10_000
+# the CPUs this process may run on: Monte Carlo results do not depend on it
+N_WORKERS = len(os.sched_getaffinity(0))
 
 
 @pytest.fixture(scope="session")
@@ -22,14 +24,14 @@ def mavic_grid(mavic):
 
 
 @pytest.fixture(scope="session")
-def mavic_ensemble(mavic, mavic_grid):
-    """Reference-scale Monte Carlo ensemble, generated once per session.
+def mavic_validation(mavic, mavic_grid):
+    """``validate`` at reference scale, run once per session.
 
-    Rows are bit-identical for any worker count, so it uses every CPU the
-    process may run on.
+    The realizations stream through the path the CLI ships and are never
+    stored.  The result is bit-identical for any worker count, so it uses
+    every CPU the process may run on.
     """
-    return sd.simulate_ensemble(mavic, mavic_grid, MAVIC_N, MAVIC_SEED,
-                                n_workers=len(os.sched_getaffinity(0)))
+    return validation.validate(mavic, mavic_grid, MAVIC_N, MAVIC_SEED, n_workers=N_WORKERS)
 
 
 class _HalfWrite:

@@ -2,9 +2,11 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the summary lines.
 Tolerances are fixed here; the last test holds ``validate``'s thresholds
-to them.  A1, A2 and A4 compare through ``swarmdoppler.validation``, as
-``validate`` does.  Reference numbers marked "pinned" were computed
-beforehand with 40-digit arithmetic or an independent brute-force oracle.
+to them.  A1 and A2 read the report of ``validation.validate`` itself, the
+path the ``validate`` command runs, and A4 compares through
+``swarmdoppler.validation`` too.  Reference numbers marked "pinned" were
+computed beforehand with 40-digit arithmetic or an independent brute-force
+oracle.
 """
 import numpy as np
 import pytest
@@ -37,23 +39,21 @@ def report(tag: str, passed: bool, detail: str) -> None:
     assert passed, f"{tag}: {detail}"
 
 
-def test_a1_acf_monte_carlo_match(mavic, mavic_grid, mavic_ensemble):
-    comparison = validation.compare_acf(mavic, mavic_grid,
-                                        sd.estimate_acf(mavic_ensemble))
-    value = comparison.nrmse
-    spans = comparison.x[-1] / sd.mainlobe_width(mavic)
+def test_a1_acf_monte_carlo_match(mavic, mavic_validation):
+    acf = mavic_validation.report["acf"]
+    value = acf["nrmse"]
+    spans = acf["window_span_s"] / sd.mainlobe_width(mavic)
     report("A1", value <= ACF_NRMSE_MAX,
            f"acf nrmse {value:.4f} <= {ACF_NRMSE_MAX} over {spans:.1f} "
-           f"main-lobe widths, N={mavic_ensemble.n_realizations}")
+           f"main-lobe widths, N={mavic_validation.report['n_realizations']}")
 
 
-def test_a2_psd_monte_carlo_match(mavic, mavic_ensemble):
-    spectrum = sd.estimate_psd(sd.estimate_acf(mavic_ensemble, time_average=True))
-    comparison, _ = validation.compare_psd(mavic, spectrum)
-    value = comparison.nrmse
+def test_a2_psd_monte_carlo_match(mavic_validation):
+    psd = mavic_validation.report["psd"]
+    value = psd["nrmse"]
     report("A2", value <= PSD_NRMSE_MAX,
            f"psd nrmse {value:.4f} <= {PSD_NRMSE_MAX} over "
-           f"{comparison.x.size} support bins")
+           f"{psd['bins_compared']} support bins")
 
 
 def test_a3_truncation_cutoff(mavic):

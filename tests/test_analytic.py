@@ -12,7 +12,7 @@ import swarmdoppler as sd
 from swarmdoppler import validation
 from swarmdoppler.exceptions import DomainError, ValidationError
 from swarmdoppler.analytic import (_EPSILON, _KERNEL_REACH, _NORMAL_REACH, SQRT_TWO_PI,
-                                   _kernel_windows, _reaches)
+                                   _reaches, _windows)
 from helpers import (acf_eval_every_term, acf_eval_outer, mavic_params,
                      fit_convention_constant, psd_eval_outer, random_params,
                      transform_of_analytic_acf)
@@ -467,8 +467,8 @@ def test_evaluators_skip_only_pairs_below_2_to_the_minus_1021(swarm):
     n = np.arange(1, acf.n_terms + 1)
     # acf_eval: term n is damped by exp(-0.5*(n*u)**2), u = n_blades*speed_std*|tau|
     lags = np.linspace(0.0, 5e-2, 2001)
-    _, u, lo, hi = _kernel_windows((params.n_blades * params.speed_std) * lags, 0.0, 1.0 / n,
-                                   _NORMAL_REACH)
+    u = (params.n_blades * params.speed_std) * lags     # ascending
+    lo, hi = _windows(u, 0.0, 1.0 / n, _NORMAL_REACH)
     assert np.all(lo == 0) and hi[0] == u.size and hi[-1] < u.size
     decay = -0.5 * np.square(u)
     for k, end in zip(n, hi):
@@ -478,7 +478,8 @@ def test_evaluators_skip_only_pairs_below_2_to_the_minus_1021(swarm):
     psd = sd.build_psd(params)
     freqs = np.abs(np.linspace(*sd.psd_support(params), 2001))
     centers = np.stack([psd.centers, -psd.centers])
-    _, fs, lo, hi = _kernel_windows(freqs, centers, psd.stds, _NORMAL_REACH)
+    fs = np.sort(freqs)
+    lo, hi = _windows(fs, centers, psd.stds, _NORMAL_REACH)
     assert np.any(hi - lo < fs.size)
     for center, s, a, b in zip(centers.ravel(), np.tile(psd.stds, 2), lo.ravel(), hi.ravel()):
         outside = np.concatenate([fs[:a], fs[b:]])
@@ -559,8 +560,8 @@ def test_the_first_pass_skips_a_suffix_of_terms_below_epsilon(swarm):
     n = np.arange(1, acf.n_terms + 1)
     # acf_eval: term n runs on the lags with n*u below its reach R_n
     lags = np.linspace(0.0, 1.0, 4001)
-    _, u, _, ends = _kernel_windows((params.n_blades * params.speed_std) * lags, 0.0, 1.0 / n,
-                                    _reaches(acf.coefficients, _EPSILON))
+    u = (params.n_blades * params.speed_std) * lags     # ascending
+    _, ends = _windows(u, 0.0, 1.0 / n, _reaches(acf.coefficients, _EPSILON))
     assert ends[-1] < u.size
     # a lag past term n's window is past every later one
     assert np.all(np.diff(ends) <= 0)

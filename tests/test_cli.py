@@ -194,9 +194,6 @@ def test_commands_refuse_flags_they_do_not_read(tmp_path, argv, capsys):
      "blade/wavelength <= 159.15"),
     (["validate"], {"grid": {"n_samples": 128},             # no PSD bin survives
                     "estimator": {"n_realizations": 20, "seed": 2}}, "n_samples"),
-    # rotor speed times t_start overflows float64 (from ~3.4e305 s on mavic-like)
-    (["validate", "--n", "4000"], {"grid": {"t_start_s": 1e306}}, "t_start"),
-    (["validate", "--n", "4000"], {"grid": {"t_start_s": -1e306}}, "t_start"),
 ])
 def test_failing_command_leaves_no_output_directory(tmp_path, argv, config, message,
                                                     capsys):
@@ -208,7 +205,9 @@ def test_failing_command_leaves_no_output_directory(tmp_path, argv, config, mess
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("t_start", [1e12, 1e15])
+# on mavic-like a rotor speed times t_start overflows float64 from ~3.4e305 s
+# on: at 3.32e305 for some draws, at -1e306 for every draw
+@pytest.mark.parametrize("t_start", [1e12, 1e15, 3.32e305, -1e306])
 def test_validate_on_a_late_grid_stays_inside_the_seed_spread(tmp_path, t_start):
     # mavic-like, validate --n 4000 --workers 2: over seeds 1-3 and 5 at
     # t_start 0 the ACF nRMSE spreads over 0.030-0.074 (seed 5: 0.0488).

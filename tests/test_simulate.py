@@ -6,16 +6,17 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import swarmdoppler as sd
 from swarmdoppler import simulate, validation
 from swarmdoppler.exceptions import DomainError, FormatError, ValidationError
 from helpers import mavic_params, synthesize_paired, synthesize_per_blade, time_average_partial
-from conftest import MAVIC_N, MAVIC_SEED
+from conftest import MAVIC_N, MAVIC_SEED, N_WORKERS
 
 
 def small_grid(params, n_samples=256):
@@ -122,20 +123,43 @@ def test_synthesize_rejects_mismatched_state():
         sd.synthesize(state, mavic_params(), grid)
 
 
+def _exact_turn(speed: float, t_start: float) -> float:
+    """``fmod(speed*t_start, 2*pi)`` of the product rounded to nearest-even
+    float64 with no largest exponent, in exact rational arithmetic."""
+    product = Fraction(speed) * Fraction(t_start)
+    if product:
+        # 2**e <= |product| < 2**(e+1)
+        e = abs(product.numerator).bit_length() - product.denominator.bit_length()
+        e -= abs(product) < Fraction(2) ** e
+        ulp = Fraction(2) ** max(e - 52, -1074)
+        product = round(product / ulp) * ulp
+    period = Fraction(2.0 * np.pi)
+    rest = product - int(product / period) * period
+    return math.copysign(float(rest), speed * t_start)    # the sign of the product
+
+
 @settings(max_examples=60, deadline=None)
-@given(t_start=st.floats(min_value=-1e300, max_value=1e300),
+@given(t_start=st.floats(allow_nan=False, allow_infinity=False),
        n_blades=st.integers(1, 4), dtype=st.sampled_from([np.complex64, np.complex128]))
+@example(t_start=3.32e305, n_blades=2, dtype=np.complex64)      # overflows for some draws
+@example(t_start=-1e306, n_blades=2, dtype=np.complex64)
+@example(t_start=sys.float_info.max, n_blades=3, dtype=np.complex128)
 def test_a_late_row_is_the_row_at_zero_turned_by_its_start(t_start, n_blades, dtype):
     params = mavic_params(n_blades=n_blades)
     dt = sd.default_grid(params).dt
     angles, phases, speeds = simulate._draw(params, simulate._substreams(3, 0, 2))
+    turn = np.array([_exact_turn(speed, t_start) for speed in speeds.ravel().tolist()])
     late, turned = np.empty((2, 2, 64), dtype=dtype)
     simulate._synthesize_rows(late, angles, phases, speeds, params,
                               sd.SamplingGrid(t_start=t_start, dt=dt, n_samples=64))
-    simulate._synthesize_rows(turned, angles + np.fmod(speeds * t_start, 2.0 * np.pi),
+    simulate._synthesize_rows(turned, angles + turn.reshape(speeds.shape),
                               phases, speeds, params,
                               sd.SamplingGrid(t_start=0.0, dt=dt, n_samples=64))
     assert late.tobytes() == turned.tobytes()
+    with np.errstate(over="ignore", invalid="ignore"):
+        direct = np.fmod(speeds * t_start, 2.0 * np.pi).ravel()
+    finite = np.isfinite(direct)
+    assert turn[finite].tobytes() == direct[finite].tobytes()
 
 
 # ------------------------------------------------------- half-angle helper
@@ -1002,52 +1026,46 @@ def test_failed_container_write_leaves_the_target_as_it_was(tmp_path, full_disk)
 
 # ------------------------------------------------- statistical invariants
 
-def test_signal_mean_is_zero(mavic, mavic_grid, mavic_ensemble):
+def test_signal_mean_is_zero(mavic, mavic_grid):
     rng = np.random.default_rng(55)
-    signals = mavic_ensemble.signals
-    n = mavic_ensemble.n_realizations
-    for t in rng.integers(0, mavic_grid.n_samples, size=5):
-        column = signals[:, t].astype(np.complex128)
+    ts = rng.integers(0, mavic_grid.n_samples, size=5)
+    columns = np.concatenate(list(simulate._blocks(
+        mavic, mavic_grid, MAVIC_SEED, 0, MAVIC_N, N_WORKERS, np.dtype(np.complex64),
+        reduce=lambda rows: rows[:, ts])))
+    for column in columns.T.astype(np.complex128):
         sample_mean = column.mean()
-        spread = math.sqrt(np.mean(np.abs(column - sample_mean) ** 2) / n)
+        spread = math.sqrt(np.mean(np.abs(column - sample_mean) ** 2) / MAVIC_N)
         assert abs(sample_mean) <= 5.0 * spread
 
 
-def test_estimator_is_stationary(mavic, mavic_grid, mavic_ensemble):
+def test_estimator_is_stationary(mavic, mavic_grid):
     # two reference times must agree within three batched standard errors
     # (rms across lags)
     n_lags = 1500
     refs = (0, 2000)
     batches = 20
-    signals = mavic_ensemble.signals
-    per_batch = signals.shape[0] // batches
-    curves = []
+    per_batch = MAVIC_N // batches
+    pooled = [sd.AcfAccumulator(mavic_grid, t_ref, n_lags) for t_ref in refs]
     batch_diffs = np.empty((batches, n_lags), dtype=complex)
-    for t_ref in refs:
-        curves.append(sd.estimate_acf(mavic_ensemble, t_ref_index=t_ref,
-                                      n_lags=n_lags).y)
     for b in range(batches):
-        rows = signals[b * per_batch:(b + 1) * per_batch]
-        ens_b = sd.Ensemble(params=mavic, grid=mavic_grid, master_seed=0,
-                            signals=rows)
-        a = sd.estimate_acf(ens_b, t_ref_index=refs[0], n_lags=n_lags).y
-        c = sd.estimate_acf(ens_b, t_ref_index=refs[1], n_lags=n_lags).y
-        batch_diffs[b] = a - c
+        batch = [sd.AcfAccumulator(mavic_grid, t_ref, n_lags) for t_ref in refs]
+        sd.accumulate(mavic, mavic_grid, MAVIC_SEED, batch + pooled, b * per_batch,
+                      (b + 1) * per_batch, n_workers=N_WORKERS)
+        batch_diffs[b] = batch[0].curve().y - batch[1].curve().y
     se_diff = batch_diffs.std(axis=0, ddof=1) / math.sqrt(batches)
-    diff = curves[0] - curves[1]
+    diff = pooled[0].curve().y - pooled[1].curve().y
     rms_diff = math.sqrt(float(np.mean(np.abs(diff) ** 2)))
     rms_se = math.sqrt(float(np.mean(np.abs(se_diff) ** 2)))
     assert rms_diff <= 3.0 * rms_se
 
 
-def test_estimator_converges_like_root_n(mavic, mavic_grid, mavic_ensemble):
-    n_window = validation.acf_window(mavic, mavic_grid)
-    errors = []
+def test_estimator_converges_like_root_n(mavic, mavic_grid):
+    acc = sd.AcfAccumulator(mavic_grid, n_lags=validation.acf_window(mavic, mavic_grid))
+    errors, start = [], 0
     for n in (100, 1000, 10_000):
-        subset = sd.Ensemble(params=mavic, grid=mavic_grid, master_seed=0,
-                             signals=mavic_ensemble.signals[:n])
-        est = sd.estimate_acf(subset, n_lags=n_window)
-        errors.append(validation.compare_acf(mavic, mavic_grid, est).nrmse)
+        sd.accumulate(mavic, mavic_grid, MAVIC_SEED, [acc], start, n, n_workers=N_WORKERS)
+        errors.append(validation.compare_acf(mavic, mavic_grid, acc.curve()).nrmse)
+        start = n
     assert errors[0] > errors[1] > errors[2]
     for a, b in zip(errors, errors[1:]):
         ratio = a / b
@@ -1056,41 +1074,35 @@ def test_estimator_converges_like_root_n(mavic, mavic_grid, mavic_ensemble):
 
 def test_speed_sign_symmetry(mavic, mavic_grid):
     # negating every rotor speed must leave the second-order statistics alone
-    n = 2000
-    batches = 20
-    rows_a = np.empty((n, mavic_grid.n_samples), complex)
-    rows_b = np.empty_like(rows_a)
-    for k in range(n):
-        state = sd.sample_state(mavic, sd.realization_rng(909, k))
-        flipped = sd.SwarmState(initial_angles=state.initial_angles,
-                                projection_phases=state.projection_phases,
-                                rotor_speeds=-state.rotor_speeds)
-        rows_a[k] = sd.synthesize(state, mavic, mavic_grid)
-        rows_b[k] = sd.synthesize(flipped, mavic, mavic_grid)
+    seed = 909
     n_lags = 400
-    per_batch = n // batches
+    batches = 20
+    per_batch = 100
+    # realizations of each batch as drawn (0) and with their speeds negated (1)
+    rows = np.empty((2, per_batch, mavic_grid.n_samples), complex)
+    pooled = [sd.AcfAccumulator(mavic_grid, n_lags=n_lags) for _ in rows]
     diffs = np.empty((batches, n_lags), complex)
     for b in range(batches):
-        sl = slice(b * per_batch, (b + 1) * per_batch)
-        ens_a = sd.Ensemble(params=mavic, grid=mavic_grid, master_seed=0,
-                            signals=rows_a[sl])
-        ens_b = sd.Ensemble(params=mavic, grid=mavic_grid, master_seed=0,
-                            signals=rows_b[sl])
-        diffs[b] = sd.estimate_acf(ens_a, n_lags=n_lags).y \
-            - sd.estimate_acf(ens_b, n_lags=n_lags).y
-    full_a = sd.Ensemble(params=mavic, grid=mavic_grid, master_seed=0,
-                         signals=rows_a)
-    full_b = sd.Ensemble(params=mavic, grid=mavic_grid, master_seed=0,
-                         signals=rows_b)
-    diff = sd.estimate_acf(full_a, n_lags=n_lags).y \
-        - sd.estimate_acf(full_b, n_lags=n_lags).y
+        for i in range(per_batch):
+            state = sd.sample_state(mavic, sd.realization_rng(seed, b * per_batch + i))
+            flipped = sd.SwarmState(initial_angles=state.initial_angles,
+                                    projection_phases=state.projection_phases,
+                                    rotor_speeds=-state.rotor_speeds)
+            rows[0, i] = sd.synthesize(state, mavic, mavic_grid)
+            rows[1, i] = sd.synthesize(flipped, mavic, mavic_grid)
+        batch = [sd.AcfAccumulator(mavic_grid, n_lags=n_lags) for _ in rows]
+        for acc, signs in zip(batch + pooled, [*rows, *rows]):
+            acc.add(signs, seed)
+        diffs[b] = batch[0].curve().y - batch[1].curve().y
+    diff = pooled[0].curve().y - pooled[1].curve().y
     se = diffs.std(axis=0, ddof=1) / math.sqrt(batches)
     rms_diff = math.sqrt(float(np.mean(np.abs(diff) ** 2)))
     rms_se = math.sqrt(float(np.mean(np.abs(se) ** 2)))
     assert rms_diff <= 3.0 * rms_se
 
 
-def test_session_ensemble_provenance(mavic_ensemble):
-    assert mavic_ensemble.n_realizations == MAVIC_N
-    assert mavic_ensemble.master_seed == MAVIC_SEED
-    assert mavic_ensemble.signals.dtype == np.complex64
+def test_session_validation_provenance(mavic_validation):
+    report = mavic_validation.report
+    assert report["n_realizations"] == MAVIC_N
+    assert report["master_seed"] == MAVIC_SEED
+    assert report["acf"]["convergence"][-1]["n"] == MAVIC_N
