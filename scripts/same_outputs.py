@@ -43,6 +43,9 @@ CONFIGS = {
     "late306": {**MAVIC_LIKE, "grid": {"t_start_s": 1e306}},
     # mean/std = 11.7: every pair's mirror Gaussians overlap around DC
     "wide": {**MAVIC_LIKE, "speed_variance": 2000.0},
+    # kernel std 2.83*n rad/s on validate's bins of 11.7 rad/s: the first 8
+    # of 64 kernels are narrower than two bins
+    "narrow": {**MAVIC_LIKE, "speed_variance": 2.0},
     # blade/wavelength 148.5, near the top of the Bessel envelope
     "ratio148": {**MAVIC_LIKE, "blade_length_m": 4.455},
     # blade/wavelength 2: a short series whose density falls below 2**-35
@@ -81,6 +84,7 @@ MATRIX = {
     "validate-overflow-start": ["validate", "--config", "{late306}", "--n", "2000",
                                 "--workers", "2", "--seed", "5"],
     "validate-zero-variance": ["validate", *ZERO, "--n", "200"],
+    "validate-narrow-kernels": ["validate", "--config", "{narrow}", "--n", "2000", *PAIR],
     "psd-wide-spread": ["psd", "--config", "{wide}"],
     "acf-ratio-148": ["acf", "--config", "{ratio148}"],
     "psd-ratio-148": ["psd", "--config", "{ratio148}"],

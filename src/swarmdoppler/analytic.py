@@ -487,8 +487,8 @@ def psd_eval(psd: PsdMixture, freq):
 
 
 def psd_support(params: SwarmParams) -> tuple[float, float]:
-    """Frequency interval (rad/s) the ``psd`` curve and ``compare_psd``'s
-    mask cover: ``+-band_edge(params)``, that is
+    """Frequency interval (rad/s) the ``psd`` curve covers:
+    ``+-band_edge(params)``, that is
     ``+-(electrical_size/2) * (mean_speed + 5*speed_std)``.
 
     Not the whole spectrum: the series' higher Gaussians lie past the edge,

@@ -94,8 +94,8 @@ def derive(params: SwarmParams) -> DerivedParams:
 
 
 def band_edge(params: SwarmParams) -> float:
-    """Angular frequency (rad/s) of the band the Nyquist bound, the ``psd``
-    curve and ``compare_psd``'s mask stop at.
+    """Angular frequency (rad/s) of the band the Nyquist bound and the
+    ``psd`` curve stop at.
 
     A blade tip's Doppler shift peaks at ``mod_index * mean_speed``, with
     standard deviation ``mod_index * speed_std``; the edge is five of those

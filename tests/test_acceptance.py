@@ -53,7 +53,7 @@ def test_a2_psd_monte_carlo_match(mavic_validation):
     value = psd["nrmse"]
     report("A2", value <= PSD_NRMSE_MAX,
            f"psd nrmse {value:.4f} <= {PSD_NRMSE_MAX} over "
-           f"{psd['bins_compared']} support bins")
+           f"{psd['bins_compared']} bins")
 
 
 def test_a3_truncation_cutoff(mavic):

@@ -192,8 +192,6 @@ def test_commands_refuse_flags_they_do_not_read(tmp_path, argv, capsys):
     (["coeffs", "--l-sweep", "5000"], {}, "blade/wavelength <= 159.15"),
     (["acf", "--deterministic"], {"blade_length_m": 4.8},   # blade/wavelength 160
      "blade/wavelength <= 159.15"),
-    (["validate"], {"grid": {"n_samples": 128},             # no PSD bin survives
-                    "estimator": {"n_realizations": 20, "seed": 2}}, "n_samples"),
 ])
 def test_failing_command_leaves_no_output_directory(tmp_path, argv, config, message,
                                                     capsys):
@@ -333,7 +331,7 @@ _FLAGS = {
 }
 _FOREIGN = ["--hz", "--seed=1", "--format=json", "--deterministic", "--bogus"]
 # config documents: small and valid, beyond the Bessel envelope
-# (blade/wavelength 160), and too short for any PSD bin to survive validate
+# (blade/wavelength 160), and a 128-sample grid
 _CONFIGS = {
     "small": {"grid": {"n_samples": 256}},
     "large blades": {"blade_length_m": 4.8, "grid": {"n_samples": 256}},
