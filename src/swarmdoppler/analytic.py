@@ -349,9 +349,11 @@ class PsdMixture:
     :class:`ValidationError`); every other field is computed from it.  The
     Gaussians come in mirror pairs at ``+-n_blades*n*mean_speed`` with
     standard deviation ``speed_std*n*n_blades``; ``side_masses[n-1]`` is the
-    integral of each member of pair ``n``.  A series with zero speed
-    variance raises :class:`DomainError`: its Gaussians degenerate to Dirac
-    lines, handled by :func:`psd_line_spectrum` instead.
+    integral of each member of pair ``n``, and ``dc_weight``, the Dirac mass
+    at DC, is ``2*pi*dc_level`` in the same convention: with both members
+    of every pair it sums to ``2*pi*acf_eval(acf, 0)``.  A series with
+    zero speed variance raises :class:`DomainError`: its Gaussians
+    degenerate to Dirac lines, handled by :func:`psd_line_spectrum` instead.
     """
 
     acf: AcfSeries
@@ -374,7 +376,7 @@ class PsdMixture:
             )
         n = np.arange(1, acf.n_terms + 1, dtype=float)
         fields = dict(params=p, derived=acf.derived,
-                      dc_weight=SQRT_TWO_PI * acf.dc_level,
+                      dc_weight=2.0 * np.pi * acf.dc_level,
                       centers=p.n_blades * p.mean_speed * n,
                       stds=p.speed_std * p.n_blades * n,
                       side_masses=2.0 * np.pi * _prefactor(p) * acf.coefficients)

@@ -41,6 +41,10 @@ _FFT_ROWS = 4
 # calls hold the interpreter lock for less of each realization; 4, 8 and 16
 # ran validate-mavic equally fast
 _SUB_ROWS = 8
+# fine steps of the synthesis kernel's turn table: a rotor's angle at
+# sample k is its angle at k - k % _TURN_STEPS turned on by k % _TURN_STEPS
+# steps.  A constant, so a sample's bits depend on its index alone
+_TURN_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -136,23 +140,38 @@ def _synthesize_rows(out: np.ndarray, angles: np.ndarray, phases: np.ndarray,
     draws (see :func:`_draw`) and ``out`` is ``(n, n_samples)``, complex64
     or complex128.  Every element goes through the same operations whatever
     ``n`` is, and the rotor sum is one ``einsum`` per row, so a row does not
-    depend on the sub-block it was made in.  Every cosine and sine comes from
-    :func:`_cos_sin`, in place, of a half angle formed from halved factors.
+    depend on the sub-block it was made in, and a sample does not depend on
+    the grid's length.  Every cosine and sine comes from :func:`_cos_sin`,
+    in place, of a half angle formed from halved factors.  Each blade (or
+    blade pair) takes one tangent pass per sample: its modulation phase
+    ``m*cos(angle)`` comes from a turn table, the rotor angle at every
+    ``_TURN_STEPS``-th sample and its turn over the steps in between, in
+    one BLAS matrix product.  So the bits follow the BLAS kernel as well as
+    numpy's CPU dispatch: OpenBLAS's core without fused multiply-add
+    (``OPENBLAS_CORETYPE=Sandybridge``) rounds the products differently.
     """
     half_mod = 0.5 * derive(params).mod_index
     n_blades = params.n_blades
     paired = n_blades % 2 == 0
-    later = n_blades > 2    # blades, or blade pairs, past the first
+    n_groups = n_blades // 2 if paired else n_blades    # blades, or blade pairs
+    later = n_groups > 1
     n, n_samples = out.shape
-    # every buffer of the call in one allocation: planes of one row per rotor
-    # of every realization, then the rotor sums.  malloc keeps one large
-    # block per call for the next; several ~1 MB ones it returned to the
-    # system after each 32-row block and faulted in again (~20 page faults
-    # per realization on validate-mavic, one worker)
-    n_planes = 1 + 2 * later + (not paired) * (1 + later)
-    work = np.empty((n_planes * speeds.size + 2 * n) * n_samples)
-    planes = work[:n_planes * speeds.size * n_samples].reshape(n_planes, -1, n_samples)
-    y = work[planes.size:].view(np.complex128).reshape(n, n_samples)
+    n_rows = speeds.size
+    # coarse steps of the turn table (below): at least two, so its product
+    # is a matrix product (numpy takes one coarse row as a vector-matrix
+    # product, with other bits)
+    n_coarse = max(2, -(-n_samples // _TURN_STEPS))
+    width = n_coarse * _TURN_STEPS
+    # every buffer of the call in one allocation: planes of one padded row
+    # per rotor of every realization, then the real and imaginary rotor
+    # sums.  malloc keeps one large block per call for the next; several
+    # ~1 MB ones it returned to the system after each 32-row block and
+    # faulted in again (~20 page faults per realization on validate-mavic,
+    # one worker)
+    n_planes = 1 + later + (not paired) * (1 + later)
+    work = np.empty((n_planes * n_rows + 2 * n) * width)
+    planes = work[:n_planes * n_rows * width].reshape(n_planes, n_rows, width)
+    y_re, y_im = work[planes.size:].reshape(2, n, width)
     # each rotor's angle at the grid start, its turn over t_start reduced
     # (exactly) by fmod: the rounding of speed*t_start is one constant per
     # rotor, which the uniform start angle absorbs, and no sample time is
@@ -165,27 +184,42 @@ def _synthesize_rows(out: np.ndarray, angles: np.ndarray, phases: np.ndarray,
     turned = np.fmod(speeds * math.ldexp(grid.t_start, -k), 2.0 * np.pi)
     for _ in range(k):
         turned = np.fmod(2.0 * turned, 2.0 * np.pi)
-    # plane 0: half of every rotor's angle at every sample time, the
-    # argument :func:`_cos_sin` takes
-    half_angles = np.multiply((0.5 * speeds).reshape(-1, 1), grid.dt * np.arange(n_samples),
-                              out=planes[0])
-    half_angles += (0.5 * (angles + turned)).reshape(-1, 1)
-    # blade 0 sits at the rotor angle itself, in the half angles' own plane
-    # unless a later blade reads them; the later blades (or pairs) take
-    # their phases in one more plane, odd blade counts their sines in
-    # another and their imaginary parts in the last
-    re = _cos_sin(half_angles, planes[1] if later else half_angles)
-    re *= half_mod
-    im = None if paired else planes[-1]
+    # a rotor's angle at sample k = a*B + b (B = _TURN_STEPS) is its angle at
+    # a*B turned on by b steps, so cos(angle) comes from two tables through
+    # the angle-addition formula.  The coarse one holds, per blade (or pair)
+    # and rotor, half_mod * (cos, sin) of the angle at every a*B, from the
+    # half angle the sample a*B itself takes; the fine one holds, per rotor,
+    # (cos, -sin) of the turn over b < B steps.  One matrix product per
+    # blade writes half_mod * cos(angle) at every sample, the half angle of
+    # the blade's phasor
+    half_speeds = (0.5 * speeds).reshape(-1, 1)
+    coarse_half = np.multiply(half_speeds, grid.dt * (_TURN_STEPS * np.arange(n_coarse)))
+    coarse_half += (0.5 * (angles + turned)).reshape(-1, 1)
+    # each table's cosines and sines in contiguous planes, where _cos_sin
+    # runs about twice as fast as on interleaved columns; the product reads
+    # them as (n_rows, n_coarse, 2) and (n_rows, 2, _TURN_STEPS) stacks
+    coarse = np.empty((n_groups, 2, n_rows, n_coarse))
+    for j in range(n_groups):
+        half = coarse_half + 0.5 * (2.0 * np.pi * j / n_blades) if j else coarse_half
+        _cos_sin(half, coarse[j, 0], coarse[j, 1])
+    coarse *= half_mod
+    coarse = coarse.transpose(0, 2, 3, 1)
+    fine = np.empty((2, n_rows, _TURN_STEPS))
+    _cos_sin(np.multiply(half_speeds, grid.dt * np.arange(_TURN_STEPS)), fine[0], fine[1])
+    np.negative(fine[1], out=fine[1])
+    fine = fine.transpose(1, 0, 2)
+    # blade 0 in plane 0; the later blades (or pairs) take theirs in one
+    # more plane, odd blade counts their sines in another and their
+    # imaginary parts in the last
+    re, im = planes[0], None if paired else planes[-1]
+    np.matmul(coarse[0], fine, out=re.reshape(n_rows, n_coarse, _TURN_STEPS))
     _cos_sin(re, re, im)
     if not paired:
         np.subtract(0.0, im, out=im)    # not -sin: a zero sine stays +0.0
-    phase = planes[2] if later else None
-    sine = planes[3] if later and not paired else None
-    for b in range(1, n_blades // 2 if paired else n_blades):
-        np.add(half_angles, 0.5 * (2.0 * np.pi * b / n_blades), out=phase)
-        _cos_sin(phase, phase)
-        phase *= half_mod
+    phase = planes[1] if later else None
+    sine = planes[2] if later and not paired else None
+    for j in range(1, n_groups):
+        np.matmul(coarse[j], fine, out=phase.reshape(n_rows, n_coarse, _TURN_STEPS))
         _cos_sin(phase, phase, sine)
         if not paired:
             im -= sine
@@ -196,18 +230,18 @@ def _synthesize_rows(out: np.ndarray, angles: np.ndarray, phases: np.ndarray,
     neg_sin_p = np.empty_like(cos_p)
     _cos_sin(cos_p, cos_p, neg_sin_p)
     np.negative(neg_sin_p, out=neg_sin_p)
-    re = re.reshape(n, cos_p.shape[1], -1)
-    np.einsum("bk,bkt->bt", cos_p, re, out=y.real)
-    np.einsum("bk,bkt->bt", neg_sin_p, re, out=y.imag)
+    re = re.reshape(n, cos_p.shape[1], width)
+    np.einsum("bk,bkt->bt", cos_p, re, out=y_re)
+    np.einsum("bk,bkt->bt", neg_sin_p, re, out=y_im)
     if not paired:
         im = im.reshape(re.shape)
-        # past one blade, each sum of the imaginary parts goes through the
-        # spent blade-phase plane
-        term = None if phase is None else phase[:n]
-        y.real -= np.einsum("bk,bkt->bt", neg_sin_p, im, out=term)
-        y.imag += np.einsum("bk,bkt->bt", cos_p, im, out=term)
-    np.multiply((2.0 if paired else 1.0) * params.gain_magnitude, y, out=out,
-                casting="same_kind")
+        # each sum of the imaginary parts goes through the spent plane 0
+        term = planes[0, :n]
+        y_re -= np.einsum("bk,bkt->bt", neg_sin_p, im, out=term)
+        y_im += np.einsum("bk,bkt->bt", cos_p, im, out=term)
+    scale = (2.0 if paired else 1.0) * params.gain_magnitude
+    np.multiply(y_re[:, :n_samples], scale, out=out.real, casting="same_kind")
+    np.multiply(y_im[:, :n_samples], scale, out=out.imag, casting="same_kind")
 
 
 def synthesize(state: SwarmState, params: SwarmParams, grid: SamplingGrid) -> np.ndarray:
@@ -221,8 +255,14 @@ def synthesize(state: SwarmState, params: SwarmParams, grid: SamplingGrid) -> np
     With an even blade count, blade ``b + n_blades/2`` is half a turn from
     blade ``b``, so its phasor is the complex conjugate and the pair sums to
     the real ``2*cos(m*cos(angle))``.  Odd blade counts take the real and
-    imaginary parts blade by blade.  This is the one-realization case of the
-    sub-block kernel that ensembles and streamed estimates run.  Sample
+    imaginary parts blade by blade.  Each blade, or pair, takes one tangent
+    pass per sample, for its phasor: ``(m/2)*cos(angle)`` comes from the
+    rotor angle at every 64th sample and its turn over the samples in
+    between, by angle addition in one matrix product.  This is the
+    one-realization case of the sub-block kernel that ensembles and
+    streamed estimates run.  Its bits follow numpy's CPU dispatch and the
+    BLAS kernel: for OpenBLAS, the core type, which ``OPENBLAS_CORETYPE``
+    may set.  Sample
     times run from ``grid.t_start``, and any finite start synthesizes: each
     rotor's turn over it is ``fmod(speed*t_start, 2*pi)`` of the rounded
     product, reduced exactly even where that product overflows float64.

@@ -56,29 +56,43 @@ def synthesize_per_blade(state: sd.SwarmState, params: sd.SwarmParams,
 
 def synthesize_paired(state: sd.SwarmState, params: sd.SwarmParams,
                       grid: sd.SamplingGrid) -> np.ndarray:
-    """The paired-blade sum of one realization, written out step by step.
+    """The paired-blade sum of one realization, written out rotor by rotor.
 
     The bit-exact reference for the sub-block kernel behind
     :func:`swarmdoppler.synthesize`, which must take the same operations
-    element by element and row by row, every cosine and sine from the
-    kernel's half-angle tangent helper given the halved angle.
+    element by element and row by row: every cosine and sine from the
+    kernel's half-angle tangent helper given the halved angle, and each
+    rotor angle at sample ``k = a*B + b`` from a coarse table at ``a*B``
+    times a fine table over ``b`` steps, one matrix product per blade and
+    rotor.  Grid starts whose turn ``speed*t_start`` overflows are not
+    covered.
     """
     cos_sin = sd.simulate._cos_sin
-    mod_index = sd.derive(params).mod_index
+    steps = sd.simulate._TURN_STEPS
+    half_mod = 0.5 * sd.derive(params).mod_index
     n_blades = params.n_blades
     paired = n_blades % 2 == 0
-    angles = state.initial_angles.reshape(-1, 1) \
-        + state.rotor_speeds.reshape(-1, 1) * grid.times()
-    re = im = 0.0
-    for b in range(n_blades // 2 if paired else n_blades):
-        phase = cos_sin(0.5 * (angles + 2.0 * np.pi * b / n_blades), np.empty_like(angles))
-        phase *= mod_index
-        sine = np.empty_like(phase)
-        cos_sin(0.5 * phase, phase, sine)
-        re = re + phase
-        if not paired:
-            im = im - sine
-    cos_p, sin_p = np.empty(state.projection_phases.size), np.empty(state.projection_phases.size)
+    n_coarse = max(2, -(-grid.n_samples // steps))
+    speeds = state.rotor_speeds.ravel()
+    starts = state.initial_angles.ravel() + np.fmod(speeds * grid.t_start, 2.0 * np.pi)
+    re = np.zeros((speeds.size, grid.n_samples))
+    im = np.zeros_like(re)
+    for rotor, (start, speed) in enumerate(zip(starts, speeds)):
+        fine_cos, fine_sin = np.empty(steps), np.empty(steps)
+        cos_sin(0.5 * speed * (grid.dt * np.arange(steps)), fine_cos, fine_sin)
+        fine = np.stack([fine_cos, -fine_sin])
+        rotor_half = 0.5 * speed * (grid.dt * (steps * np.arange(n_coarse))) + 0.5 * start
+        for b in range(n_blades // 2 if paired else n_blades):
+            half = rotor_half + 0.5 * (2.0 * np.pi * b / n_blades) if b else rotor_half
+            coarse_cos, coarse_sin = np.empty(n_coarse), np.empty(n_coarse)
+            cos_sin(half, coarse_cos, coarse_sin)
+            coarse = half_mod * np.stack([coarse_cos, coarse_sin], axis=1)
+            phase = (coarse @ fine).ravel()[:grid.n_samples]
+            sine = np.empty_like(phase)
+            cos_sin(phase, phase, sine)
+            re[rotor] += phase
+            im[rotor] -= sine
+    cos_p, sin_p = np.empty(speeds.size), np.empty(speeds.size)
     cos_sin(0.5 * state.projection_phases.ravel(), cos_p, sin_p)
     y = np.empty(grid.n_samples, dtype=np.complex128)
     y.real = np.einsum("k,kt->t", cos_p, re)

@@ -196,8 +196,7 @@ def test_build_psd_reference_kernels():
     n = np.arange(1, psd.centers.size + 1)
     assert np.array_equal(psd.centers, 1046.0 * n)
     assert np.array_equal(psd.stds, params.speed_std * 2.0 * n)
-    assert psd.dc_weight == pytest.approx(math.sqrt(2 * math.pi) * MAVIC_DC_LEVEL,
-                                          rel=1e-11)
+    assert psd.dc_weight == pytest.approx(2 * math.pi * MAVIC_DC_LEVEL, rel=1e-11)
     # the cutoff kernel sits at the band edge mean_speed * size/2
     cutoff = sd.truncation_index(sd.derive(params).electrical_size, params.n_blades)
     edge = sd.derive(params).mod_index * params.mean_speed
@@ -231,7 +230,17 @@ def test_build_psd_fields_are_the_mixture_formulas_of_the_series():
         assert np.array_equal(psd.centers, params.n_blades * params.mean_speed * n)
         assert np.array_equal(psd.stds, params.speed_std * params.n_blades * n)
         assert np.array_equal(psd.side_masses, 2.0 * np.pi * scale * acf.coefficients)
-        assert psd.dc_weight == math.sqrt(2.0 * math.pi) * acf.dc_level
+        assert psd.dc_weight == 2.0 * np.pi * acf.dc_level
+
+
+@pytest.mark.parametrize("overrides", [{}, {"n_blades": 3}, {"speed_variance": 400.0}])
+def test_the_mixture_holds_the_transform_of_the_whole_acf(overrides):
+    # the Dirac mass plus both members of every pair is the total mass of
+    # the plain transform of the autocorrelation: 2*pi times its value at 0
+    acf = sd.build_acf(mavic_params(**overrides))
+    psd = sd.PsdMixture(acf)
+    total = psd.dc_weight + 2.0 * np.sum(psd.side_masses)
+    assert total == pytest.approx(2.0 * np.pi * sd.acf_eval(acf, 0.0), rel=1e-12)
 
 
 def test_psd_eval_symmetry_is_exact():

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import math
 import os
@@ -98,7 +99,8 @@ def test_synthesize_amplitude_bound():
 
 # The per-blade form rounds angle + 2*pi*b/n_blades near 150 rad (spacing
 # 2.8e-14) and multiplies by mod_index 88, so each blade may move by ~2.5e-12;
-# measured: 2.9e-13 per scatterer for even blade counts, 1.1e-14 for odd.
+# measured against the kernel's turn table: 1.3e-12, 1.0e-12, 7.4e-13 and
+# 5.8e-13 per scatterer for 1-4 blades.
 KERNEL_TOL_PER_SCATTERER = 2.5e-12
 
 
@@ -162,15 +164,82 @@ def test_a_late_row_is_the_row_at_zero_turned_by_its_start(t_start, n_blades, dt
     assert turn[finite].tobytes() == direct[finite].tobytes()
 
 
+_LONG_DOUBLE_IS_WIDER = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
+
+
+def _long_double_row(angles, phases, speeds, turns, params, grid):
+    """One realization's return in long double at exact angles: rotor r of
+    blade b at sample k sits at ``angles[r] + turns[r] + speeds[r]*k*dt +
+    2*pi*b/n_blades``, every input taken as the exact value of its double."""
+    ld = np.longdouble
+    times = ld(grid.dt) * np.arange(grid.n_samples, dtype=ld)
+    rotor = (angles.astype(ld) + turns.astype(ld))[:, None] + speeds.astype(ld)[:, None] * times
+    two_pi = 2 * np.arccos(ld(-1))
+    mod_index = ld(sd.derive(params).mod_index)
+    re = im = ld(0)
+    for b in range(params.n_blades):
+        phase = mod_index * np.cos(rotor + two_pi * b / params.n_blades)
+        re, im = re + np.cos(phase), im - np.sin(phase)
+    cos_p, sin_p = np.cos(phases.astype(ld))[:, None], np.sin(phases.astype(ld))[:, None]
+    gain = ld(params.gain_magnitude)
+    return (gain * np.sum(cos_p * re + sin_p * im, axis=0),
+            gain * np.sum(cos_p * im - sin_p * re, axis=0))
+
+
+# the bound is the per-blade test's, fixed before this test first ran: one
+# unit in the last place of the largest angle times the modulation index per
+# scatterer.  Each table sample's angle takes the roundings of the angle the
+# per-sample form took at a*B, plus that of the turn over b steps
+@pytest.mark.skipif(not _LONG_DOUBLE_IS_WIDER,
+                    reason="long double is float64 here: no more precise reference")
+@pytest.mark.parametrize("t_start", [0.0, 1e12])
+@pytest.mark.parametrize("n_blades", [1, 2, 3, 4])
+def test_kernel_is_within_tolerance_of_long_double_at_exact_angles(n_blades, t_start):
+    params = mavic_params(n_drones=2, n_blades=n_blades, gain_magnitude=1.3)
+    default = sd.default_grid(params)
+    grid = sd.SamplingGrid(t_start=t_start, dt=default.dt, n_samples=default.n_samples)
+    angles, phases, speeds = simulate._draw(params, simulate._substreams(3, 0, 2))
+    rows = np.empty((2, grid.n_samples), dtype=np.complex128)
+    simulate._synthesize_rows(rows, angles, phases, speeds, params, grid)
+    scatterers = params.n_drones * params.n_rotors * n_blades
+    tol = KERNEL_TOL_PER_SCATTERER * params.gain_magnitude * scatterers
+    for row, angle, phase, speed in zip(rows, angles, phases, speeds):
+        # the kernel's turn over t_start, exact: what the start angle absorbs
+        turns = np.array([_exact_turn(v, t_start) for v in speed.ravel().tolist()])
+        re, im = _long_double_row(angle.ravel(), phase.ravel(), speed.ravel(), turns,
+                                  params, grid)
+        assert np.max(np.hypot(row.real - re, row.imag - im)) <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_samples=st.integers(1, 5000), extra=st.integers(1, 3000), n_blades=st.integers(1, 4),
+       n_drones=st.integers(1, 2), dtype=st.sampled_from([np.complex64, np.complex128]),
+       t_start=st.sampled_from([0.0, 0.25, 1e12]), seed=st.integers(0, 2 ** 64 - 1))
+@example(n_samples=64, extra=1, n_blades=2, n_drones=1, dtype=np.complex128, t_start=0.0,
+         seed=0)     # one coarse step, and the first sample of the next
+def test_a_row_is_the_prefix_of_the_same_row_on_a_longer_grid(n_samples, extra, n_blades,
+                                                              n_drones, dtype, t_start,
+                                                              seed):
+    # a sample's bits depend on its index alone, not on the grid's length
+    params = mavic_params(n_drones=n_drones, n_blades=n_blades)
+    dt = sd.default_grid(params).dt
+    draws = simulate._draw(params, simulate._substreams(seed, 0, 3))
+    short = np.empty((3, n_samples), dtype=dtype)
+    simulate._synthesize_rows(short, *draws, params,
+                              sd.SamplingGrid(t_start=t_start, dt=dt, n_samples=n_samples))
+    longer = np.empty((3, n_samples + extra), dtype=dtype)
+    simulate._synthesize_rows(longer, *draws, params,
+                              sd.SamplingGrid(t_start=t_start, dt=dt,
+                                              n_samples=n_samples + extra))
+    assert short.tobytes() == np.ascontiguousarray(longer[:, :n_samples]).tobytes()
+
+
 # ------------------------------------------------------- half-angle helper
 
 def _cos_and_sin(x):
     c, s = np.empty_like(x), np.empty_like(x)
     simulate._cos_sin(0.5 * x, c, s)     # the helper takes the half angle
     return c, s
-
-
-_LONG_DOUBLE_IS_WIDER = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
 
 
 def _kernel_arguments():
@@ -221,20 +290,18 @@ def test_cos_sin_gives_an_element_the_same_bits_anywhere():
         assert (c_out.tobytes(), s_out.tobytes()) == (c[view].tobytes(), s[view].tobytes())
 
 
-def test_cos_sin_and_the_kernel_hold_on_numpys_libm_tangent():
-    # numpy's SIMD tangent needs AVX-512; without it np.tan calls libm
-    features = pytest.importorskip("numpy._core._multiarray_umath")
-    if "X86_V4" not in getattr(features, "__cpu_dispatch__", ()):
-        pytest.skip("this numpy build has no X86_V4 dispatch to turn off")
+_KERNEL_TESTS = ("test_synthesize_matches_per_blade_reference",
+                 "test_kernel_is_within_tolerance_of_long_double_at_exact_angles")
+
+
+def _rerun(tests, env, check):
+    """Run ``tests`` of this module in a fresh interpreter with ``env``
+    added, after the statement ``check`` holds there."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    script = (
-        "import sys, pytest\n"
-        "from numpy._core._multiarray_umath import __cpu_features__ as f\n"
-        "assert not f['X86_V4'], 'X86_V4 still on'\n"
-        "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider',"
-        " 'tests/test_simulate.py::test_cos_sin_is_within_4_5e_16_of_long_double',"
-        " 'tests/test_simulate.py::test_synthesize_matches_per_blade_reference']))\n")
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
+    script = (f"import sys, pytest\n{check}\n"
+              "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', "
+              + ", ".join(f"'tests/test_simulate.py::{test}'" for test in tests) + "]))\n")
+    env = dict(os.environ, **env,
                PYTHONPATH=os.pathsep.join(filter(None, [os.path.join(root, "src"),
                                                         os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", script], cwd=root, env=env,
@@ -242,6 +309,45 @@ def test_cos_sin_and_the_kernel_hold_on_numpys_libm_tangent():
     assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
     if _LONG_DOUBLE_IS_WIDER:
         assert "skipped" not in run.stdout, run.stdout[-3000:]
+
+
+def test_cos_sin_and_the_kernel_hold_on_numpys_libm_tangent():
+    # numpy's SIMD tangent needs AVX-512; without it np.tan calls libm
+    features = pytest.importorskip("numpy._core._multiarray_umath")
+    if "X86_V4" not in getattr(features, "__cpu_dispatch__", ()):
+        pytest.skip("this numpy build has no X86_V4 dispatch to turn off")
+    _rerun(("test_cos_sin_is_within_4_5e_16_of_long_double", *_KERNEL_TESTS),
+           {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+           "from numpy._core._multiarray_umath import __cpu_features__ as f\n"
+           "assert not f['X86_V4'], 'X86_V4 still on'")
+
+
+def _openblas_core():
+    """The name of the OpenBLAS core numpy's matrix products run on, or None."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+        for path in paths:
+            for symbol in ("openblas_get_corename", "openblas_get_corename64_",
+                           "scipy_openblas_get_corename64_"):
+                corename = getattr(ctypes.CDLL(path), symbol, None)
+                if corename is not None:
+                    corename.argtypes, corename.restype = [], ctypes.c_char_p
+                    return corename().decode()
+    except OSError:
+        pass
+    return None
+
+
+def test_the_kernel_holds_on_openblas_without_fma():
+    # the turn table's products run in BLAS gemm; OpenBLAS's Sandybridge core
+    # has no fused multiply-add and gives other bits than FMA cores
+    if _openblas_core() is None:
+        pytest.skip("numpy's matrix products do not run on an OpenBLAS that names its core")
+    _rerun(_KERNEL_TESTS, {"OPENBLAS_CORETYPE": "Sandybridge"},
+           "sys.path.insert(0, 'tests')\n"
+           "from test_simulate import _openblas_core\n"
+           "assert _openblas_core() == 'Sandybridge', _openblas_core()")
 
 
 # ---------------------------------------------------------------- ensembles
@@ -835,7 +941,9 @@ def test_load_ensemble_holds_the_payload_once(tmp_path):
 
 # traced peak of one mavic-like validate block by blade count: below 3 MB
 # with two blades, and else no higher than with one (32, fft_len) transform
-# buffer per block (5.42, 6.92 and 5.42 MB; 2-vCPU Xeon, numpy 2.4.6)
+# buffer per block (5.42, 6.92 and 5.42 MB; 2-vCPU Xeon, numpy 2.4.6).
+# Measured with the kernel's turn table: 3.83, 2.79, 5.97 and 3.87 MB for
+# 1-4 blades (the per-sample form: 3.85, 2.70, 6.80 and 4.75)
 @pytest.mark.parametrize("n_blades, bound_mb", [(1, 5.42), (2, 3.0), (3, 6.92), (4, 5.42)])
 def test_one_validate_block_working_set(n_blades, bound_mb):
     params = mavic_params(n_blades=n_blades)
