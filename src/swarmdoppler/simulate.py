@@ -2,9 +2,16 @@
 
 Each realization draws initial blade angles and projection phases uniformly
 on [0, 2*pi) and rotor speeds from a Gaussian, then sums unit scatterer
-returns coherently.  Realization ``k`` of an ensemble is generated from a
-substream derived deterministically from ``(master_seed, k)``, so ensembles
-are bit-identical regardless of worker count or scheduling.
+returns coherently.  Realization ``k`` of an ensemble is generated from the
+PCG64 substream of ``SeedSequence(master_seed, spawn_key=(k,))``, so
+ensembles are bit-identical regardless of worker count or scheduling.  A
+block's generators are seeded from words computed for all its realizations
+at once; :func:`realization_rng` builds one through numpy's own chain.
+
+The synthesis kernel forms each blade's modulation phase from a turn table
+in BLAS matrix products, takes one tangent pass per blade (or blade pair)
+and sample for its phasor, and rotates, scales and sums the rotors in one
+matrix product per realization and turn-table row.
 """
 from __future__ import annotations
 
@@ -14,7 +21,7 @@ import os
 import struct
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -38,8 +45,11 @@ _CHUNK_ROWS = 32
 # complex128 buffer, 512 KB at validate-mavic's fft_len of 8192
 _FFT_ROWS = 4
 # realizations per synthesis kernel call inside a block: fewer, longer numpy
-# calls hold the interpreter lock for less of each realization; 4, 8 and 16
-# ran validate-mavic equally fast
+# calls hold the interpreter lock for less of each realization.  With each
+# block seeded in one pass and the rotor sum as BLAS products,
+# validate-mavic (in process, 2 workers) took 1.94 s with 4 (median of 5),
+# 1.61 s with 8 and 1.44 s with 16 (11 each); 16 doubles the kernel's
+# working set per call
 _SUB_ROWS = 8
 # fine steps of the synthesis kernel's turn table: a rotor's angle at
 # sample k is its angle at k - k % _TURN_STEPS turned on by k % _TURN_STEPS
@@ -139,15 +149,18 @@ def _synthesize_rows(out: np.ndarray, angles: np.ndarray, phases: np.ndarray,
     ``angles``, ``phases`` and ``speeds`` are ``(n, n_drones, n_rotors)``
     draws (see :func:`_draw`) and ``out`` is ``(n, n_samples)``, complex64
     or complex128.  Every element goes through the same operations whatever
-    ``n`` is, and the rotor sum is one ``einsum`` per row, so a row does not
+    ``n`` is, and each product has one shape per swarm, so a row does not
     depend on the sub-block it was made in, and a sample does not depend on
     the grid's length.  Every cosine and sine comes from :func:`_cos_sin`,
     in place, of a half angle formed from halved factors.  Each blade (or
     blade pair) takes one tangent pass per sample: its modulation phase
     ``m*cos(angle)`` comes from a turn table, the rotor angle at every
     ``_TURN_STEPS``-th sample and its turn over the steps in between, in
-    one BLAS matrix product.  So the bits follow the BLAS kernel as well as
-    numpy's CPU dispatch: OpenBLAS's core without fused multiply-add
+    one BLAS matrix product.  The rotors are rotated by their projection
+    phases, scaled and summed by BLAS products too, of ``(2, rotors)``
+    weights with ``_TURN_STEPS`` columns of the rotor planes at a time.  So
+    the bits follow the BLAS kernel as well as numpy's CPU dispatch:
+    OpenBLAS's core without fused multiply-add
     (``OPENBLAS_CORETYPE=Sandybridge``) rounds the products differently.
     """
     half_mod = 0.5 * derive(params).mod_index
@@ -162,16 +175,21 @@ def _synthesize_rows(out: np.ndarray, angles: np.ndarray, phases: np.ndarray,
     # product, with other bits)
     n_coarse = max(2, -(-n_samples // _TURN_STEPS))
     width = n_coarse * _TURN_STEPS
-    # every buffer of the call in one allocation: planes of one padded row
-    # per rotor of every realization, then the real and imaginary rotor
-    # sums.  malloc keeps one large block per call for the next; several
-    # ~1 MB ones it returned to the system after each 32-row block and
-    # faulted in again (~20 page faults per realization on validate-mavic,
-    # one worker)
-    n_planes = 1 + later + (not paired) * (1 + later)
-    work = np.empty((n_planes * n_rows + 2 * n) * width)
-    planes = work[:n_planes * n_rows * width].reshape(n_planes, n_rows, width)
-    y_re, y_im = work[planes.size:].reshape(2, n, width)
+    n_rotors = n_rows // n     # of one realization
+    # every buffer of the call in one allocation: per realization, the rotor
+    # planes the rotor sum reads, one padded row per rotor of the real parts
+    # and, with an odd blade count, of the imaginary parts after them; then
+    # the later blades' phase (and sine) planes and the rotor sums.  malloc
+    # keeps one large block per call for the next; several ~1 MB ones it
+    # returned to the system after each 32-row block and faulted in again
+    # (~20 page faults per realization on validate-mavic, one worker)
+    n_parts = 1 if paired else 2
+    n_later = later * n_parts
+    work = np.empty(((n_parts + n_later) * n_rows + 2 * n) * width)
+    parts = work[:n_parts * n_rows * width].reshape(n, n_parts * n_rotors, width)
+    spare = work[parts.size:parts.size + n_later * n_rows * width].reshape(
+        n_later, n, n_rotors, width)
+    sums = work[parts.size + spare.size:].reshape(n, 2, width)
     # each rotor's angle at the grid start, its turn over t_start reduced
     # (exactly) by fmod: the rounding of speed*t_start is one constant per
     # rotor, which the uniform start angle absorbs, and no sample time is
@@ -197,51 +215,56 @@ def _synthesize_rows(out: np.ndarray, angles: np.ndarray, phases: np.ndarray,
     coarse_half += (0.5 * (angles + turned)).reshape(-1, 1)
     # each table's cosines and sines in contiguous planes, where _cos_sin
     # runs about twice as fast as on interleaved columns; the product reads
-    # them as (n_rows, n_coarse, 2) and (n_rows, 2, _TURN_STEPS) stacks
+    # them as (n, rotors, n_coarse, 2) and (n, rotors, 2, _TURN_STEPS) stacks
     coarse = np.empty((n_groups, 2, n_rows, n_coarse))
     for j in range(n_groups):
         half = coarse_half + 0.5 * (2.0 * np.pi * j / n_blades) if j else coarse_half
         _cos_sin(half, coarse[j, 0], coarse[j, 1])
     coarse *= half_mod
-    coarse = coarse.transpose(0, 2, 3, 1)
+    coarse = coarse.transpose(0, 2, 3, 1).reshape(n_groups, n, n_rotors, n_coarse, 2)
     fine = np.empty((2, n_rows, _TURN_STEPS))
     _cos_sin(np.multiply(half_speeds, grid.dt * np.arange(_TURN_STEPS)), fine[0], fine[1])
     np.negative(fine[1], out=fine[1])
-    fine = fine.transpose(1, 0, 2)
-    # blade 0 in plane 0; the later blades (or pairs) take theirs in one
-    # more plane, odd blade counts their sines in another and their
-    # imaginary parts in the last
-    re, im = planes[0], None if paired else planes[-1]
-    np.matmul(coarse[0], fine, out=re.reshape(n_rows, n_coarse, _TURN_STEPS))
+    fine = fine.transpose(1, 0, 2).reshape(n, n_rotors, 2, _TURN_STEPS)
+    tables = (n, n_rotors, n_coarse, _TURN_STEPS)
+    # blade 0 in the real parts; the later blades (or pairs) take theirs in
+    # a spare plane, odd blade counts their sines in another and their
+    # imaginary parts beside the real ones
+    re = parts[:, :n_rotors]
+    im = None if paired else parts[:, n_rotors:]
+    np.matmul(coarse[0], fine, out=re.reshape(tables))
     _cos_sin(re, re, im)
     if not paired:
         np.subtract(0.0, im, out=im)    # not -sin: a zero sine stays +0.0
-    phase = planes[1] if later else None
-    sine = planes[2] if later and not paired else None
+    phase = spare[0] if later else None
+    sine = spare[1] if later and not paired else None
     for j in range(1, n_groups):
-        np.matmul(coarse[j], fine, out=phase.reshape(n_rows, n_coarse, _TURN_STEPS))
+        np.matmul(coarse[j], fine, out=phase.reshape(tables))
         _cos_sin(phase, phase, sine)
         if not paired:
             im -= sine
         re += phase
-    # rotate each rotor by exp(-1j * projection phase) and sum the rotors;
-    # the sines are negated once per rotor, not once per sample
-    cos_p = np.multiply(phases.reshape(n, -1), 0.5)
-    neg_sin_p = np.empty_like(cos_p)
-    _cos_sin(cos_p, cos_p, neg_sin_p)
-    np.negative(neg_sin_p, out=neg_sin_p)
-    re = re.reshape(n, cos_p.shape[1], width)
-    np.einsum("bk,bkt->bt", cos_p, re, out=y_re)
-    np.einsum("bk,bkt->bt", neg_sin_p, re, out=y_im)
-    if not paired:
-        im = im.reshape(re.shape)
-        # each sum of the imaginary parts goes through the spent plane 0
-        term = planes[0, :n]
-        y_re -= np.einsum("bk,bkt->bt", neg_sin_p, im, out=term)
-        y_im += np.einsum("bk,bkt->bt", cos_p, im, out=term)
+    # rotate each rotor by exp(-1j * projection phase), scale and sum the
+    # rotors by one matrix product per realization and turn-table row: the
+    # weights of a rotor's real part are (cos, -sin) of its phase and, with
+    # an odd blade count, those of its imaginary part (sin, cos).  Every
+    # product has the one shape (2, rotors) @ (rotors, _TURN_STEPS), so a
+    # sum's bits depend neither on the grid's length nor on how BLAS would
+    # split one longer product over its threads
     scale = (2.0 if paired else 1.0) * params.gain_magnitude
-    np.multiply(y_re[:, :n_samples], scale, out=out.real, casting="same_kind")
-    np.multiply(y_im[:, :n_samples], scale, out=out.imag, casting="same_kind")
+    weights = np.empty((n, 2, n_parts, n_rotors))
+    cos_p, sin_p = weights[:, 0, 0], weights[:, 1, 0]
+    _cos_sin(np.multiply(phases.reshape(n, n_rotors), 0.5), cos_p, sin_p)
+    weights[:, :, 0] *= scale
+    if not paired:
+        weights[:, 0, 1] = sin_p
+        weights[:, 1, 1] = cos_p
+    np.negative(sin_p, out=sin_p)
+    np.matmul(weights.reshape(n, 1, 2, -1),
+              parts.reshape(n, -1, n_coarse, _TURN_STEPS).transpose(0, 2, 1, 3),
+              out=sums.reshape(n, 2, n_coarse, _TURN_STEPS).transpose(0, 2, 1, 3))
+    np.copyto(out.real, sums[:, 0, :n_samples], casting="same_kind")
+    np.copyto(out.imag, sums[:, 1, :n_samples], casting="same_kind")
 
 
 def synthesize(state: SwarmState, params: SwarmParams, grid: SamplingGrid) -> np.ndarray:
@@ -258,7 +281,8 @@ def synthesize(state: SwarmState, params: SwarmParams, grid: SamplingGrid) -> np
     imaginary parts blade by blade.  Each blade, or pair, takes one tangent
     pass per sample, for its phasor: ``(m/2)*cos(angle)`` comes from the
     rotor angle at every 64th sample and its turn over the samples in
-    between, by angle addition in one matrix product.  This is the
+    between, by angle addition in one matrix product.  The rotors are
+    rotated, scaled and summed by matrix products too.  This is the
     one-realization case of the sub-block kernel that ensembles and
     streamed estimates run.  Its bits follow numpy's CPU dispatch and the
     BLAS kernel: for OpenBLAS, the core type, which ``OPENBLAS_CORETYPE``
@@ -309,18 +333,21 @@ class Ensemble:
 
 
 def realization_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Deterministic substream for realization ``index`` of ``master_seed``."""
+    """Deterministic substream for realization ``index`` of ``master_seed``:
+    PCG64 seeded by ``SeedSequence(master_seed, spawn_key=(index,))``."""
     master_seed = _checked_int(master_seed, "master_seed", low=0, high=_SEED_MAX)
     index = _checked_int(index, "index", low=0)
-    return _substreams(master_seed, index, index + 1)[0]
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(master_seed,
+                                                                      spawn_key=(index,))))
 
 
 def _substreams(master_seed: int, start: int, stop: int) -> list:
-    """Generators of realizations ``[start, stop)`` of ``master_seed``."""
-    # what default_rng builds from a SeedSequence, without its dispatch
-    return [np.random.Generator(np.random.PCG64(np.random.SeedSequence(master_seed,
-                                                                      spawn_key=(k,))))
-            for k in range(start, stop)]
+    """Generators of realizations ``[start, stop)`` of ``master_seed``, each
+    with the stream of :func:`realization_rng`, seeded in one pass (see
+    :mod:`swarmdoppler._seeding`)."""
+    # imported here, so that importing the package does not import numpy.random
+    from ._seeding import generators
+    return generators(master_seed, start, stop)
 
 
 def _blocks(params: SwarmParams, grid: SamplingGrid, master_seed: int, start: int,
@@ -332,7 +359,8 @@ def _blocks(params: SwarmParams, grid: SamplingGrid, master_seed: int, start: in
     before any realization is made, and returns a generator of the reduced
     blocks, in order.  Block ``j`` holds realizations
     ``[start + j*B, start + (j+1)*B)`` with ``B = block_rows``, drawn all
-    at once, synthesized ``_SUB_ROWS`` at a time by one kernel call and
+    at once from generators seeded in one pass (see :func:`_substreams`),
+    synthesized ``_SUB_ROWS`` at a time by one kernel call and
     rounded to ``dtype``: each row has the bits of
     ``synthesize(sample_state(params, realization_rng(master_seed, k)),
     params, grid)`` rounded alone.  The block is built and reduced on one of
@@ -530,15 +558,21 @@ def accumulate(params: SwarmParams, grid: SamplingGrid, master_seed: int,
     ``start`` 0 they equal :func:`estimate_acf` over the stored ensemble.
     Consecutive ranges add the same realizations as their union, bit for
     bit when each split is a multiple of the block size (32) from ``start``.
+    Unless an accumulator is a time average, only the samples the estimates
+    read are made: the rows are the grid's first ``max(t_ref_index +
+    n_lags)`` samples, which are the full rows' bits.
     """
     accumulators = list(accumulators)
     if any(acc.grid != grid for acc in accumulators):
         raise ValidationError(f"every accumulator must be on the simulated grid {grid}")
+    read = max((grid.n_samples if acc.time_average else acc.t_ref_index + acc.n_lags
+                for acc in accumulators), default=grid.n_samples)
 
     def reduce(rows):
         return rows.shape[0], [acc._partial(rows) for acc in accumulators]
 
-    for n_rows, partials in _blocks(params, grid, master_seed, start, stop, n_workers,
+    for n_rows, partials in _blocks(params, replace(grid, n_samples=read),
+                                    master_seed, start, stop, n_workers,
                                     np.dtype(np.complex64), reduce):
         for acc, partial in zip(accumulators, partials):
             acc._fold(partial, n_rows, int(master_seed))

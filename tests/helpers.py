@@ -64,8 +64,10 @@ def synthesize_paired(state: sd.SwarmState, params: sd.SwarmParams,
     kernel's half-angle tangent helper given the halved angle, and each
     rotor angle at sample ``k = a*B + b`` from a coarse table at ``a*B``
     times a fine table over ``b`` steps, one matrix product per blade and
-    rotor.  Grid starts whose turn ``speed*t_start`` overflows are not
-    covered.
+    rotor; the rotors are rotated, scaled and summed by one matrix product
+    per coarse step, of their weights with the real (and, for odd blade
+    counts, imaginary) planes.  Grid starts whose turn ``speed*t_start``
+    overflows are not covered.
     """
     cos_sin = sd.simulate._cos_sin
     steps = sd.simulate._TURN_STEPS
@@ -75,7 +77,8 @@ def synthesize_paired(state: sd.SwarmState, params: sd.SwarmParams,
     n_coarse = max(2, -(-grid.n_samples // steps))
     speeds = state.rotor_speeds.ravel()
     starts = state.initial_angles.ravel() + np.fmod(speeds * grid.t_start, 2.0 * np.pi)
-    re = np.zeros((speeds.size, grid.n_samples))
+    # planes padded to whole coarse steps, as the kernel's
+    re = np.zeros((speeds.size, n_coarse * steps))
     im = np.zeros_like(re)
     for rotor, (start, speed) in enumerate(zip(starts, speeds)):
         fine_cos, fine_sin = np.empty(steps), np.empty(steps)
@@ -87,20 +90,28 @@ def synthesize_paired(state: sd.SwarmState, params: sd.SwarmParams,
             coarse_cos, coarse_sin = np.empty(n_coarse), np.empty(n_coarse)
             cos_sin(half, coarse_cos, coarse_sin)
             coarse = half_mod * np.stack([coarse_cos, coarse_sin], axis=1)
-            phase = (coarse @ fine).ravel()[:grid.n_samples]
+            phase = (coarse @ fine).ravel()
             sine = np.empty_like(phase)
             cos_sin(phase, phase, sine)
             re[rotor] += phase
             im[rotor] -= sine
+    scale = (2.0 if paired else 1.0) * params.gain_magnitude
     cos_p, sin_p = np.empty(speeds.size), np.empty(speeds.size)
     cos_sin(0.5 * state.projection_phases.ravel(), cos_p, sin_p)
-    y = np.empty(grid.n_samples, dtype=np.complex128)
-    y.real = np.einsum("k,kt->t", cos_p, re)
-    y.imag = -np.einsum("k,kt->t", sin_p, re)
+    cos_p *= scale
+    sin_p *= scale
+    # the rotor sum: one product of the rotation weights with the planes
+    # per coarse step
+    weights, planes = np.stack([cos_p, -sin_p]), re
     if not paired:
-        y.real += np.einsum("k,kt->t", sin_p, im)
-        y.imag += np.einsum("k,kt->t", cos_p, im)
-    return (2.0 if paired else 1.0) * params.gain_magnitude * y
+        weights = np.concatenate([weights, np.stack([sin_p, cos_p])], axis=1)
+        planes = np.concatenate([re, im])
+    sums = np.empty((2, planes.shape[1]))
+    for lo in range(0, planes.shape[1], steps):
+        sums[:, lo:lo + steps] = weights @ planes[:, lo:lo + steps]
+    y = np.empty(grid.n_samples, dtype=np.complex128)
+    y.real, y.imag = sums[:, :grid.n_samples]
+    return y
 
 
 def time_average_partial(rows: np.ndarray, fft_len: int) -> np.ndarray:

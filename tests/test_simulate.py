@@ -213,10 +213,14 @@ def test_kernel_is_within_tolerance_of_long_double_at_exact_angles(n_blades, t_s
 
 @settings(max_examples=40, deadline=None)
 @given(n_samples=st.integers(1, 5000), extra=st.integers(1, 3000), n_blades=st.integers(1, 4),
-       n_drones=st.integers(1, 2), dtype=st.sampled_from([np.complex64, np.complex128]),
+       n_drones=st.integers(1, 6), dtype=st.sampled_from([np.complex64, np.complex128]),
        t_start=st.sampled_from([0.0, 0.25, 1e12]), seed=st.integers(0, 2 ** 64 - 1))
 @example(n_samples=64, extra=1, n_blades=2, n_drones=1, dtype=np.complex128, t_start=0.0,
          seed=0)     # one coarse step, and the first sample of the next
+# 48 rotor planes of 8000 samples: one rotor-sum product over the whole row
+# would be past OpenBLAS's threading threshold, and its split would move
+@example(n_samples=4999, extra=3000, n_blades=3, n_drones=6, dtype=np.complex128,
+         t_start=0.0, seed=1)
 def test_a_row_is_the_prefix_of_the_same_row_on_a_longer_grid(n_samples, extra, n_blades,
                                                               n_drones, dtype, t_start,
                                                               seed):
@@ -232,6 +236,23 @@ def test_a_row_is_the_prefix_of_the_same_row_on_a_longer_grid(n_samples, extra, 
                               sd.SamplingGrid(t_start=t_start, dt=dt,
                                               n_samples=n_samples + extra))
     assert short.tobytes() == np.ascontiguousarray(longer[:, :n_samples]).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1),
+       start=st.one_of(st.integers(0, 2 ** 40), st.integers(2 ** 32 - 40, 2 ** 32)),
+       count=st.integers(1, 40))
+@example(seed=2 ** 64 - 1, start=2 ** 32 - 3, count=6)     # straddles 2**32
+@example(seed=0, start=0, count=1)
+def test_substreams_are_numpys_seed_sequence_streams(seed, start, count):
+    # realization k's generator is PCG64 seeded by numpy's own chain
+    for k, rng in zip(range(start, start + count), simulate._substreams(seed, start,
+                                                                       start + count)):
+        oracle = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            seed, spawn_key=(k,))))
+        assert rng.bit_generator.state == oracle.bit_generator.state
+        for draw in ("random", "standard_normal", "random"):
+            assert getattr(rng, draw)(3).tobytes() == getattr(oracle, draw)(3).tobytes()
 
 
 # ------------------------------------------------------- half-angle helper
@@ -291,7 +312,9 @@ def test_cos_sin_gives_an_element_the_same_bits_anywhere():
 
 
 _KERNEL_TESTS = ("test_synthesize_matches_per_blade_reference",
-                 "test_kernel_is_within_tolerance_of_long_double_at_exact_angles")
+                 "test_kernel_is_within_tolerance_of_long_double_at_exact_angles",
+                 "test_a_row_is_the_prefix_of_the_same_row_on_a_longer_grid",
+                 "test_substreams_are_numpys_seed_sequence_streams")
 
 
 def _rerun(tests, env, check):
@@ -340,14 +363,30 @@ def _openblas_core():
 
 
 def test_the_kernel_holds_on_openblas_without_fma():
-    # the turn table's products run in BLAS gemm; OpenBLAS's Sandybridge core
-    # has no fused multiply-add and gives other bits than FMA cores
+    # the turn table's and the rotor sum's products run in BLAS gemm;
+    # OpenBLAS's Sandybridge core has no fused multiply-add and gives other
+    # bits than FMA cores
     if _openblas_core() is None:
         pytest.skip("numpy's matrix products do not run on an OpenBLAS that names its core")
     _rerun(_KERNEL_TESTS, {"OPENBLAS_CORETYPE": "Sandybridge"},
            "sys.path.insert(0, 'tests')\n"
            "from test_simulate import _openblas_core\n"
            "assert _openblas_core() == 'Sandybridge', _openblas_core()")
+
+
+def test_a_row_keeps_its_bits_where_openblas_splits_products_over_threads():
+    # OpenBLAS's Haswell core, on two threads, splits a product past its
+    # threading threshold at a point that moves with the product's width
+    if _openblas_core() is None:
+        pytest.skip("numpy's matrix products do not run on an OpenBLAS that names its core")
+    features = pytest.importorskip("numpy._core._multiarray_umath").__cpu_features__
+    if not (features.get("AVX2") and features.get("FMA3")):
+        pytest.skip("the Haswell core needs AVX2 and FMA3")
+    _rerun(("test_a_row_is_the_prefix_of_the_same_row_on_a_longer_grid",),
+           {"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "2"},
+           "sys.path.insert(0, 'tests')\n"
+           "from test_simulate import _openblas_core\n"
+           "assert _openblas_core() == 'Haswell', _openblas_core()")
 
 
 # ---------------------------------------------------------------- ensembles
@@ -668,6 +707,39 @@ def test_validate_reports_what_a_full_lag_single_reference_estimate_gives(monkey
     assert validation.validate(params, grid, n, 5).report == report
 
 
+def test_a_zero_spread_validate_makes_only_the_samples_it_reads(monkeypatch):
+    params = mavic_params(speed_variance=0.0)
+    grid = sd.default_grid(params)
+    n = 2 * simulate._CHUNK_ROWS + 5
+    made, blocks = [], simulate._blocks
+
+    def recorded(params, grid, *args, **kwargs):
+        made.append(grid)
+        return blocks(params, grid, *args, **kwargs)
+
+    monkeypatch.setattr(simulate, "_blocks", recorded)
+    result = validation.validate(params, grid, n, 5, n_workers=2)
+    window = validation.acf_window(params, grid)
+    assert made == [sd.SamplingGrid(grid.t_start, grid.dt, window)] and window < 20
+
+    def full_rows(params, _, *args, **kwargs):
+        return blocks(params, grid, *args, **kwargs)
+
+    monkeypatch.setattr(simulate, "_blocks", full_rows)
+    full = validation.validate(params, grid, n, 5, n_workers=2)
+    assert json.dumps(full.report) == json.dumps(result.report)
+    assert full.acf.estimate.tobytes() == result.acf.estimate.tobytes()
+    # a reference past the first samples reads its own prefix
+    for t_ref, n_lags in ((0, 1), (100, 7), (3000, 1001)):
+        short, whole = (sd.AcfAccumulator(grid, t_ref, n_lags) for _ in range(2))
+        monkeypatch.setattr(simulate, "_blocks", recorded)
+        sd.accumulate(params, grid, 5, [short], 0, n)
+        assert made[-1].n_samples == t_ref + n_lags
+        monkeypatch.setattr(simulate, "_blocks", full_rows)
+        sd.accumulate(params, grid, 5, [whole], 0, n, n_workers=2)
+        assert short.curve().y.tobytes() == whole.curve().y.tobytes()
+
+
 def test_validate_checkpoints_give_the_bits_of_one_accumulate():
     params = mavic_params()
     grid = small_grid(params, 512)
@@ -940,11 +1012,11 @@ def test_load_ensemble_holds_the_payload_once(tmp_path):
 
 
 # traced peak of one mavic-like validate block by blade count: below 3 MB
-# with two blades, and else no higher than with one (32, fft_len) transform
-# buffer per block (5.42, 6.92 and 5.42 MB; 2-vCPU Xeon, numpy 2.4.6).
-# Measured with the kernel's turn table: 3.83, 2.79, 5.97 and 3.87 MB for
-# 1-4 blades (the per-sample form: 3.85, 2.70, 6.80 and 4.75)
-@pytest.mark.parametrize("n_blades, bound_mb", [(1, 5.42), (2, 3.0), (3, 6.92), (4, 5.42)])
+# with two blades, and else the peak measured with the rotor sum as BLAS
+# products, 3.75, 5.89 and 3.79 MB for 1, 3 and 4 blades
+# (2-vCPU Xeon, numpy 2.4.6), plus 5% rounded up to 0.05 MB: less than the
+# 1.03 MB of one more (rotors, padded row) plane of a sub-block
+@pytest.mark.parametrize("n_blades, bound_mb", [(1, 3.95), (2, 3.0), (3, 6.2), (4, 4.0)])
 def test_one_validate_block_working_set(n_blades, bound_mb):
     params = mavic_params(n_blades=n_blades)
     grid = sd.default_grid(params)
