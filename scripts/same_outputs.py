@@ -80,6 +80,8 @@ MATRIX = {
     "acf-explicit-grid": ["acf", *EXPLICIT],
     "validate-explicit-grid": ["validate", *EXPLICIT, "--n", "200"],
     "simulate-late-start": ["simulate", "--config", "{late}", "--n", "5"],
+    # spectrogram frame times run from a non-zero grid start
+    "simulate-late-spectrogram": ["simulate", "--config", "{late}", "--n", "5", "--spectrogram"],
     "validate-late-start": ["validate", "--config", "{late12}", "--n", "2000", *PAIR],
     "validate-overflow-start": ["validate", "--config", "{late306}", "--n", "2000",
                                 "--workers", "2", "--seed", "5"],

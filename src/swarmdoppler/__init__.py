@@ -18,7 +18,7 @@ from .analytic import (AcfSeries, PsdMixture, build_acf, acf_eval,
                        acf_deterministic_eval, mainlobe_width, truncation_index,
                        harmonic_coefficients, build_psd, psd_eval, psd_support,
                        psd_line_spectrum, coefficient_power_fraction)
-from .simulate import (SwarmState, Ensemble, StftConfig, Spectrogram,
+from .simulate import (SwarmState, Ensemble, Spectrogram,
                        sample_state, synthesize, simulate_ensemble,
                        realization_rng, AcfAccumulator, accumulate,
                        estimate_acf, estimate_psd, spectrogram, save_ensemble,
@@ -37,7 +37,7 @@ __all__ = [
     "acf_deterministic_eval", "mainlobe_width", "truncation_index",
     "harmonic_coefficients", "build_psd", "psd_eval", "psd_support",
     "psd_line_spectrum", "coefficient_power_fraction",
-    "SwarmState", "Ensemble", "StftConfig", "Spectrogram", "sample_state",
+    "SwarmState", "Ensemble", "Spectrogram", "sample_state",
     "synthesize", "simulate_ensemble", "realization_rng", "AcfAccumulator",
     "accumulate", "estimate_acf",
     "estimate_psd", "spectrogram", "save_ensemble", "load_ensemble",

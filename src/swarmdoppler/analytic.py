@@ -48,6 +48,9 @@ PHASE_MAX = 2.0 ** 52
 # the one global factor relating psd_eval to the plain integral transform of
 # the autocorrelation, pinned by the transform round-trip check
 CONVENTION_CONSTANT = 1.0
+# coefficient_power_fraction cumulates the series power over this many
+# coefficients
+_POWER_TERMS = 10_000
 
 
 def _check_phase(mean_speed: float, tau: np.ndarray) -> None:
@@ -386,12 +389,13 @@ class PsdMixture:
             object.__setattr__(self, name, value)
 
 
-def build_psd(params: SwarmParams, n_terms: int | None = None) -> PsdMixture:
-    """Assemble the Gaussian-mixture spectrum for the given swarm.
+def build_psd(params: SwarmParams) -> PsdMixture:
+    """Assemble the Gaussian-mixture spectrum of :func:`build_acf`'s series.
 
     Requires a spread rotor-speed distribution; see :class:`PsdMixture`.
+    Another cut is ``PsdMixture(build_acf(params, n_terms))``.
     """
-    return PsdMixture(build_acf(params, n_terms))
+    return PsdMixture(build_acf(params))
 
 
 def _gaussian(x: np.ndarray, center, std, buffer: np.ndarray) -> np.ndarray:
@@ -526,19 +530,19 @@ def psd_line_spectrum(params: SwarmParams) -> Curve:
 
 
 def coefficient_power_fraction(electrical_size: float, n_blades: int,
-                               fraction: float, *, order: str = "magnitude",
-                               n_max: int = 10_000) -> int:
+                               fraction: float, *, order: str = "magnitude") -> int:
     """Number of coefficients needed to hold ``fraction`` of the series power.
 
-    Power is the cumulative sum of c_n over the first ``n_max`` coefficients.
-    ``order`` selects the cumulation rule: ``"magnitude"`` sorts coefficients
-    in descending size first, ``"index"`` keeps natural harmonic order.  Both
-    are exposed because neither ordering is canonical.
+    Power is the cumulative sum of c_n over the first ``_POWER_TERMS``
+    (10 000) coefficients.  ``order`` selects the cumulation rule:
+    ``"magnitude"`` sorts coefficients in descending size first, ``"index"``
+    keeps natural harmonic order.  Both are exposed because neither ordering
+    is canonical.
     """
     _checked_real(fraction, "fraction", gt=0, lt=1)
     if not isinstance(order, str) or order not in ("magnitude", "index"):
         raise ValidationError(f"order must be 'magnitude' or 'index', got {order!r}")
-    coeffs = harmonic_coefficients(electrical_size, n_blades, n_max)
+    coeffs = harmonic_coefficients(electrical_size, n_blades, _POWER_TERMS)
     if order == "magnitude":
         coeffs = np.sort(coeffs)[::-1]
     cumulative = np.cumsum(coeffs)

@@ -33,7 +33,7 @@ from .analytic import (CONVENTION_CONSTANT, build_acf, build_psd, acf_eval,
 from .exceptions import ConfigError, SwarmModelError
 from .model import (Curve, RunConfig, _csv_text, curve_to_csv, curve_to_json, derive,
                     load_config, serialize_config)
-from .simulate import (_WIRE_DTYPES, StftConfig, container_chunks, simulate_ensemble,
+from .simulate import (_STFT_WINDOW, _WIRE_DTYPES, container_chunks, simulate_ensemble,
                        spectrogram)
 from .svgplot import heatmap_svg, line_svg
 from .validation import validate
@@ -200,12 +200,15 @@ def cmd_psd(args) -> int:
 def cmd_simulate(args) -> int:
     config = _resolve_config(args)
     n_real = args.n if args.n is not None else config.estimator.n_realizations
+    if args.spectrogram and config.grid.n_samples < _STFT_WINDOW:
+        raise ConfigError(f"--spectrogram needs one {_STFT_WINDOW}-sample window, "
+                          f"got grid.n_samples {config.grid.n_samples}")
     ensemble = simulate_ensemble(config.params, config.grid, n_real,
                                  config.estimator.seed, n_workers=args.workers,
                                  dtype=args.dtype)
     files = {"ensemble.bin": container_chunks(ensemble)}
     if args.spectrogram:
-        spec = spectrogram(ensemble.signals[0], config.grid, StftConfig())
+        spec = spectrogram(ensemble.signals[0], config.grid)
         files["spectrogram.svg"] = heatmap_svg(
             spec.power, spec.times, spec.freqs, title="spectrogram, realization 0",
             xlabel="time (s)", ylabel="angular frequency (rad/s)")

@@ -16,7 +16,7 @@ import numpy as np
 from .exceptions import (ConfigError, ValidationError, _checked_array, _checked_int,
                          _checked_real)
 
-CURVE_AXES = ("lag_s", "angular_frequency_rad_per_s", "frequency_hz", "time_s")
+CURVE_AXES = ("lag_s", "angular_frequency_rad_per_s", "frequency_hz")
 
 DEFAULT_N_SAMPLES = 4001
 DEFAULT_N_REALIZATIONS = 10_000

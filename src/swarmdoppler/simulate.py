@@ -55,6 +55,10 @@ _SUB_ROWS = 8
 # sample k is its angle at k - k % _TURN_STEPS turned on by k % _TURN_STEPS
 # steps.  A constant, so a sample's bits depend on its index alone
 _TURN_STEPS = 64
+# the spectrogram's short-time transform: Hann windows of _STFT_WINDOW
+# samples, one every _STFT_HOP samples, each transformed at its own length
+_STFT_WINDOW = 256
+_STFT_HOP = 64
 
 
 @dataclass(frozen=True)
@@ -628,31 +632,6 @@ def estimate_psd(acf_curve: Curve) -> Curve:
 
 
 @dataclass(frozen=True)
-class StftConfig:
-    """Short-time transform settings for spectrograms."""
-
-    window: str = "hann"
-    window_length: int = 256
-    hop: int = 64
-    fft_length: int = 256
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.window, str) or self.window not in ("hann", "rectangular"):
-            raise ValidationError(f"window must be 'hann' or 'rectangular', got {self.window!r}")
-        for name in ("window_length", "hop", "fft_length"):
-            object.__setattr__(self, name, _checked_int(getattr(self, name), name))
-        if self.hop > self.window_length:
-            raise ValidationError(
-                f"hop ({self.hop}) must not exceed window_length ({self.window_length})"
-            )
-        if self.fft_length < self.window_length:
-            raise ValidationError(
-                f"fft_length ({self.fft_length}) must be >= window_length "
-                f"({self.window_length})"
-            )
-
-
-@dataclass(frozen=True)
 class Spectrogram:
     """Magnitude-squared short-time transform with annotated axes; each array
     holds finite reals (else :class:`ValidationError`)."""
@@ -668,36 +647,31 @@ class Spectrogram:
             object.__setattr__(self, name, arr)
 
 
-def spectrogram(series: np.ndarray, grid: SamplingGrid,
-                cfg: StftConfig = StftConfig()) -> Spectrogram:
+def spectrogram(series: np.ndarray, grid: SamplingGrid) -> Spectrogram:
     """Magnitude-squared short-time transform of one complex series.
 
-    ``series`` must be a one-dimensional array of finite real or complex
-    numbers whose short-time power is finite; anything else raises
-    :class:`DomainError`.
+    Frames of ``_STFT_WINDOW`` (256) samples under a Hann window start every
+    ``_STFT_HOP`` (64) samples; each is transformed at its own length and
+    timed at its center.  ``series`` must be a one-dimensional array of
+    finite real or complex numbers, at least one window long, whose
+    short-time power is finite; anything else raises :class:`DomainError`.
     """
     series = _checked_array(series, "series", DomainError, complex_ok=True)
     if series.ndim != 1:
         raise DomainError("series must be one-dimensional")
-    if cfg.window_length > series.size:
-        raise DomainError(
-            f"window_length ({cfg.window_length}) exceeds series length ({series.size})"
-        )
-    if cfg.window == "hann":
-        k = np.arange(cfg.window_length)
-        win = 0.5 - 0.5 * np.cos(2.0 * np.pi * k / cfg.window_length)
-    else:
-        win = np.ones(cfg.window_length)
-    n_frames = 1 + (series.size - cfg.window_length) // cfg.hop
-    starts = cfg.hop * np.arange(n_frames)
-    frames = series[starts[:, None] + np.arange(cfg.window_length)[None, :]] * win
+    if series.size < _STFT_WINDOW:
+        raise DomainError(f"series must be at least one {_STFT_WINDOW}-sample window long, "
+                          f"got {series.size} samples")
+    k = np.arange(_STFT_WINDOW)
+    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * k / _STFT_WINDOW)
+    starts = _STFT_HOP * np.arange(1 + (series.size - _STFT_WINDOW) // _STFT_HOP)
+    frames = series[starts[:, None] + k] * win
     with np.errstate(over="ignore", invalid="ignore"):
-        transform = np.fft.fft(frames, n=cfg.fft_length, axis=1)
-        power = np.abs(np.fft.fftshift(transform, axes=1)) ** 2
+        power = np.abs(np.fft.fftshift(np.fft.fft(frames, axis=1), axes=1)) ** 2
     if not np.isfinite(power).all():
         raise DomainError("series too large: its short-time power overflows float64")
-    freqs = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(cfg.fft_length, d=grid.dt))
-    times = grid.t_start + (starts + 0.5 * (cfg.window_length - 1)) * grid.dt
+    freqs = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(_STFT_WINDOW, d=grid.dt))
+    times = grid.t_start + (starts + 0.5 * (_STFT_WINDOW - 1)) * grid.dt
     return Spectrogram(power=power.T, times=times, freqs=freqs)
 
 

@@ -1,13 +1,16 @@
 """Shared test utilities: reference parameter sets, random draws, oracles."""
+import json
+from dataclasses import asdict
+
 import numpy as np
 
 import swarmdoppler as sd
 from swarmdoppler.analytic import SQRT_TWO_PI
+from swarmdoppler.cli import PRESETS
 
-# commercial-quadcopter-sized reference configuration used throughout
-MAVIC_LIKE = dict(n_drones=1, n_rotors=4, n_blades=2, blade_length=0.21,
-            wavelength=0.03, mean_speed=523.0, speed_variance=27.0,
-            gain_magnitude=1.0)
+# the CLI's commercial-quadcopter-sized preset, as SwarmParams keywords:
+# the reference configuration used throughout
+MAVIC_LIKE = asdict(sd.load_config(json.dumps(PRESETS["mavic-like"])).params)
 
 
 def mavic_params(**overrides) -> sd.SwarmParams:

@@ -21,7 +21,8 @@ from helpers import MAVIC_LIKE, mavic_params
 
 PARAMS = mavic_params()
 GRID = sd.default_grid(PARAMS, n_samples=64)
-# validate compares spectra, which needs more than 200 samples
+# validate compares spectra, which needs more than 200 samples, and a
+# spectrogram one window of 256
 VALIDATE_GRID = sd.default_grid(PARAMS, n_samples=256)
 
 
@@ -167,11 +168,8 @@ _REFUSED += [
     ("coefficient_power_fraction-order-array",
      lambda: sd.coefficient_power_fraction(10.0, 2, 0.5, order=_CHOICES), ValidationError,
      "order"),
-    ("StftConfig-window-array",
-     lambda: sd.StftConfig(window=np.array(["hann", "rectangular"])), ValidationError,
-     "window"),
     ("Curve-axis-array",
-     lambda: sd.Curve(**{**_CURVE, "axis": np.array(["lag_s", "time_s"])}),
+     lambda: sd.Curve(**{**_CURVE, "axis": np.array(["lag_s", "frequency_hz"])}),
      ValidationError, "axis"),
 ]
 
@@ -187,11 +185,8 @@ def test_numpy_integers_are_accepted_and_stored_as_int():
     params = mavic_params(n_drones=np.int64(2), n_rotors=np.int32(4), n_blades=np.uint8(2))
     grid = sd.SamplingGrid(t_start=0.0, dt=GRID.dt, n_samples=np.int64(64))
     settings = sd.EstimatorSettings(n_realizations=np.int64(3), seed=np.uint64(2 ** 64 - 1))
-    stft = sd.StftConfig(window_length=np.int64(32), hop=np.int16(8),
-                         fft_length=np.int64(64))
     for value in (params.n_drones, params.n_rotors, params.n_blades, grid.n_samples,
-                  settings.n_realizations, settings.seed, stft.window_length, stft.hop,
-                  stft.fft_length):
+                  settings.n_realizations, settings.seed):
         assert type(value) is int
     assert sd.truncation_index(10.0, np.int64(2)) == 3
     assert np.array_equal(sd.harmonic_coefficients(10.0, np.int64(2), np.int64(5)),
@@ -292,7 +287,6 @@ _BAD["stored-2d"] = _arrays(2, complex_ok=True)
 _BAD["int-or-none"] = _BAD["int"].filter(lambda v: v is not None)
 _ARRAY_KINDS = {"reals", "reals-1d", "reals-2d", "numbers-1d", "numbers-2d"}
 
-_STFT = sd.StftConfig(window_length=16, hop=4, fft_length=16)
 _ENSEMBLE = sd.simulate_ensemble(PARAMS, GRID, 2, 1)
 # every public callable that takes numbers: (call, valid keyword arguments,
 # kind of each argument the walker spoils)
@@ -325,18 +319,14 @@ _WALK = {
     "harmonic_coefficients": (sd.harmonic_coefficients,
                               dict(electrical_size=10.0, n_blades=2, n_max=5),
                               dict(electrical_size="real", n_blades="int", n_max="int")),
-    "build_psd": (sd.build_psd, dict(params=PARAMS, n_terms=5), dict(n_terms="int-or-none")),
     "psd_eval": (sd.psd_eval, dict(psd=PSD, freq=[0.0, 1e3]), dict(freq="reals")),
     "coefficient_power_fraction": (
         sd.coefficient_power_fraction,
-        dict(electrical_size=10.0, n_blades=2, fraction=0.5, order="index", n_max=50),
-        dict(electrical_size="real", n_blades="int", fraction="real", order="choice",
-             n_max="int")),
+        dict(electrical_size=10.0, n_blades=2, fraction=0.5, order="index"),
+        dict(electrical_size="real", n_blades="int", fraction="real", order="choice")),
     "SwarmState": (sd.SwarmState, _STATE, dict.fromkeys(_STATE, "reals-2d")),
     "Ensemble": (sd.Ensemble, dict(params=PARAMS, grid=GRID, master_seed=1, signals=_SIGNALS),
                  dict(master_seed="int", signals="stored-2d")),
-    "StftConfig": (sd.StftConfig, dict(window="hann", window_length=16, hop=4, fft_length=16),
-                   dict(window="choice", window_length="int", hop="int", fft_length="int")),
     "simulate_ensemble": (sd.simulate_ensemble,
                           dict(params=PARAMS, grid=GRID, n_realizations=2, master_seed=1,
                                n_workers=1, dtype=np.complex64),
@@ -354,15 +344,16 @@ _WALK = {
         dict(master_seed="int", start="int", stop="int", n_workers="int")),
     "estimate_acf": (sd.estimate_acf, dict(ensemble=_ENSEMBLE, t_ref_index=0, n_lags=8),
                      dict(t_ref_index="int", n_lags="int-or-none")),
-    "spectrogram": (sd.spectrogram, dict(series=_SIGNALS[0], grid=GRID, cfg=_STFT),
+    "spectrogram": (sd.spectrogram,
+                    dict(series=np.zeros(VALIDATE_GRID.n_samples), grid=VALIDATE_GRID),
                     dict(series="numbers-1d")),
     "Spectrogram": (sd.Spectrogram, _SPECTROGRAM, dict.fromkeys(_SPECTROGRAM, "reals")),
 }
 # callables that take no number, only the library's own objects or a path
 _NO_NUMBERS = {"RunConfig", "derive", "band_edge", "check_grid", "serialize_config",
-               "curve_to_csv", "curve_to_json", "mainlobe_width", "PsdMixture", "psd_support",
-               "psd_line_spectrum", "sample_state", "synthesize", "estimate_psd",
-               "save_ensemble", "load_ensemble"}
+               "curve_to_csv", "curve_to_json", "mainlobe_width", "build_psd", "PsdMixture",
+               "psd_support", "psd_line_spectrum", "sample_state", "synthesize",
+               "estimate_psd", "save_ensemble", "load_ensemble"}
 _SPOILS = [(name, arg) for name, (_, _, kinds) in _WALK.items() for arg in kinds]
 
 

@@ -11,21 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import swarmdoppler as sd
-from swarmdoppler.cli import main
+from swarmdoppler import simulate
+from swarmdoppler.cli import PRESETS, main
 from swarmdoppler.validation import validate
-from helpers import MAVIC_LIKE
 
 
 def config_doc(**overrides):
-    doc = {
-        "n_drones": MAVIC_LIKE["n_drones"], "n_rotors": MAVIC_LIKE["n_rotors"],
-        "n_blades": MAVIC_LIKE["n_blades"], "blade_length_m": MAVIC_LIKE["blade_length"],
-        "wavelength_m": MAVIC_LIKE["wavelength"],
-        "mean_speed_rad_s": MAVIC_LIKE["mean_speed"],
-        "speed_variance": MAVIC_LIKE["speed_variance"],
-    }
-    doc.update(overrides)
-    return doc
+    return {**PRESETS["mavic-like"], **overrides}
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -491,6 +483,22 @@ def test_simulate_command_spectrogram(tmp_path):
                  "--spectrogram"]) == 0
     svg = (out / "spectrogram.svg").read_text()
     assert "image/png;base64" in svg
+
+
+def test_simulate_refuses_a_spectrogram_longer_than_the_grid_before_synthesis(
+        tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("simulate_ensemble was called")
+
+    monkeypatch.setattr("swarmdoppler.cli.simulate_ensemble", never)
+    window = simulate._STFT_WINDOW
+    config = write_config(tmp_path, grid={"n_samples": window - 1})
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(config), "--out", str(out), "--n", "10000",
+                 "--spectrogram"]) == 2
+    assert capsys.readouterr().err == (f"error: --spectrogram needs one {window}-sample "
+                                       f"window, got grid.n_samples {window - 1}\n")
+    assert not out.exists()
 
 
 def test_validate_command_passes_at_scale(tmp_path):

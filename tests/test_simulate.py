@@ -474,14 +474,16 @@ def test_ensemble_rows_are_single_realizations_rounded():
 
 
 class _RowRecorder(sd.AcfAccumulator):
-    """Keeps the rows :func:`swarmdoppler.accumulate` feeds it, in order."""
+    """Keeps the rows :func:`swarmdoppler.accumulate` feeds it, in order, or
+    only their ``columns``."""
 
-    def __init__(self, grid):
+    def __init__(self, grid, columns=slice(None)):
         super().__init__(grid)
+        self.columns = columns
         self.rows = []
 
     def _partial(self, rows):
-        return rows.copy()
+        return rows[:, self.columns].copy()
 
     def _fold(self, partial, n_rows, master_seed):
         self.rows.append(partial)
@@ -864,7 +866,7 @@ def test_estimate_psd_rejects_bad_grids():
     shifted = sd.Curve(axis="lag_s", x=np.array([1.0, 2.0, 3.0]), y=np.zeros(3))
     with pytest.raises(DomainError, match="zero"):
         sd.estimate_psd(shifted)
-    wrong_axis = sd.Curve(axis="time_s", x=np.arange(3.0), y=np.zeros(3))
+    wrong_axis = sd.Curve(axis="frequency_hz", x=np.arange(3.0), y=np.zeros(3))
     with pytest.raises(DomainError, match="lag"):
         sd.estimate_psd(wrong_axis)
 
@@ -880,36 +882,30 @@ def test_spectrogram_zero_input():
 
 def test_spectrogram_pure_tone_concentration():
     grid = sd.SamplingGrid(t_start=0.0, dt=1e-3, n_samples=2048)
-    cfg = sd.StftConfig(window="hann", window_length=256, hop=64, fft_length=256)
+    window = simulate._STFT_WINDOW
     # tone exactly on a transform bin
     bin_index = 40
-    omega = 2.0 * np.pi * bin_index / (cfg.fft_length * grid.dt)
+    omega = 2.0 * np.pi * bin_index / (window * grid.dt)
     tone = np.exp(1j * omega * grid.times())
-    spec = sd.spectrogram(tone, grid, cfg)
+    spec = sd.spectrogram(tone, grid)
     nearest = np.argmin(np.abs(spec.freqs - omega))
     column = spec.power[:, 0]
-    # oracle: transform of one windowed frame, computed directly
-    frame = tone[:cfg.window_length] * (0.5 - 0.5 * np.cos(
-        2.0 * np.pi * np.arange(cfg.window_length) / cfg.window_length))
-    oracle = np.abs(np.fft.fftshift(np.fft.fft(frame, cfg.fft_length))) ** 2
+    # oracle: transform of one Hann-windowed frame, computed directly
+    frame = tone[:window] * (0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window))
+    oracle = np.abs(np.fft.fftshift(np.fft.fft(frame))) ** 2
     assert np.allclose(column, oracle, rtol=1e-10, atol=1e-9)
     # the on-bin tone lands in the nearest bin and its two neighbours
     neighbourhood = column[nearest - 1:nearest + 2].sum()
     assert neighbourhood >= 0.9 * column.sum()
-    rect = sd.spectrogram(tone, grid, sd.StftConfig(window="rectangular",
-                                                    window_length=256, hop=64,
-                                                    fft_length=256))
-    rect_col = rect.power[:, 0]
-    assert rect_col[nearest] >= 0.9 * rect_col.sum()
 
 
-def test_spectrogram_axes_annotation():
+@pytest.mark.parametrize("t_start", [0.0, 2.5])
+def test_spectrogram_axes_annotation(t_start):
     params = mavic_params()
-    grid = sd.default_grid(params, n_samples=1024)
-    cfg = sd.StftConfig()
-    spec = sd.spectrogram(np.zeros(1024, complex), grid, cfg)
-    assert spec.times[0] == grid.t_start + 0.5 * (cfg.window_length - 1) * grid.dt
-    assert np.allclose(np.diff(spec.times), cfg.hop * grid.dt, rtol=1e-12)
+    grid = sd.SamplingGrid(t_start=t_start, dt=sd.default_grid(params).dt, n_samples=1024)
+    spec = sd.spectrogram(np.zeros(1024, complex), grid)
+    assert spec.times[0] == grid.t_start + 0.5 * (simulate._STFT_WINDOW - 1) * grid.dt
+    assert np.allclose(np.diff(spec.times), simulate._STFT_HOP * grid.dt, rtol=1e-12)
     nyquist = np.pi / grid.dt
     assert spec.freqs.min() >= -nyquist - 1e-9
     assert spec.freqs.max() <= nyquist + 1e-9
@@ -923,19 +919,10 @@ def test_spectrogram_keeps_read_only_views_of_the_callers_arrays():
         assert np.shares_memory(getattr(spec, name), arr)
 
 
-def test_stft_config_validation():
-    with pytest.raises(ValidationError):
-        sd.StftConfig(window="hamming")
-    with pytest.raises(ValidationError):
-        sd.StftConfig(hop=300, window_length=256)
-    with pytest.raises(ValidationError):
-        sd.StftConfig(fft_length=128, window_length=256)
-
-
 def test_spectrogram_window_longer_than_series():
     grid = sd.SamplingGrid(t_start=0.0, dt=1e-4, n_samples=100)
     with pytest.raises(DomainError):
-        sd.spectrogram(np.zeros(100, complex), grid, sd.StftConfig())
+        sd.spectrogram(np.zeros(100, complex), grid)
 
 
 @pytest.mark.parametrize("series, match", [
@@ -1172,7 +1159,7 @@ def test_non_finite_signals_round_trip_and_are_refused_where_used(tmp_path):
     with pytest.raises(DomainError, match="finite"):
         sd.estimate_acf(loaded, t_ref_index=0, n_lags=8)
     with pytest.raises(DomainError, match="finite"):
-        sd.spectrogram(loaded.signals[1], grid, sd.StftConfig("hann", 16, 4, 16))
+        sd.spectrogram(loaded.signals[1], grid)
 
 
 def test_load_ensemble_rejects_malformed_header_json(tmp_path):
@@ -1240,9 +1227,10 @@ def test_failed_container_write_leaves_the_target_as_it_was(tmp_path, full_disk)
 def test_signal_mean_is_zero(mavic, mavic_grid):
     rng = np.random.default_rng(55)
     ts = rng.integers(0, mavic_grid.n_samples, size=5)
-    columns = np.concatenate(list(simulate._blocks(
-        mavic, mavic_grid, MAVIC_SEED, 0, MAVIC_N, N_WORKERS, np.dtype(np.complex64),
-        reduce=lambda rows: rows[:, ts])))
+    recorder = _RowRecorder(mavic_grid, columns=ts)
+    sd.accumulate(mavic, mavic_grid, MAVIC_SEED, [recorder], 0, MAVIC_N, n_workers=N_WORKERS)
+    columns = np.concatenate(recorder.rows)
+    assert columns.dtype == np.complex64 and columns.shape == (MAVIC_N, ts.size)
     for column in columns.T.astype(np.complex128):
         sample_mean = column.mean()
         spread = math.sqrt(np.mean(np.abs(column - sample_mean) ** 2) / MAVIC_N)
