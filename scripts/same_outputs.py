@@ -22,10 +22,11 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
-MAVIC_LIKE = {"n_drones": 1, "n_rotors": 4, "n_blades": 2, "blade_length_m": 0.21,
-              "wavelength_m": 0.03, "mean_speed_rad_s": 523.0, "speed_variance": 27.0,
-              "gain_magnitude": 1.0}
+from swarmdoppler.cli import PRESETS
+
+MAVIC_LIKE = PRESETS["mavic-like"]
 # config documents the matrix reads, by the name its arguments use in braces
 CONFIGS = {
     # deterministic rotor speed: the spectrum is the line spectrum
@@ -56,6 +57,8 @@ CONFIGS = {
     "blades1": {**MAVIC_LIKE, "n_blades": 1},
     "blades3": {**MAVIC_LIKE, "n_blades": 3},
     "blades4": {**MAVIC_LIKE, "n_blades": 4},
+    # the deterministic form's 15 blade offsets, at zero spread
+    "zero8": {**MAVIC_LIKE, "n_blades": 8, "speed_variance": 0.0},
 }
 SEED = ["--seed", "20240"]
 MAVIC = ["--preset", "mavic-like"]
@@ -100,6 +103,10 @@ MATRIX = {
     "validate-1-blade": ["validate", "--config", "{blades1}", "--n", "2000", *PAIR],
     "validate-3-blades": ["validate", "--config", "{blades3}", "--n", "2000", *PAIR],
     "validate-4-blades": ["validate", "--config", "{blades4}", "--n", "2000", *PAIR],
+    # the deterministic form with several blade offsets, and over more than
+    # one of its lag tiles
+    "acf-4-blades-deterministic": ["acf", "--config", "{blades4}", "--deterministic"],
+    "acf-8-blades-zero-variance": ["acf", "--config", "{zero8}", "--points", "20001"],
 }
 
 

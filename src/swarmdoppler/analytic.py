@@ -19,7 +19,8 @@ import numpy as np
 from .exceptions import (DomainError, ValidationError, _checked_array, _checked_int,
                          _checked_real)
 from .model import Curve, DerivedParams, SwarmParams, band_edge, derive
-from .special import J0_MAX_ABS_ARG, MAX_ABS_ARG, MAX_ORDER, bessel_j, bessel_j_many
+from .special import (J0_MAX_ABS_ARG, MAX_ABS_ARG, MAX_ORDER, _j0_vector, bessel_j,
+                      bessel_j_many)
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 # twice the first zero of J_0 (2.404825557695773), rounded
@@ -51,11 +52,18 @@ CONVENTION_CONSTANT = 1.0
 # coefficient_power_fraction cumulates the series power over this many
 # coefficients
 _POWER_TERMS = 10_000
+# acf_deterministic_eval walks the lags in tiles of this many, so its
+# temporaries are a few tile-sized arrays (~0.6 MB) whatever the lag count.
+# Its time per call at 20,001 and 200,001 lags, 2 and 8 blades, on a 2-vCPU
+# AVX-512 Xeon was flat from 8192 to 32768, ~10% longer at 4096 and 20-40%
+# longer at 2048
+_TILE = 8192
 
 
 def _check_phase(mean_speed: float, tau: np.ndarray) -> None:
     """Refuse lags whose rotor phase ``mean_speed*|tau|`` exceeds PHASE_MAX."""
-    lag = float(np.max(np.abs(tau), initial=0.0))
+    # the largest |tau| without an |tau| temporary the size of tau
+    lag = float(max(np.max(tau, initial=0.0), -np.min(tau, initial=0.0)))
     with np.errstate(over="ignore"):
         phase = np.float64(mean_speed) * lag
     if not phase <= PHASE_MAX:
@@ -309,6 +317,17 @@ def acf_eval(acf: AcfSeries, tau):
     return _shaped(_prefactor(p) * (acf.j0_squared + 2.0 * values), t)
 
 
+def _j0_offset(theta: np.ndarray, shift: float, size: float,
+               buf: np.ndarray) -> np.ndarray:
+    """A new array of ``J_0(size*sin(theta - shift))``, formed in ``buf``."""
+    np.subtract(theta, shift, out=buf)
+    np.sin(buf, out=buf)
+    # J_0 is even; its array kernel takes |x|
+    np.abs(buf, out=buf)
+    buf *= size
+    return _j0_vector(buf)
+
+
 def acf_deterministic_eval(params: SwarmParams, tau):
     """Exact autocorrelation for deterministic rotor speed (no truncation).
 
@@ -317,19 +336,42 @@ def acf_deterministic_eval(params: SwarmParams, tau):
     ``J0_MAX_ABS_ARG``, so the form refuses blade/wavelength above 159.15
     with :class:`DomainError`, as the series form does.  Lags follow the
     zero-spread contract of :func:`acf_eval`, refused past ``PHASE_MAX``.
+
+    With ``theta = mean_speed*tau/2`` and ``nb`` blades, the value is
+    ``|gain|^2 * n_drones * n_rotors`` times
+    ``nb*J_0(x_0) + sum_{k=1}^{nb-1} (nb - k)*(J_0(x_k) + J_0(x_-k))``,
+    ``x_k = electrical_size*sin(theta - k*pi/nb)``, summed in that order:
+    the centre term, then the pairs in increasing k.  The lags are walked
+    in tiles of ``_TILE`` (8192), one offset at a time, so the working
+    memory is the output plus O(tile) whatever the lag and blade counts:
+    at 2**18 lags the traced peak is ~11 B per lag, 8 of them the output,
+    with 1 to 8 blades.  Every lag's value is decided by that lag alone: a
+    scalar call and the same lag anywhere in an array give the same bits.
     """
     d = derive(params)
     _check_envelope(d.electrical_size, J0_MAX_ABS_ARG, "deterministic form")
     t = _checked_array(tau, "tau", DomainError)
     _check_phase(params.mean_speed, t)
     nb = params.n_blades
-    theta = 0.5 * params.mean_speed * t.ravel()
-    offsets = np.arange(-(nb - 1), nb)
-    mult = (nb - np.abs(offsets)).astype(float)
-    args = d.electrical_size * np.sin(theta[None, :] - (np.pi / nb) * offsets[:, None])
-    j0_vals = bessel_j(0, args)
-    values = (params.gain_magnitude ** 2 * params.n_drones * params.n_rotors) \
-        * (mult @ j0_vals)
+    size = d.electrical_size
+    half_speed = 0.5 * params.mean_speed
+    lags = t.ravel()
+    values = np.empty_like(lags)
+    width = min(_TILE, lags.size)
+    theta, buf = np.empty(width), np.empty(width)
+    for start in range(0, lags.size, _TILE):
+        out = values[start:start + _TILE]
+        # the last tile may be shorter
+        theta, buf = theta[:out.size], buf[:out.size]
+        np.multiply(half_speed, lags[start:start + _TILE], out=theta)
+        np.multiply(_j0_offset(theta, 0.0, size, buf), nb, out=out)
+        for k in range(1, nb):
+            shift = (np.pi / nb) * k
+            pair = _j0_offset(theta, shift, size, buf)
+            pair += _j0_offset(theta, -shift, size, buf)
+            pair *= nb - k
+            out += pair
+    values *= params.gain_magnitude ** 2 * params.n_drones * params.n_rotors
     return _shaped(values, t)
 
 

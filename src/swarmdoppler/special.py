@@ -188,8 +188,10 @@ def _j0_hankel(ax: np.ndarray) -> np.ndarray:
     p = np.full_like(ax, _HANKEL_P[-1])
     q = np.full_like(ax, _HANKEL_Q[-1])
     for cp, cq in zip(_HANKEL_P[-2::-1], _HANKEL_Q[-2::-1]):
-        p = p * inv_sq + cp
-        q = q * inv_sq + cq
+        p *= inv_sq
+        p += cp
+        q *= inv_sq
+        q += cq
     q /= ax
     c = np.cos(ax)
     s = np.sin(ax)
