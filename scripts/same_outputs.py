@@ -59,6 +59,11 @@ CONFIGS = {
     "blades4": {**MAVIC_LIKE, "n_blades": 4},
     # the deterministic form's 15 blade offsets, at zero spread
     "zero8": {**MAVIC_LIKE, "n_blades": 8, "speed_variance": 0.0},
+    # one blade at blade/wavelength 7.8, where the power past the paper's
+    # cutoff plus 20 orders is largest
+    "blade1ratio78": {**MAVIC_LIKE, "n_blades": 1, "blade_length_m": 0.234},
+    "blade1ratio78zero": {**MAVIC_LIKE, "n_blades": 1, "blade_length_m": 0.234,
+                          "speed_variance": 0.0},
 }
 SEED = ["--seed", "20240"]
 MAVIC = ["--preset", "mavic-like"]
@@ -107,6 +112,9 @@ MATRIX = {
     # one of its lag tiles
     "acf-4-blades-deterministic": ["acf", "--config", "{blades4}", "--deterministic"],
     "acf-8-blades-zero-variance": ["acf", "--config", "{zero8}", "--points", "20001"],
+    "acf-1-blade-ratio-7.8": ["acf", "--config", "{blade1ratio78}"],
+    "psd-1-blade-ratio-7.8": ["psd", "--config", "{blade1ratio78}"],
+    "psd-1-blade-ratio-7.8-zero-variance": ["psd", "--config", "{blade1ratio78zero}"],
 }
 
 

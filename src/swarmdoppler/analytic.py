@@ -19,8 +19,8 @@ import numpy as np
 from .exceptions import (DomainError, ValidationError, _checked_array, _checked_int,
                          _checked_real)
 from .model import Curve, DerivedParams, SwarmParams, band_edge, derive
-from .special import (J0_MAX_ABS_ARG, MAX_ABS_ARG, MAX_ORDER, _j0_vector, bessel_j,
-                      bessel_j_many)
+from .special import (J0_MAX_ABS_ARG, MAX_ABS_ARG, MAX_ORDER, _j0_vector, _start_order,
+                      bessel_j, bessel_j_many)
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 # twice the first zero of J_0 (2.404825557695773), rounded
@@ -49,9 +49,6 @@ PHASE_MAX = 2.0 ** 52
 # the one global factor relating psd_eval to the plain integral transform of
 # the autocorrelation, pinned by the transform round-trip check
 CONVENTION_CONSTANT = 1.0
-# coefficient_power_fraction cumulates the series power over this many
-# coefficients
-_POWER_TERMS = 10_000
 # acf_deterministic_eval walks the lags in tiles of this many, so its
 # temporaries are a few tile-sized arrays (~0.6 MB) whatever the lag count.
 # Its time per call at 20,001 and 200,001 lags, 2 and 8 blades, on a 2-vCPU
@@ -129,21 +126,37 @@ def _prefactor(params: SwarmParams) -> float:
 
 
 def truncation_index(electrical_size: float, n_blades: int) -> int:
-    """Smallest harmonic index beyond which the series coefficients vanish.
+    """The paper's cutoff: the harmonic index where the Bessel order
+    ``n_blades*n`` reaches the argument ``electrical_size/2``.
 
-    A Bessel function is negligible before its order reaches its argument,
-    so squared coefficients at order ``n_blades*n`` of argument
-    ``electrical_size/2`` die once ``n`` exceeds
-    ``electrical_size / (2*n_blades)``.
+    Past it the squared coefficients enter Airy's transition region and then
+    fall off faster than geometrically, but they are not yet negligible:
+    the series itself runs on to where the Bessel kernel starts its
+    recurrence (:func:`build_acf`), which is where the mixture's lines and
+    the power table stop too.  This index is reported, never summed to.
     """
     electrical_size = _checked_real(electrical_size, "electrical_size", gt=0)
     return math.ceil(electrical_size / (2.0 * _checked_int(n_blades, "n_blades")))
 
 
-def _series_margin(cutoff: int) -> int:
-    # cutoff is a first-order estimate; the margin is validated by the
-    # truncation-soundness test
-    return max(20, math.ceil(0.2 * cutoff))
+def _checked_size(electrical_size) -> float:
+    """``electrical_size`` as a float, refused outside the series envelope."""
+    electrical_size = _checked_real(electrical_size, "electrical_size")
+    _check_envelope(electrical_size, 2.0 * MAX_ABS_ARG, "series form")
+    return electrical_size
+
+
+def _series_terms(electrical_size: float, n_blades: int) -> int:
+    """Number of harmonics every series sum keeps: each whose Bessel order
+    ``n_blades*n`` lies below the order the Miller recurrence of
+    :mod:`.special` starts from at ``x = electrical_size/2``.
+
+    The power the rule leaves out, ``sum_{nu>K} J_nu(x)**2`` past that
+    order K, is below ``_EPSILON`` (2**-90), the size of a term the
+    evaluators skip, over the whole envelope.
+    """
+    x = abs(_checked_size(electrical_size)) / 2.0
+    return math.ceil(_start_order(0, x) / _checked_int(n_blades, "n_blades"))
 
 
 def harmonic_coefficients(electrical_size: float, n_blades: int, n_max: int) -> np.ndarray:
@@ -155,11 +168,9 @@ def harmonic_coefficients(electrical_size: float, n_blades: int, n_max: int) -> 
     double-precision cumulative sum.  An electrical size beyond
     ``2*MAX_ABS_ARG`` (blade/wavelength 159.15) raises DomainError.
     """
-    _check_envelope(_checked_real(electrical_size, "electrical_size"), 2.0 * MAX_ABS_ARG,
-                    "series form")
+    half = _checked_size(electrical_size) / 2.0
     n_blades = _checked_int(n_blades, "n_blades")
     n_max = _checked_int(n_max, "n_max")
-    half = electrical_size / 2.0
     top = min(n_blades * n_max, MAX_ORDER)
     column = bessel_j_many(top, half)
     coeffs = np.zeros(n_max)
@@ -200,16 +211,17 @@ class AcfSeries:
         object.__setattr__(self, "dc_level", _prefactor(p) * j0_sq)
 
 
-def build_acf(params: SwarmParams, n_terms: int | None = None) -> AcfSeries:
+def build_acf(params: SwarmParams) -> AcfSeries:
     """Assemble the series coefficients for the given swarm.
 
-    ``n_terms`` defaults to the truncation index plus a safety margin; it may
-    be overridden (e.g. to probe truncation soundness).
+    The series keeps every harmonic whose Bessel order ``n_blades*n`` lies
+    below the order the kernel's recurrence starts from at
+    ``electrical_size/2``, so it leaves out less than 2**-90 of the Bessel
+    power ``J_0**2 + 2*sum J_k**2 = 1``: 67 terms on mavic-like, whose
+    paper cutoff (:func:`truncation_index`) is 44.
+    ``AcfSeries(params, n_terms)`` cuts the series elsewhere.
     """
-    if n_terms is None:
-        cutoff = truncation_index(derive(params).electrical_size, params.n_blades)
-        n_terms = cutoff + _series_margin(cutoff)
-    return AcfSeries(params, n_terms)
+    return AcfSeries(params, _series_terms(derive(params).electrical_size, params.n_blades))
 
 
 def _series_sum(acf: AcfSeries, u: np.ndarray, phi: np.ndarray, acc: np.ndarray,
@@ -432,10 +444,11 @@ class PsdMixture:
 
 
 def build_psd(params: SwarmParams) -> PsdMixture:
-    """Assemble the Gaussian-mixture spectrum of :func:`build_acf`'s series.
+    """Assemble the Gaussian-mixture spectrum of :func:`build_acf`'s series,
+    one pair of Gaussians per harmonic it keeps.
 
     Requires a spread rotor-speed distribution; see :class:`PsdMixture`.
-    Another cut is ``PsdMixture(build_acf(params, n_terms))``.
+    Another cut is ``PsdMixture(AcfSeries(params, n_terms))``.
     """
     return PsdMixture(build_acf(params))
 
@@ -551,19 +564,18 @@ def psd_line_spectrum(params: SwarmParams) -> Curve:
 
     A :class:`Curve` on the ``angular_frequency_rad_per_s`` axis: lines at 0
     and ``+-n_blades*n*mean_speed``, ascending, with the mean power each
-    carries as ``y``.  Mirror pairs are counted separately, so the pair
-    count is the electrical size over the blade count.  The lines stop at
-    the paper's cutoff, :func:`truncation_index`, so their sum can fall a
-    few percent short of the zero-lag autocorrelation (0.3-2.8% on
-    mavic-like with 1-4 blades).
+    carries as ``y``: ``dc_level`` and the weighted coefficients of
+    :func:`build_acf`'s series, a mirror pair per harmonic it keeps (67 on
+    mavic-like).  The weights sum to ``acf_eval(build_acf(params), 0)``;
+    lines cut at the paper's :func:`truncation_index` would fall 0.3-2.8%
+    short of it on mavic-like with 1-4 blades.
     """
     if params.speed_variance != 0.0:
         raise DomainError(
             f"line spectrum requires speed_variance == 0, got {params.speed_variance!r}"
         )
-    cutoff = truncation_index(derive(params).electrical_size, params.n_blades)
-    acf = build_acf(params, cutoff)
-    freqs = np.arange(1, cutoff + 1) * (params.n_blades * params.mean_speed)
+    acf = build_acf(params)
+    freqs = np.arange(1, acf.n_terms + 1) * (params.n_blades * params.mean_speed)
     weights = _prefactor(params) * acf.coefficients
     return Curve(axis="angular_frequency_rad_per_s",
                  x=np.concatenate([-freqs[::-1], [0.0], freqs]),
@@ -575,8 +587,9 @@ def coefficient_power_fraction(electrical_size: float, n_blades: int,
                                fraction: float, *, order: str = "magnitude") -> int:
     """Number of coefficients needed to hold ``fraction`` of the series power.
 
-    Power is the cumulative sum of c_n over the first ``_POWER_TERMS``
-    (10 000) coefficients.  ``order`` selects the cumulation rule:
+    Power is the cumulative sum of c_n over the coefficients a series of
+    this size keeps (those of :func:`build_acf`), whose total is within
+    2**-90 of the whole series'.  ``order`` selects the cumulation rule:
     ``"magnitude"`` sorts coefficients in descending size first, ``"index"``
     keeps natural harmonic order.  Both are exposed because neither ordering
     is canonical.
@@ -584,7 +597,8 @@ def coefficient_power_fraction(electrical_size: float, n_blades: int,
     _checked_real(fraction, "fraction", gt=0, lt=1)
     if not isinstance(order, str) or order not in ("magnitude", "index"):
         raise ValidationError(f"order must be 'magnitude' or 'index', got {order!r}")
-    coeffs = harmonic_coefficients(electrical_size, n_blades, _POWER_TERMS)
+    coeffs = harmonic_coefficients(electrical_size, n_blades,
+                                   _series_terms(electrical_size, n_blades))
     if order == "magnitude":
         coeffs = np.sort(coeffs)[::-1]
     cumulative = np.cumsum(coeffs)

@@ -101,7 +101,7 @@ def band_edge(params: SwarmParams) -> float:
     standard deviation ``mod_index * speed_std``; the edge is five of those
     deviations beyond it.  The spectrum does not end there: the series puts
     Gaussians past it, out to ``n_blades * n_terms * mean_speed``.  On
-    mavic-like the edge is at 48,291 rad/s and the last centre at 66,944;
+    mavic-like the edge is at 48,291 rad/s and the last centre at 70,082;
     0.25% of the side mass lies beyond the edge, and the density is 6.5e-3
     of the largest Gaussian height at the edge and 1.6e-6 of it at 1.1 times
     the edge.

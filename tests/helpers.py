@@ -1,5 +1,6 @@
 """Shared test utilities: reference parameter sets, random draws, oracles."""
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -239,6 +240,77 @@ def psd_eval_outer(psd: sd.PsdMixture, freq):
     pair = np.exp(-0.5 * ((f[None, :] - c) / s) ** 2) \
         + np.exp(-0.5 * ((f[None, :] + c) / s) ** 2)
     return np.sum(m / (SQRT_TWO_PI * s) * pair, axis=0)
+
+
+# Gauss-Hermite nodes of the oracle's mean over rotor speed: they integrate
+# cos(a*z), z standard normal, to 2.6e-16 up to a = 5 and to 2.8e-13 at a = 6
+_SPEED_NODES = 40
+_SPEED_REACH = 5.0
+
+
+def _quadrature_orders(params: sd.SwarmParams) -> int:
+    """Half the oracle's angle nodes: past this Fourier order of the blade
+    sum ``J_k(mod_index)`` carries no power a double can hold."""
+    m = sd.derive(params).mod_index
+    return math.ceil(m + 10.0 * m ** (1.0 / 3.0) + 64.0)
+
+
+def acf_quadrature_reach(params: sd.SwarmParams) -> float:
+    """The largest |lag| :func:`acf_quadrature` takes, in seconds: where its
+    speed nodes still integrate every harmonic of the blade sum."""
+    if params.speed_std == 0.0:
+        return math.inf
+    return _SPEED_REACH / (params.speed_std * _quadrature_orders(params))
+
+
+def acf_quadrature(params: sd.SwarmParams, tau) -> np.ndarray:
+    """The autocorrelation by quadrature of its definition, with no Bessel
+    value and no series.
+
+    A rotor at angle theta returns ``s(theta) = sum_b exp(-1j*m*cos(theta +
+    2*pi*b/n_blades))``, m the modulation index.  Rotors are independent,
+    each with a uniform angle and phase and a speed omega drawn from
+    N(mean_speed, speed_variance), so the autocorrelation at lag tau is
+    ``|gain|^2 * n_drones * n_rotors`` times the mean over omega of the
+    mean over theta of ``s(theta) * conj(s(theta + omega*tau))``.
+
+    The theta mean is the trapezoid rule on K >= 2*(m + 10*m**(1/3) + 64)
+    nodes, exact for the periodic integrand but for aliases, each a product
+    with a Bessel value past order K/2, below 2e-26 over the envelope.  K is a
+    multiple of n_blades, so blade b's angle at node j is the angle of node
+    ``j + b*K/n_blades``: ``s`` is one exponential over the K nodes folded
+    onto the first K/n_blades, over which, one period of ``s``, the mean is
+    taken.  The omega mean is Gauss-Hermite on 40 nodes, which integrates
+    harmonic k to 2.6e-16 while ``k*speed_std*|tau| <= 5``; lags past
+    :func:`acf_quadrature_reach`, where that fails for some ``k <= K/2``,
+    fail the calling test.  At zero spread it is the one node mean_speed.
+    """
+    lags = np.asarray(tau, dtype=float).ravel()
+    assert np.all(np.abs(lags) <= acf_quadrature_reach(params)), \
+        "lag past the reach of the quadrature over rotor speed"
+    m = sd.derive(params).mod_index
+    nb = params.n_blades
+    n_nodes = nb * math.ceil(2 * _quadrature_orders(params) / nb)
+    theta = (2.0 * np.pi / n_nodes) * np.arange(n_nodes)
+
+    def blade_sum(shifts):
+        """s(theta + shift) on one blade period, a row per shift."""
+        rows = np.exp(-1j * m * np.cos(theta + shifts[:, None]))
+        return rows.reshape(shifts.size, nb, n_nodes // nb).sum(axis=1)
+
+    if params.speed_std == 0.0:
+        speeds, weights = np.array([params.mean_speed]), np.ones(1)
+    else:
+        x, w = np.polynomial.hermite.hermgauss(_SPEED_NODES)
+        speeds = params.mean_speed + math.sqrt(2.0) * params.speed_std * x
+        weights = w / math.sqrt(math.pi)
+    here = np.conj(blade_sum(np.zeros(1)))
+    values = np.empty(lags.size)
+    for i, lag in enumerate(lags):
+        # the turn omega*lag, reduced exactly to one period
+        there = blade_sum(np.fmod(speeds * lag, 2.0 * np.pi))
+        values[i] = weights @ np.mean((here * there).real, axis=1)
+    return params.gain_magnitude ** 2 * params.n_drones * params.n_rotors * values
 
 
 # oracles of the paper's phase-average identity, the mean of J_n(size*sin(phi))

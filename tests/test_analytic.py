@@ -12,10 +12,10 @@ import swarmdoppler as sd
 from swarmdoppler import validation
 from swarmdoppler.exceptions import DomainError, ValidationError
 from swarmdoppler.analytic import (_EPSILON, _KERNEL_REACH, _NORMAL_REACH, SQRT_TWO_PI,
-                                   _reaches, _windows)
-from helpers import (acf_eval_every_term, acf_eval_outer, mavic_params,
-                     fit_convention_constant, psd_eval_outer, random_params,
-                     transform_of_analytic_acf)
+                                   _reaches, _series_terms, _windows)
+from helpers import (acf_eval_every_term, acf_eval_outer, acf_quadrature,
+                     acf_quadrature_reach, mavic_params, fit_convention_constant,
+                     psd_eval_outer, random_params, transform_of_analytic_acf)
 
 # 40-digit-arithmetic references at the exact float inputs of the reference
 # configuration (blade 0.21 m, wavelength 0.03 m, mean speed 523 rad/s)
@@ -48,7 +48,9 @@ def test_truncation_index_validation():
 
 def test_build_acf_reference_values():
     acf = sd.build_acf(mavic_params())
-    assert acf.n_terms == 44 + 20
+    # the kernel's recurrence starts at order 133 for J(87.96), so 67 terms
+    # of order 2n; the paper's cutoff is 44
+    assert acf.n_terms == 67
     assert acf.dc_level == pytest.approx(MAVIC_DC_LEVEL, rel=1e-11)
     assert acf.j0_squared == pytest.approx(MAVIC_J0_SQ, rel=1e-11)
     assert acf.coefficients[0] == pytest.approx(MAVIC_C1, rel=1e-10)
@@ -126,12 +128,92 @@ def test_acf_series_truncation_soundness():
     rng = np.random.default_rng(5)
     for params in [mavic_params()] + [random_params(rng) for _ in range(5)]:
         acf = sd.build_acf(params)
-        extended = sd.build_acf(params, n_terms=math.ceil(1.5 * acf.n_terms))
+        extended = sd.AcfSeries(params, math.ceil(1.5 * acf.n_terms))
         taus = np.linspace(0.0, 10.0 * sd.mainlobe_width(params), 300)
         base = sd.acf_eval(acf, taus)
         longer = sd.acf_eval(extended, taus)
         scale = abs(sd.acf_eval(acf, 0.0))
         assert np.max(np.abs(longer - base)) <= 1e-9 * scale
+
+
+# the blade/wavelength ratios of the Bessel envelope: geometric steps below
+# 1, then even ones up to 159.15, its top
+ENVELOPE_RATIOS = np.concatenate([np.geomspace(1e-3, 1.0, 60, endpoint=False),
+                                  np.linspace(1.0, 159.15, 700)])
+
+
+def test_the_series_leaves_out_less_than_2_to_the_minus_90_of_the_bessel_power():
+    for ratio in ENVELOPE_RATIOS:
+        size = 8.0 * np.pi * ratio
+        column = sd.bessel_j_many(sd.special.MAX_ORDER, size / 2.0)
+        # past[k] is the power J_0^2 + 2*sum J_nu^2 holds past order k
+        past = 2.0 * np.cumsum(column[:0:-1] ** 2)[::-1]
+        for n_blades in range(1, 9):
+            kept = n_blades * _series_terms(size, n_blades)
+            assert past[kept] <= _EPSILON, (ratio, n_blades)
+
+
+def _quadrature_lags(params, fractions):
+    """Lags out to one revolution, or less where the oracle's speed nodes
+    stop integrating every harmonic."""
+    span = min(2.0 * np.pi / params.mean_speed, acf_quadrature_reach(params))
+    return span * np.append(0.0, fractions)
+
+
+def _quadrature_gap(params, taus):
+    """The largest |acf_eval - acf_quadrature| in units of acf(0)."""
+    values = sd.acf_eval(sd.build_acf(params), taus)
+    return np.max(np.abs(values - acf_quadrature(params, taus))) / values[0]
+
+
+@pytest.mark.filterwarnings("ignore:carrier wavelength is not small:UserWarning")
+@pytest.mark.parametrize("n_blades", range(1, 9))
+def test_the_quadrature_oracle_is_the_deterministic_form_at_zero_spread(n_blades):
+    for ratio in (0.3, 7.8, 40.0):
+        params = mavic_params(n_blades=n_blades, speed_variance=0.0,
+                              blade_length=0.03 * ratio)
+        taus = _quadrature_lags(params, np.linspace(0.05, 1.0, 6))
+        exact = sd.acf_deterministic_eval(params, taus)
+        gap = np.abs(acf_quadrature(params, taus) - exact)
+        assert np.max(gap) <= 1e-13 * exact[0], ratio
+
+
+@pytest.mark.filterwarnings("ignore:carrier wavelength is not small:UserWarning")
+@settings(max_examples=30, deadline=None)
+@given(ratio=st.floats(min_value=0.01, max_value=40.0),
+       n_blades=st.integers(min_value=1, max_value=8),
+       n_drones=st.integers(min_value=1, max_value=6),
+       n_rotors=st.integers(min_value=1, max_value=8),
+       variance=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=400.0)),
+       fractions=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=5))
+def test_acf_eval_is_the_quadrature_of_its_definition(ratio, n_blades, n_drones, n_rotors,
+                                                      variance, fractions):
+    params = mavic_params(blade_length=0.03 * ratio, n_blades=n_blades, n_drones=n_drones,
+                          n_rotors=n_rotors, speed_variance=variance)
+    assert _quadrature_gap(params, _quadrature_lags(params, fractions)) <= 1e-13
+
+
+# one blade near ratio 7.8, where the power past the paper's cutoff plus 20
+# orders is largest (2.2e-11 of acf(0)), and the top of the envelope
+@pytest.mark.parametrize("n_blades, ratio", [(1, 5.0), (1, 7.8), (1, 8.0), (2, 100.0),
+                                             (1, 159.0), (3, 159.15)])
+@pytest.mark.parametrize("variance", [0.0, 27.0])
+def test_acf_eval_is_the_quadrature_of_its_definition_across_the_envelope(n_blades, ratio,
+                                                                          variance):
+    params = mavic_params(n_blades=n_blades, blade_length=0.03 * ratio,
+                          speed_variance=variance)
+    taus = _quadrature_lags(params, np.linspace(0.02, 1.0, 4) ** 3)
+    assert _quadrature_gap(params, taus) <= 1e-13
+
+
+@pytest.mark.filterwarnings("ignore:carrier wavelength is not small:UserWarning")
+@pytest.mark.parametrize("n_blades", range(1, 9))
+def test_line_weights_sum_to_the_zero_lag_autocorrelation(n_blades):
+    for ratio in (0.05, 2.0, 7.0, 7.8, 40.0, 150.0):
+        params = mavic_params(n_blades=n_blades, speed_variance=0.0,
+                              blade_length=0.03 * ratio)
+        total = sd.acf_eval(sd.build_acf(params), 0.0)
+        assert sd.psd_line_spectrum(params).y.sum() == pytest.approx(total, rel=1e-14), ratio
 
 
 def test_series_matches_deterministic_form_without_spread():
@@ -289,15 +371,13 @@ def test_line_spectrum_reference_layout():
     params = mavic_params(speed_variance=0.0)
     lines = sd.psd_line_spectrum(params)
     freqs, weights = lines.x, lines.y
-    assert len(freqs) == 2 * 44 + 1
-    # paired components land within one of electrical_size / n_blades
-    size = sd.derive(params).electrical_size
-    assert abs((len(freqs) - 1) - size / params.n_blades) <= 1.0
+    # a mirror pair per term of the series
+    assert len(freqs) == 2 * 67 + 1
     positive = freqs[freqs > 0]
-    assert np.array_equal(np.diff(positive), np.full(43, 1046.0))
+    assert np.array_equal(np.diff(positive), np.full(66, 1046.0))
     assert np.array_equal(freqs, -freqs[::-1])
     acf = sd.build_acf(params)
-    assert weights.sum() == pytest.approx(sd.acf_eval(acf, 0.0), rel=0.05)
+    assert weights.sum() == pytest.approx(sd.acf_eval(acf, 0.0), rel=1e-14)
     mirrored = set(zip(-freqs, weights))
     assert mirrored == set(zip(freqs, weights))
 
@@ -309,7 +389,9 @@ def test_line_spectrum_minimal_case():
                                 wavelength=1.0, mean_speed=1.0,
                                 speed_variance=0.0)
     lines = sd.psd_line_spectrum(params)
-    assert lines.x.tolist() == [-1.0, 0.0, 1.0]
+    # the paper's cutoff is 1, but the lines run on to the order the
+    # kernel's recurrence starts from at x = 1, 41
+    assert lines.x.tolist() == [float(n) for n in range(-41, 42)]
 
 
 def test_line_spectrum_rejects_spread_speeds():
@@ -378,7 +460,7 @@ def test_transform_round_trip_matches_mixture():
     assert n_bins > 1000
 
 
-# blade/wavelength 148.5 with two blades: a 1121-term series
+# blade/wavelength 148.5 with two blades: a 996-term series
 RATIO_150 = dict(blade_length=0.03 * 148.5, wavelength=0.03)
 SWARMS = {f"{nb} blades": dict(n_blades=nb) for nb in (1, 2, 3, 4)}
 SWARMS["ratio 150"] = RATIO_150
@@ -631,7 +713,7 @@ def test_psd_eval_keeps_the_subnormal_density_in_the_gap_at_dc():
 ])
 def test_evaluator_memory_does_not_grow_with_the_term_count(evaluate, build, span):
     params = mavic_params(**RATIO_150)
-    assert sd.build_acf(params).n_terms == 1121
+    assert sd.build_acf(params).n_terms == 996
     model = build(params)
     points = np.linspace(*span(params), 20_001)
     tracemalloc.start()

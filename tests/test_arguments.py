@@ -309,8 +309,6 @@ _WALK = {
     "DerivedParams": (sd.DerivedParams, dict(electrical_size=10.0),
                       dict(electrical_size="real")),
     "AcfSeries": (sd.AcfSeries, dict(params=PARAMS, n_terms=5), dict(n_terms="int")),
-    "build_acf": (sd.build_acf, dict(params=PARAMS, n_terms=5),
-                  dict(n_terms="int-or-none")),
     "acf_eval": (sd.acf_eval, dict(acf=ACF, tau=[0.0, 1e-4]), dict(tau="reals")),
     "acf_deterministic_eval": (sd.acf_deterministic_eval, dict(params=PARAMS0, tau=[0.0, 1e-4]),
                                dict(tau="reals")),
@@ -351,9 +349,9 @@ _WALK = {
 }
 # callables that take no number, only the library's own objects or a path
 _NO_NUMBERS = {"RunConfig", "derive", "band_edge", "check_grid", "serialize_config",
-               "curve_to_csv", "curve_to_json", "mainlobe_width", "build_psd", "PsdMixture",
-               "psd_support", "psd_line_spectrum", "sample_state", "synthesize",
-               "estimate_psd", "save_ensemble", "load_ensemble"}
+               "curve_to_csv", "curve_to_json", "mainlobe_width", "build_acf", "build_psd",
+               "PsdMixture", "psd_support", "psd_line_spectrum", "sample_state",
+               "synthesize", "estimate_psd", "save_ensemble", "load_ensemble"}
 _SPOILS = [(name, arg) for name, (_, _, kinds) in _WALK.items() for arg in kinds]
 
 

@@ -419,11 +419,11 @@ def test_psd_command_line_spectrum(tmp_path):
     config = write_config(tmp_path, speed_variance=0.0)
     assert main(["psd", "--config", str(config), "--out", str(out)]) == 0
     manifest = assert_digests_match(out)
-    assert manifest["line_count"] == 89
+    assert manifest["line_count"] == 135
     assert manifest["line_spacing_rad_s"] == 1046.0
     rows = (out / "psd_lines.csv").read_text().splitlines()
     assert rows[0] == "angular_frequency_rad_per_s,weight"
-    assert len(rows) == 90
+    assert len(rows) == 136
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
