@@ -82,6 +82,8 @@ MATRIX = {
     "coeffs": ["coeffs", *MAVIC],
     "validate-1-worker": ["validate", *MAVIC, "--n", "2000", "--workers", "1", *SEED],
     "validate-2-workers": ["validate", *MAVIC, "--n", "2000", "--workers", "2", *SEED],
+    # five 8-row blocks and a partial one of 5 rows
+    "validate-partial-block": ["validate", *MAVIC, "--n", "45", *PAIR],
     "simulate-spectrogram": ["simulate", *MAVIC, "--n", "64", "--spectrogram", *SEED],
     "simulate-complex128-2-workers": ["simulate", *MAVIC, "--n", "64", "--dtype", "complex128",
                                       "--workers", "2", "--spectrogram", *SEED],

@@ -20,7 +20,7 @@ from .exceptions import (DomainError, ValidationError, _checked_array, _checked_
                          _checked_real)
 from .model import Curve, DerivedParams, SwarmParams, band_edge, derive
 from .special import (J0_MAX_ABS_ARG, MAX_ABS_ARG, MAX_ORDER, _j0_vector, _start_order,
-                      bessel_j, bessel_j_many)
+                      bessel_j_many)
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 # twice the first zero of J_0 (2.404825557695773), rounded
@@ -168,16 +168,21 @@ def harmonic_coefficients(electrical_size: float, n_blades: int, n_max: int) -> 
     double-precision cumulative sum.  An electrical size beyond
     ``2*MAX_ABS_ARG`` (blade/wavelength 159.15) raises DomainError.
     """
+    return _squared_orders(electrical_size, n_blades, n_max)[1:]
+
+
+def _squared_orders(electrical_size: float, n_blades: int, n_max: int) -> np.ndarray:
+    """J_{n_blades*n}(electrical_size/2)^2 for n = 0..n_max, from one Bessel
+    column: J_0^2, then the coefficients of :func:`harmonic_coefficients`."""
     half = _checked_size(electrical_size) / 2.0
     n_blades = _checked_int(n_blades, "n_blades")
     n_max = _checked_int(n_max, "n_max")
     top = min(n_blades * n_max, MAX_ORDER)
     column = bessel_j_many(top, half)
-    coeffs = np.zeros(n_max)
+    squares = np.zeros(n_max + 1)
     reachable = top // n_blades
-    orders = n_blades * np.arange(1, reachable + 1)
-    coeffs[:reachable] = column[orders] ** 2
-    return coeffs
+    squares[:reachable + 1] = column[n_blades * np.arange(reachable + 1)] ** 2
+    return squares
 
 
 @dataclass(frozen=True)
@@ -202,9 +207,11 @@ class AcfSeries:
             raise ValidationError(f"params must be a SwarmParams, got {p!r}")
         object.__setattr__(self, "n_terms", _checked_int(self.n_terms, "n_terms"))
         d = derive(p)
-        coeffs = harmonic_coefficients(d.electrical_size, p.n_blades, self.n_terms)
+        # J_0^2 and the coefficients from one Bessel column
+        squares = _squared_orders(d.electrical_size, p.n_blades, self.n_terms)
+        coeffs = squares[1:]
         coeffs.setflags(write=False)
-        j0_sq = bessel_j(0, d.mod_index) ** 2
+        j0_sq = float(squares[0])
         object.__setattr__(self, "derived", d)
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "j0_squared", j0_sq)

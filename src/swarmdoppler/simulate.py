@@ -35,22 +35,13 @@ _ENSEMBLE_VERSION = 1
 # the signal dtypes an ensemble holds, by name, and the little-endian type
 # each is stored as in the container
 _WIRE_DTYPES = {"complex64": "<c8", "complex128": "<c16"}
-# realizations per estimator block: on validate-mavic (2 workers, 2-vCPU
-# Xeon) blocks of 32 held peak RSS to 55-57 MB against 149-157 MB at 256,
-# and ran in 2.0-2.1 s against 2.3-2.7 s; with the time-average block
-# transformed in place, 32 peak at 51.6-51.9 MB, and with a smaller working
-# set per block (_FFT_ROWS, the in-place kernel passes) at 46.7-46.8 MB
-_CHUNK_ROWS = 32
-# rows per time-average transform: a block reuses one (4, fft_len)
-# complex128 buffer, 512 KB at validate-mavic's fft_len of 8192
-_FFT_ROWS = 4
-# realizations per synthesis kernel call inside a block: fewer, longer numpy
-# calls hold the interpreter lock for less of each realization.  With each
-# block seeded in one pass and the rotor sum as BLAS products,
-# validate-mavic (in process, 2 workers) took 1.94 s with 4 (median of 5),
-# 1.61 s with 8 and 1.44 s with 16 (11 each); 16 doubles the kernel's
-# working set per call
-_SUB_ROWS = 8
+# realizations per pool task, seeded, drawn, synthesized by one kernel call
+# and reduced together.  Fewer, longer numpy calls hold the interpreter lock
+# for less of each realization: validate-mavic (in process, 2 workers) took
+# 1.94 s with 4 rows per kernel call and 1.61 s with 8; 16 rows was no
+# faster over 6 alternating pairs (1.70 s against 1.63 s) and doubles the
+# kernel's working set per call
+_BLOCK_ROWS = 8
 # fine steps of the synthesis kernel's turn table: a rotor's angle at
 # sample k is its angle at k - k % _TURN_STEPS turned on by k % _TURN_STEPS
 # steps.  A constant, so a sample's bits depend on its index alone
@@ -148,13 +139,13 @@ def _cos_sin(h: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray | None = No
 
 def _synthesize_rows(out: np.ndarray, angles: np.ndarray, phases: np.ndarray,
                      speeds: np.ndarray, params: SwarmParams, grid: SamplingGrid) -> None:
-    """Write the return of realization ``i`` of a sub-block into ``out[i]``.
+    """Write the return of realization ``i`` of a block into ``out[i]``.
 
     ``angles``, ``phases`` and ``speeds`` are ``(n, n_drones, n_rotors)``
     draws (see :func:`_draw`) and ``out`` is ``(n, n_samples)``, complex64
     or complex128.  Every element goes through the same operations whatever
     ``n`` is, and each product has one shape per swarm, so a row does not
-    depend on the sub-block it was made in, and a sample does not depend on
+    depend on the block it was made in, and a sample does not depend on
     the grid's length.  Every cosine and sine comes from :func:`_cos_sin`,
     in place, of a half angle formed from halved factors.  Each blade (or
     blade pair) takes one tangent pass per sample: its modulation phase
@@ -185,7 +176,7 @@ def _synthesize_rows(out: np.ndarray, angles: np.ndarray, phases: np.ndarray,
     # and, with an odd blade count, of the imaginary parts after them; then
     # the later blades' phase (and sine) planes and the rotor sums.  malloc
     # keeps one large block per call for the next; several ~1 MB ones it
-    # returned to the system after each 32-row block and faulted in again
+    # returned to the system after each block and faulted in again
     # (~20 page faults per realization on validate-mavic, one worker)
     n_parts = 1 if paired else 2
     n_later = later * n_parts
@@ -287,7 +278,7 @@ def synthesize(state: SwarmState, params: SwarmParams, grid: SamplingGrid) -> np
     rotor angle at every 64th sample and its turn over the samples in
     between, by angle addition in one matrix product.  The rotors are
     rotated, scaled and summed by matrix products too.  This is the
-    one-realization case of the sub-block kernel that ensembles and
+    one-realization case of the block kernel that ensembles and
     streamed estimates run.  Its bits follow numpy's CPU dispatch and the
     BLAS kernel: for OpenBLAS, the core type, which ``OPENBLAS_CORETYPE``
     may set.  Sample
@@ -356,7 +347,7 @@ def _substreams(master_seed: int, start: int, stop: int) -> list:
 
 def _blocks(params: SwarmParams, grid: SamplingGrid, master_seed: int, start: int,
             stop: int, n_workers: int, dtype: np.dtype, reduce,
-            block_rows: int = _CHUNK_ROWS):
+            block_rows: int = _BLOCK_ROWS):
     """``reduce(rows)`` for consecutive blocks of realizations ``[start, stop)``.
 
     Checks the grid, the range, the seed and the worker count when called,
@@ -364,10 +355,9 @@ def _blocks(params: SwarmParams, grid: SamplingGrid, master_seed: int, start: in
     blocks, in order.  Block ``j`` holds realizations
     ``[start + j*B, start + (j+1)*B)`` with ``B = block_rows``, drawn all
     at once from generators seeded in one pass (see :func:`_substreams`),
-    synthesized ``_SUB_ROWS`` at a time by one kernel call and
-    rounded to ``dtype``: each row has the bits of
-    ``synthesize(sample_state(params, realization_rng(master_seed, k)),
-    params, grid)`` rounded alone.  The block is built and reduced on one of
+    synthesized by one kernel call and rounded to ``dtype``: each row has
+    the bits of ``synthesize(sample_state(params, realization_rng(master_seed,
+    k)), params, grid)`` rounded alone.  The block is built and reduced on one of
     ``n_workers`` pool threads, at most one per CPU the process may run on.
     At most twice as many blocks as threads, plus one, are in flight, so
     memory is O(B) whatever the range is.
@@ -390,9 +380,7 @@ def _blocks(params: SwarmParams, grid: SamplingGrid, master_seed: int, start: in
                                  params, grid)
         else:
             draws = _draw(params, _substreams(master_seed, lo, lo + rows.shape[0]))
-            for i in range(0, rows.shape[0], _SUB_ROWS):
-                _synthesize_rows(rows[i:i + _SUB_ROWS],
-                                 *(draw[i:i + _SUB_ROWS] for draw in draws), params, grid)
+            _synthesize_rows(rows, *draws, params, grid)
         return reduce(rows)
 
     def generate():
@@ -493,21 +481,19 @@ class AcfAccumulator:
         if self.time_average:
             n_samples = self.grid.n_samples
             fft_len = 1 << (n_samples + self.n_lags - 2).bit_length()
-            # padded by hand, transformed and squared in place, _FFT_ROWS
-            # rows at a time in one reused buffer; each row's squared parts
-            # (re, im interleaved) are added in row order, the sum
-            # einsum("kf,kf->f") takes over all the rows at once
-            buffer = np.empty((min(_FFT_ROWS, rows.shape[0]), fft_len), dtype=np.complex128)
+            # padded by hand, transformed and squared in place in one
+            # buffer; each row's squared parts (re, im interleaved) are
+            # added in row order, the sum einsum("kf,kf->f") takes over all
+            # the rows at once
+            spectra = np.empty((rows.shape[0], fft_len), dtype=np.complex128)
+            spectra[:, :n_samples] = rows
+            spectra[:, n_samples:] = 0.0
+            np.fft.fft(spectra, axis=1, out=spectra)
+            parts = spectra.view(np.float64)
+            np.multiply(parts, parts, out=parts)
             squares = np.zeros(2 * fft_len)
-            for lo in range(0, rows.shape[0], _FFT_ROWS):
-                spectra = buffer[:rows.shape[0] - lo]
-                spectra[:, :n_samples] = rows[lo:lo + _FFT_ROWS]
-                spectra[:, n_samples:] = 0.0
-                np.fft.fft(spectra, axis=1, out=spectra)
-                parts = spectra.view(np.float64)
-                np.multiply(parts, parts, out=parts)
-                for part in parts:
-                    squares += part
+            for part in parts:
+                squares += part
             return squares[0::2] + squares[1::2]
         lo = self.t_ref_index
         return np.sum(rows[:, lo:lo + 1] * np.conj(rows[:, lo:lo + self.n_lags]),
@@ -561,7 +547,7 @@ def accumulate(params: SwarmParams, grid: SamplingGrid, master_seed: int,
     and the estimates are bit-identical for any ``n_workers``; from
     ``start`` 0 they equal :func:`estimate_acf` over the stored ensemble.
     Consecutive ranges add the same realizations as their union, bit for
-    bit when each split is a multiple of the block size (32) from ``start``.
+    bit when each split is a multiple of the block size (8) from ``start``.
     Unless an accumulator is a time average, only the samples the estimates
     read are made: the rows are the grid's first ``max(t_ref_index +
     n_lags)`` samples, which are the full rows' bits.
@@ -586,8 +572,8 @@ def estimate_acf(ensemble: Ensemble, t_ref_index: int = 0, n_lags: int | None = 
                  *, time_average: bool = False) -> Curve:
     """The :class:`AcfAccumulator` estimate over a stored ensemble."""
     acc = AcfAccumulator(ensemble.grid, t_ref_index, n_lags, time_average=time_average)
-    for lo in range(0, ensemble.n_realizations, _CHUNK_ROWS):
-        acc.add(ensemble.signals[lo:lo + _CHUNK_ROWS], ensemble.master_seed)
+    for lo in range(0, ensemble.n_realizations, _BLOCK_ROWS):
+        acc.add(ensemble.signals[lo:lo + _BLOCK_ROWS], ensemble.master_seed)
     return acc.curve()
 
 

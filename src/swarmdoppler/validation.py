@@ -108,7 +108,7 @@ def validate(params: SwarmParams, grid: SamplingGrid, n_realizations: int,
     ACF nRMSE after each range is the report's ``acf.convergence``, and
     ``acf.convergence_slope`` is the least-squares slope of its log-log
     line (near -1/2; None for one point).  Every split is a multiple of the
-    32-row block from 0, so the blocks and the folded sums are bit for bit
+    8-row block from 0, so the blocks and the folded sums are bit for bit
     those of one call over ``[0, n_realizations)``.
     """
     n_realizations = _checked_int(n_realizations, "n_realizations")

@@ -62,7 +62,7 @@ def synthesize_paired(state: sd.SwarmState, params: sd.SwarmParams,
                       grid: sd.SamplingGrid) -> np.ndarray:
     """The paired-blade sum of one realization, written out rotor by rotor.
 
-    The bit-exact reference for the sub-block kernel behind
+    The bit-exact reference for the block kernel behind
     :func:`swarmdoppler.synthesize`, which must take the same operations
     element by element and row by row: every cosine and sine from the
     kernel's half-angle tangent helper given the halved angle, and each

@@ -57,6 +57,16 @@ def test_build_acf_reference_values():
     assert np.all(acf.coefficients >= 0.0)
 
 
+def test_a_series_reads_j0_and_its_coefficients_from_one_bessel_column():
+    memo = sd.special._miller_column
+    memo.cache_clear()
+    acf = sd.build_acf(mavic_params())
+    assert memo.cache_info().misses == 1
+    column = memo(2 * acf.n_terms, acf.derived.mod_index)
+    assert acf.j0_squared == column[0] ** 2
+    assert np.array_equal(acf.coefficients, column[2::2] ** 2)
+
+
 def test_build_acf_doubling_drone_count_scales_exactly():
     base = sd.build_acf(mavic_params())
     doubled = sd.build_acf(mavic_params(n_drones=2))

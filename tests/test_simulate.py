@@ -265,11 +265,11 @@ def _cos_and_sin(x):
 
 def _kernel_arguments():
     """Every angle the mavic-like kernel takes a cosine or sine of, for one
-    sub-block: rotor angles, modulation phases and projection phases."""
+    block: rotor angles, modulation phases and projection phases."""
     params = mavic_params()
     grid = sd.default_grid(params)
     angles, phases, speeds = simulate._draw(
-        params, simulate._substreams(1, 0, simulate._SUB_ROWS))
+        params, simulate._substreams(1, 0, simulate._BLOCK_ROWS))
     rotor = speeds.reshape(-1, 1) * grid.times() + angles.reshape(-1, 1)
     return rotor, sd.derive(params).mod_index * np.cos(rotor), phases.reshape(-1)
 
@@ -448,7 +448,7 @@ def test_pool_threads_are_capped_at_the_cpus_the_process_may_use(monkeypatch):
         threads.append(threading.get_ident())
         return rows
 
-    n = 4 * simulate._CHUNK_ROWS
+    n = 4 * simulate._BLOCK_ROWS
     rows = np.concatenate(list(simulate._blocks(params, grid, 3, 0, n, 8,
                                                 np.dtype(np.complex64), reduce)))
     assert len(threads) == 4 and set(threads) == {threading.get_ident()}
@@ -466,8 +466,8 @@ def test_ensemble_keeps_a_read_only_view_of_the_callers_array():
 def test_ensemble_rows_are_single_realizations_rounded():
     params = mavic_params(n_blades=3)
     grid = small_grid(params, 64)
-    ens = sd.simulate_ensemble(params, grid, simulate._CHUNK_ROWS + 2, 5, n_workers=2)
-    for k in (0, simulate._CHUNK_ROWS, simulate._CHUNK_ROWS + 1):
+    ens = sd.simulate_ensemble(params, grid, simulate._BLOCK_ROWS + 2, 5, n_workers=2)
+    for k in (0, simulate._BLOCK_ROWS, simulate._BLOCK_ROWS + 1):
         alone = sd.synthesize(sd.sample_state(params, sd.realization_rng(5, k)),
                               params, grid)
         assert np.array_equal(ens.signals[k], alone.astype(np.complex64))
@@ -492,8 +492,8 @@ class _RowRecorder(sd.AcfAccumulator):
 @settings(max_examples=30, deadline=None)
 @given(n_drones=st.integers(1, 5), n_rotors=st.integers(1, 5), n_blades=st.integers(1, 4),
        gain=st.sampled_from([0.5, 1.0, 2.0]), n_samples=st.integers(16, 3000),
-       start=st.integers(0, 2 * simulate._CHUNK_ROWS),
-       count=st.integers(1, 2 * simulate._CHUNK_ROWS + simulate._SUB_ROWS + 1),
+       start=st.integers(0, 2 * simulate._BLOCK_ROWS),
+       count=st.integers(1, 3 * simulate._BLOCK_ROWS - 1),
        n_workers=st.integers(1, 2), seed=st.integers(0, 2 ** 64 - 1))
 def test_every_row_made_is_the_public_pair_rounded(n_drones, n_rotors, n_blades, gain,
                                                    n_samples, start, count, n_workers,
@@ -532,7 +532,7 @@ def test_streamed_estimates_equal_materialized(n_workers):
     # more than two blocks, the last one partial
     params = mavic_params(n_rotors=2)
     grid = small_grid(params, 64)
-    n = 2 * simulate._CHUNK_ROWS + 5
+    n = 2 * simulate._BLOCK_ROWS + 5
     ens = sd.simulate_ensemble(params, grid, n, 17)
     single = sd.AcfAccumulator(grid)
     averaged = sd.AcfAccumulator(grid, time_average=True)
@@ -545,13 +545,13 @@ def test_streamed_estimates_equal_materialized(n_workers):
 
 
 @pytest.mark.parametrize("split, exact", [
-    (simulate._CHUNK_ROWS, True), (2 * simulate._CHUNK_ROWS, True),
-    (1, False), (simulate._CHUNK_ROWS + 7, False),
+    (simulate._BLOCK_ROWS, True), (2 * simulate._BLOCK_ROWS, True),
+    (1, False), (simulate._BLOCK_ROWS + 7, False),
 ])
 def test_consecutive_ranges_equal_one_run(split, exact):
     params = mavic_params(n_rotors=2)
     grid = small_grid(params, 64)
-    n = 3 * simulate._CHUNK_ROWS - 3
+    n = 3 * simulate._BLOCK_ROWS - 3
     for time_average in (False, True):
         whole = sd.AcfAccumulator(grid, 2, 40, time_average=time_average)
         sd.accumulate(params, grid, 23, [whole], 0, n)
@@ -697,7 +697,7 @@ def test_time_average_transform_is_the_shortest_power_of_two(n_samples, n_lags, 
 def test_validate_reports_what_a_full_lag_single_reference_estimate_gives(monkeypatch):
     params = mavic_params()
     grid = small_grid(params, 512)
-    n = simulate._CHUNK_ROWS + 5
+    n = simulate._BLOCK_ROWS + 5
     report = validation.validate(params, grid, n, 5, n_workers=2).report
     assert report["acf"]["window_lags"] < grid.n_samples
 
@@ -712,7 +712,7 @@ def test_validate_reports_what_a_full_lag_single_reference_estimate_gives(monkey
 def test_a_zero_spread_validate_makes_only_the_samples_it_reads(monkeypatch):
     params = mavic_params(speed_variance=0.0)
     grid = sd.default_grid(params)
-    n = 2 * simulate._CHUNK_ROWS + 5
+    n = 2 * simulate._BLOCK_ROWS + 5
     made, blocks = [], simulate._blocks
 
     def recorded(params, grid, *args, **kwargs):
@@ -1002,22 +1002,38 @@ def test_load_ensemble_holds_the_payload_once(tmp_path):
 # with two blades, and else the peak measured with the rotor sum as BLAS
 # products, 3.75, 5.89 and 3.79 MB for 1, 3 and 4 blades
 # (2-vCPU Xeon, numpy 2.4.6), plus 5% rounded up to 0.05 MB: less than the
-# 1.03 MB of one more (rotors, padded row) plane of a sub-block
+# 1.03 MB of one more (rotors, padded row) plane of an 8-row block
 @pytest.mark.parametrize("n_blades, bound_mb", [(1, 3.95), (2, 3.0), (3, 6.2), (4, 4.0)])
 def test_one_validate_block_working_set(n_blades, bound_mb):
     params = mavic_params(n_blades=n_blades)
-    grid = sd.default_grid(params)
+    assert _one_validate_block_peak(params, sd.default_grid(params)) < bound_mb * 1e6
+
+
+def _one_validate_block_peak(params, grid):
+    """Traced peak bytes of one block through validate's two accumulators,
+    one worker, after a warm-up block."""
     accs = [sd.AcfAccumulator(grid, n_lags=validation.acf_window(params, grid)),
             sd.AcfAccumulator(grid, time_average=True)]
-    block = simulate._CHUNK_ROWS
+    block = simulate._BLOCK_ROWS
     sd.accumulate(params, grid, MAVIC_SEED, accs, 0, block)    # warm-up
     tracemalloc.start()
     try:
         sd.accumulate(params, grid, MAVIC_SEED, accs, block, 2 * block)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < bound_mb * 1e6
+
+
+# on a long grid a validate block's working set is per sample: the 8-row
+# block's complex64 rows, 64 B, beside the synthesis kernel's 48 float64
+# planes (two blades: 8 x (4 rotors + 2 sums)), 384 B; the time average's
+# padded transform of the rows, 256 B, comes after the kernel's planes are
+# freed.  460 B measured (2-vCPU Xeon, numpy 2.4.6), 652 B with 32-row
+# blocks; the bound is 448 B plus 25%
+def test_one_validate_block_working_set_on_a_long_grid():
+    params = mavic_params()
+    n_samples = 2 ** 18
+    assert _one_validate_block_peak(params, small_grid(params, n_samples)) < 560 * n_samples
 
 
 def _container_header(dtype_name):
