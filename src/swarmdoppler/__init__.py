@@ -21,8 +21,7 @@ from .analytic import (AcfSeries, PsdMixture, build_acf, acf_eval,
 from .simulate import (SwarmState, Ensemble, Spectrogram,
                        sample_state, synthesize, simulate_ensemble,
                        realization_rng, AcfAccumulator, accumulate,
-                       estimate_acf, estimate_psd, spectrogram, save_ensemble,
-                       load_ensemble)
+                       estimate_psd, spectrogram, save_ensemble, load_ensemble)
 
 __all__ = [
     "__version__",
@@ -39,6 +38,5 @@ __all__ = [
     "psd_line_spectrum", "coefficient_power_fraction",
     "SwarmState", "Ensemble", "Spectrogram", "sample_state",
     "synthesize", "simulate_ensemble", "realization_rng", "AcfAccumulator",
-    "accumulate", "estimate_acf",
-    "estimate_psd", "spectrogram", "save_ensemble", "load_ensemble",
+    "accumulate", "estimate_psd", "spectrogram", "save_ensemble", "load_ensemble",
 ]

@@ -19,7 +19,7 @@ import numpy as np
 from .exceptions import (DomainError, ValidationError, _checked_array, _checked_int,
                          _checked_real)
 from .model import Curve, DerivedParams, SwarmParams, band_edge, derive
-from .special import (J0_MAX_ABS_ARG, MAX_ABS_ARG, MAX_ORDER, _j0_vector, _start_order,
+from .special import (MAX_ABS_ARG, MAX_ORDER, _j0_vector, _start_order,
                       bessel_j_many)
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -101,24 +101,6 @@ def _shaped(flat: np.ndarray, like: np.ndarray):
     return float(flat[0]) if like.ndim == 0 else flat.reshape(like.shape)
 
 
-def _check_envelope(electrical_size: float, size_max: float, form: str) -> None:
-    """Refuse an electrical size beyond the Bessel envelope of ``form``.
-
-    ``size_max`` is the largest electrical size whose Bessel arguments stay
-    within the kernel's range for that form; the message names it as a
-    blade/wavelength ratio, since the electrical size is
-    ``8*pi*blade/wavelength``.
-    """
-    if not abs(electrical_size) <= size_max:
-        per_ratio = 8.0 * math.pi
-        raise DomainError(
-            f"blade/wavelength {electrical_size / per_ratio:.2f} (electrical size "
-            f"{electrical_size:.6g}) is outside the Bessel envelope of the {form}: "
-            f"blade/wavelength <= {size_max / per_ratio:.2f} "
-            f"(electrical size <= {size_max:g})"
-        )
-
-
 def _prefactor(params: SwarmParams) -> float:
     """|gain|^2 * n_drones * n_rotors * n_blades^2, the series scale."""
     count = params.n_drones * params.n_rotors * params.n_blades ** 2
@@ -140,9 +122,20 @@ def truncation_index(electrical_size: float, n_blades: int) -> int:
 
 
 def _checked_size(electrical_size) -> float:
-    """``electrical_size`` as a float, refused outside the series envelope."""
+    """``electrical_size`` as a float, refused outside the Bessel envelope
+    of both closed forms: the series form's J_n take half of it, up to
+    ``MAX_ABS_ARG``, and the deterministic form's J_0 all of it, up to
+    ``special.J0_MAX_ABS_ARG``, so both end at electrical size 4000."""
     electrical_size = _checked_real(electrical_size, "electrical_size")
-    _check_envelope(electrical_size, 2.0 * MAX_ABS_ARG, "series form")
+    size_max = 2.0 * MAX_ABS_ARG
+    if not abs(electrical_size) <= size_max:
+        per_ratio = 8.0 * math.pi
+        raise DomainError(
+            f"blade/wavelength {electrical_size / per_ratio:.2f} (electrical size "
+            f"{electrical_size:.6g}) is outside the Bessel envelope of the series form: "
+            f"blade/wavelength <= {size_max / per_ratio:.2f} "
+            f"(electrical size <= {size_max:g})"
+        )
     return electrical_size
 
 
@@ -368,7 +361,7 @@ def acf_deterministic_eval(params: SwarmParams, tau):
     scalar call and the same lag anywhere in an array give the same bits.
     """
     d = derive(params)
-    _check_envelope(d.electrical_size, J0_MAX_ABS_ARG, "deterministic form")
+    _checked_size(d.electrical_size)
     t = _checked_array(tau, "tau", DomainError)
     _check_phase(params.mean_speed, t)
     nb = params.n_blades
@@ -421,8 +414,6 @@ class PsdMixture:
     """
 
     acf: AcfSeries
-    params: SwarmParams = field(init=False, compare=False)
-    derived: DerivedParams = field(init=False, compare=False)
     dc_weight: float = field(init=False, compare=False)
     centers: np.ndarray = field(init=False, compare=False)  # positive, pair n at n-1
     stds: np.ndarray = field(init=False, compare=False)
@@ -439,8 +430,7 @@ class PsdMixture:
                 "use psd_line_spectrum"
             )
         n = np.arange(1, acf.n_terms + 1, dtype=float)
-        fields = dict(params=p, derived=acf.derived,
-                      dc_weight=2.0 * np.pi * acf.dc_level,
+        fields = dict(dc_weight=2.0 * np.pi * acf.dc_level,
                       centers=p.n_blades * p.mean_speed * n,
                       stds=p.speed_std * p.n_blades * n,
                       side_masses=2.0 * np.pi * _prefactor(p) * acf.coefficients)

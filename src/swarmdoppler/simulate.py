@@ -336,15 +336,6 @@ def realization_rng(master_seed: int, index: int) -> np.random.Generator:
                                                                       spawn_key=(index,))))
 
 
-def _substreams(master_seed: int, start: int, stop: int) -> list:
-    """Generators of realizations ``[start, stop)`` of ``master_seed``, each
-    with the stream of :func:`realization_rng`, seeded in one pass (see
-    :mod:`swarmdoppler._seeding`)."""
-    # imported here, so that importing the package does not import numpy.random
-    from ._seeding import generators
-    return generators(master_seed, start, stop)
-
-
 def _blocks(params: SwarmParams, grid: SamplingGrid, master_seed: int, start: int,
             stop: int, n_workers: int, dtype: np.dtype, reduce,
             block_rows: int = _BLOCK_ROWS):
@@ -354,7 +345,7 @@ def _blocks(params: SwarmParams, grid: SamplingGrid, master_seed: int, start: in
     before any realization is made, and returns a generator of the reduced
     blocks, in order.  Block ``j`` holds realizations
     ``[start + j*B, start + (j+1)*B)`` with ``B = block_rows``, drawn all
-    at once from generators seeded in one pass (see :func:`_substreams`),
+    at once from generators seeded in one pass (see :mod:`._seeding`),
     synthesized by one kernel call and rounded to ``dtype``: each row has
     the bits of ``synthesize(sample_state(params, realization_rng(master_seed,
     k)), params, grid)`` rounded alone.  The block is built and reduced on one of
@@ -370,6 +361,8 @@ def _blocks(params: SwarmParams, grid: SamplingGrid, master_seed: int, start: in
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     n_threads = min(_checked_int(n_workers, "n_workers"), cpus)
+    # imported here, so that importing the package does not import numpy.random
+    from ._seeding import generators
 
     def work(lo: int):
         rows = np.empty((min(block_rows, stop - lo), grid.n_samples), dtype=dtype)
@@ -379,7 +372,7 @@ def _blocks(params: SwarmParams, grid: SamplingGrid, master_seed: int, start: in
             rows[0] = synthesize(sample_state(params, realization_rng(master_seed, lo)),
                                  params, grid)
         else:
-            draws = _draw(params, _substreams(master_seed, lo, lo + rows.shape[0]))
+            draws = _draw(params, generators(master_seed, lo, lo + rows.shape[0]))
             _synthesize_rows(rows, *draws, params, grid)
         return reduce(rows)
 
@@ -420,8 +413,11 @@ def simulate_ensemble(params: SwarmParams, grid: SamplingGrid, n_realizations: i
         raise ValidationError(f"dtype must be complex64 or complex128, got {dtype!r}") from None
     if dtype not in [np.dtype(name) for name in _WIRE_DTYPES]:
         raise ValidationError(f"dtype must be complex64 or complex128, got {dtype}")
-    # one realization per task keeps the workers evenly loaded; the rows
-    # do not depend on the block size
+    # one realization per task, so that each row comes from the public
+    # sample_state/synthesize pair: perfbench's
+    # test_instrumented_pool_spans_keep_their_ensemble_parent counts the
+    # synthesize spans its function wrapping sees.  The rows do not depend
+    # on the block size
     blocks = _blocks(params, grid, master_seed, 0, n_realizations, n_workers, dtype,
                      reduce=lambda rows: rows, block_rows=1)
     try:
@@ -508,7 +504,13 @@ class AcfAccumulator:
         self.master_seed = master_seed
 
     def add(self, rows: np.ndarray, master_seed: int) -> None:
-        """Add the next stored realizations of ``master_seed``, one per row."""
+        """Add the next stored realizations of ``master_seed``, one per row.
+
+        Every row is checked before any is added.  They are then reduced
+        and added ``_BLOCK_ROWS`` (8) at a time, as :func:`accumulate` adds
+        its blocks: the rows of realizations ``[0, N)`` give the streamed
+        estimate's bits, in one block's working memory.
+        """
         master_seed = _checked_int(master_seed, "master_seed", low=0, high=_SEED_MAX)
         if not isinstance(rows, np.ndarray):
             raise DomainError(f"rows must be an array of realizations, one per row, "
@@ -520,7 +522,8 @@ class AcfAccumulator:
                               f"{self.grid.n_samples}-sample realizations")
         if not np.isfinite(rows).all():
             raise DomainError("rows must be finite, got a non-finite value")
-        self._fold(self._partial(rows), rows.shape[0], master_seed)
+        for block in np.split(rows, range(_BLOCK_ROWS, rows.shape[0], _BLOCK_ROWS)):
+            self._fold(self._partial(block), block.shape[0], master_seed)
 
     def curve(self) -> Curve:
         """The estimate over the realizations added so far."""
@@ -545,7 +548,8 @@ def accumulate(params: SwarmParams, grid: SamplingGrid, master_seed: int,
     Each block of realizations is synthesized, rounded to complex64 and
     reduced to every partial sum on one pool thread, so memory is O(block)
     and the estimates are bit-identical for any ``n_workers``; from
-    ``start`` 0 they equal :func:`estimate_acf` over the stored ensemble.
+    ``start`` 0 they equal :meth:`AcfAccumulator.add` of the stored
+    ensemble's rows.
     Consecutive ranges add the same realizations as their union, bit for
     bit when each split is a multiple of the block size (8) from ``start``.
     Unless an accumulator is a time average, only the samples the estimates
@@ -566,15 +570,6 @@ def accumulate(params: SwarmParams, grid: SamplingGrid, master_seed: int,
                                     np.dtype(np.complex64), reduce):
         for acc, partial in zip(accumulators, partials):
             acc._fold(partial, n_rows, int(master_seed))
-
-
-def estimate_acf(ensemble: Ensemble, t_ref_index: int = 0, n_lags: int | None = None,
-                 *, time_average: bool = False) -> Curve:
-    """The :class:`AcfAccumulator` estimate over a stored ensemble."""
-    acc = AcfAccumulator(ensemble.grid, t_ref_index, n_lags, time_average=time_average)
-    for lo in range(0, ensemble.n_realizations, _BLOCK_ROWS):
-        acc.add(ensemble.signals[lo:lo + _BLOCK_ROWS], ensemble.master_seed)
-    return acc.curve()
 
 
 def estimate_psd(acf_curve: Curve) -> Curve:

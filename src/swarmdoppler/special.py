@@ -82,7 +82,7 @@ def _tiny_arg_column(n_max: int, x: float) -> np.ndarray:
     out = np.zeros(n_max + 1)
     out[0] = 1.0
     half = x / 2.0
-    if half == 0.0:   # subnormal halving underflow: positive orders vanish
+    if half == 0.0:   # zero, or a subnormal halved to zero: positive orders vanish
         return out
     logx2 = math.log(half)
     for k in range(1, n_max + 1):
@@ -103,11 +103,6 @@ def _miller_column(n_max: int, x: float) -> np.ndarray:
     recurrence, which stores nothing.
     """
     ax = abs(x)
-    if ax == 0.0:
-        out = np.zeros(n_max + 1)
-        out[0] = 1.0
-        out.setflags(write=False)
-        return out
     if ax < _TINY_ARG:
         out = _tiny_arg_column(n_max, ax)
     else:

@@ -164,7 +164,7 @@ def fit_convention_constant(transform_curve, psd: sd.PsdMixture,
     freqs = transform_curve.x
     values = transform_curve.y
     reference = sd.psd_eval(psd, freqs)
-    _, hi = sd.psd_support(psd.params)
+    _, hi = sd.psd_support(psd.acf.params)
     dfreq = freqs[1] - freqs[0]
     mask = (np.abs(freqs) <= hi) & (np.abs(freqs) >= 1.5 * dfreq)
     mask &= reference >= floor_rel * reference.max()

@@ -287,7 +287,6 @@ _BAD["stored-2d"] = _arrays(2, complex_ok=True)
 _BAD["int-or-none"] = _BAD["int"].filter(lambda v: v is not None)
 _ARRAY_KINDS = {"reals", "reals-1d", "reals-2d", "numbers-1d", "numbers-2d"}
 
-_ENSEMBLE = sd.simulate_ensemble(PARAMS, GRID, 2, 1)
 # every public callable that takes numbers: (call, valid keyword arguments,
 # kind of each argument the walker spoils)
 _WALK = {
@@ -340,8 +339,6 @@ _WALK = {
     "accumulate": (lambda **kw: sd.accumulate(PARAMS, GRID, accumulators=[
         sd.AcfAccumulator(GRID)], **kw), dict(master_seed=1, start=0, stop=2, n_workers=1),
         dict(master_seed="int", start="int", stop="int", n_workers="int")),
-    "estimate_acf": (sd.estimate_acf, dict(ensemble=_ENSEMBLE, t_ref_index=0, n_lags=8),
-                     dict(t_ref_index="int", n_lags="int-or-none")),
     "spectrogram": (sd.spectrogram,
                     dict(series=np.zeros(VALIDATE_GRID.n_samples), grid=VALIDATE_GRID),
                     dict(series="numbers-1d")),

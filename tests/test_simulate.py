@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import swarmdoppler as sd
 from swarmdoppler import simulate, validation
+from swarmdoppler._seeding import generators
 from swarmdoppler.exceptions import DomainError, FormatError, ValidationError
 from helpers import mavic_params, synthesize_paired, synthesize_per_blade, time_average_partial
 from conftest import MAVIC_N, MAVIC_SEED, N_WORKERS
@@ -149,7 +150,7 @@ def _exact_turn(speed: float, t_start: float) -> float:
 def test_a_late_row_is_the_row_at_zero_turned_by_its_start(t_start, n_blades, dtype):
     params = mavic_params(n_blades=n_blades)
     dt = sd.default_grid(params).dt
-    angles, phases, speeds = simulate._draw(params, simulate._substreams(3, 0, 2))
+    angles, phases, speeds = simulate._draw(params, generators(3, 0, 2))
     turn = np.array([_exact_turn(speed, t_start) for speed in speeds.ravel().tolist()])
     late, turned = np.empty((2, 2, 64), dtype=dtype)
     simulate._synthesize_rows(late, angles, phases, speeds, params,
@@ -198,7 +199,7 @@ def test_kernel_is_within_tolerance_of_long_double_at_exact_angles(n_blades, t_s
     params = mavic_params(n_drones=2, n_blades=n_blades, gain_magnitude=1.3)
     default = sd.default_grid(params)
     grid = sd.SamplingGrid(t_start=t_start, dt=default.dt, n_samples=default.n_samples)
-    angles, phases, speeds = simulate._draw(params, simulate._substreams(3, 0, 2))
+    angles, phases, speeds = simulate._draw(params, generators(3, 0, 2))
     rows = np.empty((2, grid.n_samples), dtype=np.complex128)
     simulate._synthesize_rows(rows, angles, phases, speeds, params, grid)
     scatterers = params.n_drones * params.n_rotors * n_blades
@@ -227,7 +228,7 @@ def test_a_row_is_the_prefix_of_the_same_row_on_a_longer_grid(n_samples, extra, 
     # a sample's bits depend on its index alone, not on the grid's length
     params = mavic_params(n_drones=n_drones, n_blades=n_blades)
     dt = sd.default_grid(params).dt
-    draws = simulate._draw(params, simulate._substreams(seed, 0, 3))
+    draws = simulate._draw(params, generators(seed, 0, 3))
     short = np.empty((3, n_samples), dtype=dtype)
     simulate._synthesize_rows(short, *draws, params,
                               sd.SamplingGrid(t_start=t_start, dt=dt, n_samples=n_samples))
@@ -246,8 +247,7 @@ def test_a_row_is_the_prefix_of_the_same_row_on_a_longer_grid(n_samples, extra, 
 @example(seed=0, start=0, count=1)
 def test_substreams_are_numpys_seed_sequence_streams(seed, start, count):
     # realization k's generator is PCG64 seeded by numpy's own chain
-    for k, rng in zip(range(start, start + count), simulate._substreams(seed, start,
-                                                                       start + count)):
+    for k, rng in zip(range(start, start + count), generators(seed, start, start + count)):
         oracle = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
             seed, spawn_key=(k,))))
         assert rng.bit_generator.state == oracle.bit_generator.state
@@ -269,7 +269,7 @@ def _kernel_arguments():
     params = mavic_params()
     grid = sd.default_grid(params)
     angles, phases, speeds = simulate._draw(
-        params, simulate._substreams(1, 0, simulate._BLOCK_ROWS))
+        params, generators(1, 0, simulate._BLOCK_ROWS))
     rotor = speeds.reshape(-1, 1) * grid.times() + angles.reshape(-1, 1)
     return rotor, sd.derive(params).mod_index * np.cos(rotor), phases.reshape(-1)
 
@@ -534,11 +534,12 @@ def test_streamed_estimates_equal_materialized(n_workers):
     grid = small_grid(params, 64)
     n = 2 * simulate._BLOCK_ROWS + 5
     ens = sd.simulate_ensemble(params, grid, n, 17)
-    single = sd.AcfAccumulator(grid)
-    averaged = sd.AcfAccumulator(grid, time_average=True)
-    sd.accumulate(params, grid, 17, [single, averaged], 0, n, n_workers=n_workers)
-    for streamed, stored in ((single.curve(), sd.estimate_acf(ens)),
-                             (averaged.curve(), sd.estimate_acf(ens, time_average=True))):
+    accs = [sd.AcfAccumulator(grid), sd.AcfAccumulator(grid, time_average=True)]
+    sd.accumulate(params, grid, 17, accs, 0, n, n_workers=n_workers)
+    for acc in accs:
+        stored = sd.AcfAccumulator(ens.grid, time_average=acc.time_average)
+        stored.add(ens.signals, ens.master_seed)
+        streamed, stored = acc.curve(), stored.curve()
         assert np.array_equal(streamed.x, stored.x)
         assert np.array_equal(streamed.y, stored.y)
         assert streamed.meta == stored.meta
@@ -625,38 +626,46 @@ def test_simulation_refuses_an_undersampled_grid():
         validation.validate(params, grid, 2, 1)
 
 
-def test_estimate_acf_rejects_empty_ensemble():
+def test_stored_acf_rejects_empty_ensemble():
     params = mavic_params()
     grid = sd.SamplingGrid(t_start=0.0, dt=1e-4, n_samples=8)
     ens = sd.Ensemble(params=params, grid=grid, master_seed=0,
                       signals=np.zeros((0, 8), complex))
+    acc = sd.AcfAccumulator(ens.grid)
+    acc.add(ens.signals, ens.master_seed)
     with pytest.raises(DomainError, match="no realizations"):
-        sd.estimate_acf(ens)
+        acc.curve()
 
 
-def test_estimate_acf_static_scatterer_is_flat():
+def test_stored_acf_static_scatterer_is_flat():
     params, state = static_scatterer()
     grid = sd.SamplingGrid(t_start=0.0, dt=1e-4, n_samples=32)
     signal = sd.synthesize(state, params, grid)
     ens = sd.Ensemble(params=params, grid=grid, master_seed=0,
                       signals=signal[None, :])
-    curve = sd.estimate_acf(ens)
+    acc = sd.AcfAccumulator(ens.grid)
+    acc.add(ens.signals, ens.master_seed)
+    curve = acc.curve()
     assert np.allclose(curve.y, params.gain_magnitude ** 2, rtol=1e-6)
     assert abs(curve.y[0].imag) <= 1e-15 * curve.y[0].real
     assert curve.y[0].real >= 0.0
 
 
-def test_estimate_acf_matches_brute_force():
+def test_stored_acf_matches_brute_force():
     rng = np.random.default_rng(8)
     sig = (rng.normal(size=(5, 48)) + 1j * rng.normal(size=(5, 48)))
     params = mavic_params()
     grid = sd.SamplingGrid(t_start=0.0, dt=1e-5, n_samples=48)
     ens = sd.Ensemble(params=params, grid=grid, master_seed=0, signals=sig)
-    got = sd.estimate_acf(ens, t_ref_index=3, n_lags=20)
+    acc = sd.AcfAccumulator(ens.grid, t_ref_index=3, n_lags=20)
+    acc.add(ens.signals, ens.master_seed)
+    got = acc.curve()
     brute = np.array([np.mean(sig[:, 3] * np.conj(sig[:, 3 + j]))
                       for j in range(20)])
     assert np.allclose(got.y, brute, rtol=1e-12)
-    got_ta = sd.estimate_acf(ens, time_average=True)
+    acc_ta = sd.AcfAccumulator(ens.grid, time_average=True)
+    acc_ta.add(ens.signals, ens.master_seed)
+    got_ta = acc_ta.curve()
     brute_ta = np.array([
         np.mean([np.mean(sig[k, :48 - j] * np.conj(sig[k, j:]))
                  for k in range(5)])
@@ -806,20 +815,22 @@ def test_validate_reports_its_convergence_at_each_doubling():
     assert one["convergence_slope"] is None
 
 
-def test_estimate_acf_lag_overflow():
+def test_stored_acf_lag_overflow():
     params, state = static_scatterer()
     grid = sd.SamplingGrid(t_start=0.0, dt=1e-4, n_samples=8)
     ens = sd.Ensemble(params=params, grid=grid, master_seed=0,
                       signals=np.zeros((1, 8), complex))
     with pytest.raises(DomainError, match="lag"):
-        sd.estimate_acf(ens, t_ref_index=7, n_lags=2)
+        sd.AcfAccumulator(ens.grid, t_ref_index=7, n_lags=2)
 
 
-def test_estimate_acf_metadata():
+def test_stored_acf_metadata():
     params = mavic_params()
     grid = small_grid(params, 64)
     ens = sd.simulate_ensemble(params, grid, 3, 21)
-    curve = sd.estimate_acf(ens)
+    acc = sd.AcfAccumulator(ens.grid)
+    acc.add(ens.signals, ens.master_seed)
+    curve = acc.curve()
     assert curve.meta["n_realizations"] == 3
     assert curve.meta["master_seed"] == 21
     assert curve.meta["estimator"] == "single_reference"
@@ -1024,6 +1035,26 @@ def _one_validate_block_peak(params, grid):
         tracemalloc.stop()
 
 
+# add reduces stored rows a block at a time: its working set is one 8-row
+# block's time-average transform, 8 x 8192 complex128 (1.05 MB), beside
+# the 1 B/sample finite scan of all 256 mavic-like rows (1.02 MB).  Reduced
+# in one partial, the rows traced 16.5 MB (single reference) and 33.9 MB
+# (time average); the bound was set before measuring
+@pytest.mark.parametrize("time_average", [False, True])
+def test_add_works_in_one_blocks_memory(time_average):
+    params = mavic_params()
+    grid = sd.default_grid(params)
+    rows = sd.simulate_ensemble(params, grid, 256, MAVIC_SEED).signals
+    acc = sd.AcfAccumulator(grid, time_average=time_average)
+    tracemalloc.start()
+    try:
+        acc.add(rows, MAVIC_SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
+
+
 # on a long grid a validate block's working set is per sample: the 8-row
 # block's complex64 rows, 64 B, beside the synthesis kernel's 48 float64
 # planes (two blades: 8 x (4 rotors + 2 sums)), 384 B; the time average's
@@ -1173,7 +1204,8 @@ def test_non_finite_signals_round_trip_and_are_refused_where_used(tmp_path):
     loaded = sd.load_ensemble(path)
     assert loaded.signals.tobytes() == signals.tobytes()
     with pytest.raises(DomainError, match="finite"):
-        sd.estimate_acf(loaded, t_ref_index=0, n_lags=8)
+        sd.AcfAccumulator(loaded.grid, t_ref_index=0, n_lags=8).add(loaded.signals,
+                                                                     loaded.master_seed)
     with pytest.raises(DomainError, match="finite"):
         sd.spectrogram(loaded.signals[1], grid)
 
