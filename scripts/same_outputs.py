@@ -50,7 +50,7 @@ CONFIGS = {
     # blade/wavelength 148.5, near the top of the Bessel envelope
     "ratio148": {**MAVIC_LIKE, "blade_length_m": 4.455},
     # blade/wavelength 2: a short series whose density falls below 2**-35
-    # of its peak on ~28% of the support, where psd_eval's first pass goes on
+    # of its peak on ~28% of the support, where psd_eval sums again from zero
     "ratio2": {**MAVIC_LIKE, "blade_length_m": 0.06},
     # the synthesis kernel's other branches: one blade, an odd count past
     # one, and a second blade pair
@@ -64,6 +64,11 @@ CONFIGS = {
     "blade1ratio78": {**MAVIC_LIKE, "n_blades": 1, "blade_length_m": 0.234},
     "blade1ratio78zero": {**MAVIC_LIKE, "n_blades": 1, "blade_length_m": 0.234,
                           "speed_variance": 0.0},
+    # mod_index on the 28th zero of J_0, 87.18062984364116
+    # (scipy.special.jn_zeros(0, 28)[-1]), next to mavic-like's 87.96: the
+    # floor j0_squared is 2e-31, so the damped series' own bits reach the
+    # acf file
+    "j0zero": {**MAVIC_LIKE, "blade_length_m": 0.20812842272220453},
 }
 SEED = ["--seed", "20240"]
 MAVIC = ["--preset", "mavic-like"]
@@ -100,9 +105,11 @@ MATRIX = {
     "psd-wide-spread": ["psd", "--config", "{wide}"],
     "acf-ratio-148": ["acf", "--config", "{ratio148}"],
     "psd-ratio-148": ["psd", "--config", "{ratio148}"],
-    # out to 1 s ~40% of the lags have damped to ~0, where acf_eval's first
-    # pass goes on with the terms it skipped
+    # out to 1 s ~40% of the lags have damped to ~0, where acf_eval sums
+    # again from zero
     "acf-long-lags": ["acf", *MAVIC, "--tau-max", "1", "--points", "20001"],
+    "acf-long-lags-j0-zero": ["acf", "--config", "{j0zero}", "--tau-max", "1",
+                              "--points", "20001"],
     "psd-small-ratio": ["psd", "--config", "{ratio2}"],
     "simulate-1-blade": ["simulate", "--config", "{blades1}", "--n", "64", *PAIR],
     "simulate-3-blades": ["simulate", "--config", "{blades3}", "--n", "64", *PAIR],

@@ -35,9 +35,11 @@ _NORMAL_REACH = math.nextafter(math.sqrt(-2.0 * math.log(np.finfo(float).tiny)),
 # The evaluators' first pass stops each term where it is below _EPSILON (in
 # units of the largest coefficient or Gaussian height) and keeps a point's sum
 # A only when np.spacing(|A|) > 4*_EPSILON, so that adding any skipped term
-# to A rounds back to A; the other points go on with the terms they skipped.
+# to A rounds back to A.  Every other point is summed again from zero:
+# acf_eval's over every term whose damping is a normal double there,
+# psd_eval's over every Gaussian that is not exactly zero there.
 # A power of two, so a kept series sum has spacing >= 8*_EPSILON, that is
-# |A| >= 2**-35.  A larger value sends more points on
+# |A| >= 2**-35.  A larger value sums more points twice
 # (2**-70 took a fifth to a third longer on the benchmark's sweep); a smaller
 # one widens every reach as sqrt(2*ln(1/_EPSILON)), 11.2 standard deviations
 # for a unit height here.  The sweep's evaluator time was flat within 5%
@@ -224,14 +226,14 @@ def build_acf(params: SwarmParams) -> AcfSeries:
     return AcfSeries(params, _series_terms(derive(params).electrical_size, params.n_blades))
 
 
-def _series_sum(acf: AcfSeries, u: np.ndarray, phi: np.ndarray, acc: np.ndarray,
-                start: np.ndarray, stop: np.ndarray, damped: bool) -> np.ndarray:
-    """Add the harmonics to ``acc`` at the sorted ``u`` (``phi`` in the same
-    order) and return it.
+def _series_sum(acf: AcfSeries, u: np.ndarray, phi: np.ndarray, stop: np.ndarray,
+                damped: bool) -> np.ndarray:
+    """The harmonics summed from zero at the sorted ``u`` (``phi`` in the
+    same order).
 
-    Term n is added on ``u[start[n-1]:stop[n-1]]``, in harmonic order, and
-    the sum stops at the first term whose ``stop`` is 0; ``stop`` never
-    grows with n.  Every lag's phasor turns once per term up to there.
+    Term n is added on ``u[:stop[n-1]]``, in harmonic order, and the sum
+    stops at the first term whose ``stop`` is 0; ``stop`` never grows with
+    n.  Every lag's phasor turns once per term up to there.
     """
     # numpy rounds an in-place complex product over one element differently
     # from one over a longer array, so the phasors always turn over at least
@@ -242,22 +244,22 @@ def _series_sum(acf: AcfSeries, u: np.ndarray, phi: np.ndarray, acc: np.ndarray,
     step = phi[:turning[0]]
     step = np.exp(1j * (np.repeat(step, 2) if step.size == 1 else step))
     phasor = step.copy()
+    acc = np.zeros_like(u)
     term = np.empty(stop[0])
-    for n, (coeff, a, b, turn) in enumerate(zip(acf.coefficients, start.tolist(),
-                                                stop.tolist(), turning.tolist()), start=1):
+    for n, (coeff, b, turn) in enumerate(zip(acf.coefficients, stop.tolist(),
+                                             turning.tolist()), start=1):
         if b == 0:
             break
         step, phasor = step[:turn], phasor[:turn]
-        if b > a:
-            out = term[:b - a]
-            if damped:
-                np.multiply(decay[a:b], float(n * n), out=out)
-                np.exp(out, out=out)
-                out *= coeff
-                out *= phasor.real[a:b]
-            else:
-                np.multiply(coeff, phasor.real[a:b], out=out)
-            acc[a:b] += out
+        out = term[:b]
+        if damped:
+            np.multiply(decay[:b], float(n * n), out=out)
+            np.exp(out, out=out)
+            out *= coeff
+            out *= phasor.real[:b]
+        else:
+            np.multiply(coeff, phasor.real[:b], out=out)
+        acc[:b] += out
         phasor *= step
     return acc
 
@@ -283,11 +285,13 @@ def acf_eval(acf: AcfSeries, tau):
     skipped at a lag are a suffix in harmonic order.  A lag keeps its sum A
     when ``np.spacing(|A|) > 2**-88``: each skipped term is below a quarter
     ulp of A, so adding them changes no bit.  The other lags, mostly where
-    the series has damped to ~0, go on with the terms they skipped, in
-    harmonic order, term n out to ``_NORMAL_REACH`` (37.64), where the
-    damping stops being a normal double: a term skipped there is below 2**-1021, so it cannot move a
-    partial sum of magnitude 2**-966 or more, and where the partial sum is
-    smaller ``j0_squared + 2*series`` rounds to ``j0_squared`` either way.
+    the series has damped to ~0, are summed again from zero, in harmonic
+    order, over term n wherever ``n*u`` is within ``_NORMAL_REACH``
+    (37.64), where the damping stops being a normal double: the first
+    pass's terms, then those it skipped.  A term left out there is below
+    2**-1021, so it cannot move a partial sum of magnitude 2**-966 or more,
+    and where the partial sum is smaller ``j0_squared + 2*series`` rounds
+    to ``j0_squared`` either way.
     Every lag's value is decided by that lag alone, and it equals the sum
     of every term at every lag bit for bit; the cost scales with the
     (term, lag) pairs in reach.  At zero spread every damping is exactly
@@ -311,19 +315,18 @@ def acf_eval(acf: AcfSeries, tau):
     reach = _reaches(acf.coefficients, _EPSILON)
     order = np.argsort(u, kind="stable")
     u, phi = u[order], phi[order]
-    _, ends = _windows(u, 0.0, widths, reach)
+    ends = np.searchsorted(u, reach * widths)
     # at zero spread every damping is exp(-0.0) == 1.0, which changes no bit
     damped = p.speed_std != 0.0
-    series = _series_sum(acf, u, phi, np.zeros_like(u), np.zeros_like(ends), ends, damped)
-    # only the lags past the last term's reach skipped a term; the rest go
-    # on with the terms they skipped
+    series = _series_sum(acf, u, phi, ends, damped)
+    # only the lags past the last term's reach skipped a term; the rest are
+    # summed again from zero over every term in reach
     rest = ends[-1] + np.flatnonzero(np.spacing(np.abs(series[ends[-1]:]))
                                      <= 4.0 * _EPSILON)
     if rest.size:
         sub = u[rest]
-        _, full = _windows(sub, 0.0, widths, _NORMAL_REACH)
-        series[rest] = _series_sum(acf, sub, phi[rest], series[rest],
-                                   np.searchsorted(sub, reach * widths), full, damped)
+        series[rest] = _series_sum(acf, sub, phi[rest],
+                                   np.searchsorted(sub, _NORMAL_REACH * widths), damped)
     values = np.empty_like(series)
     values[order] = series
     return _shaped(_prefactor(p) * (acf.j0_squared + 2.0 * values), t)
@@ -461,18 +464,18 @@ def _gaussian(x: np.ndarray, center, std, buffer: np.ndarray) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def _add_pairs(fs: np.ndarray, acc: np.ndarray, psd: PsdMixture, scale: np.ndarray,
-               start: np.ndarray, stop: np.ndarray, mirror_stop: np.ndarray) -> np.ndarray:
-    """Add the mixture's pairs to ``acc`` at the sorted non-negative ``fs``.
+def _add_pairs(fs: np.ndarray, psd: PsdMixture, scale: np.ndarray, start: np.ndarray,
+               stop: np.ndarray, mirror_stop: np.ndarray) -> np.ndarray:
+    """The mixture's pairs summed from zero at the sorted non-negative ``fs``.
 
     Pair k adds ``scale[k]*(g(+c) + g(-c))`` on ``fs[start[k]:stop[k]]``,
     in harmonic order, with the ``-c`` Gaussian only below
     ``mirror_stop[k]``, on two buffers reused across pairs; every point
     gets the bits of that sum over the pairs in reach, whatever the other
-    points are.  Returns ``acc``.
+    points are.
     """
     c, s = psd.centers, psd.stds
-    near, mirror = np.empty_like(fs), np.empty_like(fs)
+    acc, near, mirror = np.zeros_like(fs), np.empty_like(fs), np.empty_like(fs)
     for k in np.flatnonzero(stop > start):
         a, b = start[k], stop[k]
         g = _gaussian(fs[a:b], c[k], s[k], near)
@@ -497,21 +500,21 @@ def psd_eval(psd: PsdMixture, freq):
 
     The mixture is evaluated at the sorted ``|freq|``, where the ``-c``
     Gaussian of a pair is non-zero only near DC, inside the window of
-    ``+c``.  Each pair runs up to ``_NORMAL_REACH`` (37.64) standard
-    deviations above its center, where a Gaussian stops being a normal
-    double; a Gaussian skipped there is below 2**-1021 of its pair's
-    height.  Below its center, a first pass runs pair k only from
+    ``+c``.  A first pass runs each pair up to ``_NORMAL_REACH`` (37.64)
+    standard deviations above its center, where a Gaussian stops being a
+    normal double; a Gaussian skipped there is below 2**-1021 of its
+    pair's height.  Below its center, it runs pair k only from
     ``min_{m>=k} (c_m - R_m*s_m)``, with ``R_m = min(37.64,
     sqrt(2*ln(T_m/(2**-90*H))))``, ``T_m`` the largest pair height (twice
     the Gaussian's) from m on and H the largest Gaussian height: a pair
     skipped there is below 2**-90*H, and the pairs a point skips are a
     suffix in harmonic order.  A point keeps its sum A when
     ``np.spacing(A) > 2**-88*H``, so each skipped pair is below half an
-    ulp of A and adding it changes no bit.  The other points go on with
-    the skipped pairs out to 37.64 standard deviations, in harmonic order.
-    A density has no floor to absorb what even that skips, so every point
-    whose value is below 2**-200*H is summed again within 39 standard
-    deviations, past which a Gaussian is exactly zero in double precision.
+    ulp of A and adding it changes no bit.  The other points, where the
+    density is below about 2**-35*H, are summed again from zero, in
+    harmonic order, over every pair within ``_KERNEL_REACH`` (39)
+    standard deviations, past which a Gaussian is exactly zero in double
+    precision: a density has no floor to absorb even a subnormal Gaussian.
     Every point's value is decided by that point alone, and it equals the
     sum of every pair at every frequency bit for bit, in O(n_points)
     memory; the cost scales with the (Gaussian, frequency) pairs in reach.
@@ -528,17 +531,12 @@ def psd_eval(psd: PsdMixture, freq):
     starts = c - _reaches(2.0 * scale, _EPSILON * height) * s
     starts = np.minimum.accumulate(starts[::-1])[::-1]
     first = np.searchsorted(fs, starts)
-    acc = _add_pairs(fs, np.zeros_like(fs), psd, scale, first, hi, mirror_hi)
+    acc = _add_pairs(fs, psd, scale, first, hi, mirror_hi)
     rest = np.flatnonzero(np.spacing(acc) <= 4.0 * _EPSILON * height)
     if rest.size:
         sub = fs[rest]
-        (lo, _), (_, mirror_hi) = _windows(sub, both, s, _NORMAL_REACH)
-        acc[rest] = _add_pairs(sub, acc[rest], psd, scale, lo,
-                               np.searchsorted(sub, starts), mirror_hi)
-        faint = rest[acc[rest] < 2.0 ** -200 * height]
-        sub = fs[faint]
         (lo, _), (hi, mirror_hi) = _windows(sub, both, s, _KERNEL_REACH)
-        acc[faint] = _add_pairs(sub, np.zeros_like(sub), psd, scale, lo, hi, mirror_hi)
+        acc[rest] = _add_pairs(sub, psd, scale, lo, hi, mirror_hi)
     values = np.empty_like(acc)
     values[order] = acc
     return _shaped(values, f)

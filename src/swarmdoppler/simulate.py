@@ -478,18 +478,16 @@ class AcfAccumulator:
             n_samples = self.grid.n_samples
             fft_len = 1 << (n_samples + self.n_lags - 2).bit_length()
             # padded by hand, transformed and squared in place in one
-            # buffer; each row's squared parts (re, im interleaved) are
-            # added in row order, the sum einsum("kf,kf->f") takes over all
-            # the rows at once
+            # buffer; a reduction over rows adds each row's squared parts
+            # (re, im interleaved) in row order, the sum einsum("kf,kf->f")
+            # takes over all the rows at once
             spectra = np.empty((rows.shape[0], fft_len), dtype=np.complex128)
             spectra[:, :n_samples] = rows
             spectra[:, n_samples:] = 0.0
             np.fft.fft(spectra, axis=1, out=spectra)
             parts = spectra.view(np.float64)
             np.multiply(parts, parts, out=parts)
-            squares = np.zeros(2 * fft_len)
-            for part in parts:
-                squares += part
+            squares = np.add.reduce(parts, axis=0)
             return squares[0::2] + squares[1::2]
         lo = self.t_ref_index
         return np.sum(rows[:, lo:lo + 1] * np.conj(rows[:, lo:lo + self.n_lags]),
@@ -506,10 +504,11 @@ class AcfAccumulator:
     def add(self, rows: np.ndarray, master_seed: int) -> None:
         """Add the next stored realizations of ``master_seed``, one per row.
 
-        Every row is checked before any is added.  They are then reduced
-        and added ``_BLOCK_ROWS`` (8) at a time, as :func:`accumulate` adds
-        its blocks: the rows of realizations ``[0, N)`` give the streamed
-        estimate's bits, in one block's working memory.
+        Every row is checked, ``_BLOCK_ROWS`` (8) at a time, before any is
+        added.  They are then reduced and added a block at a time, as
+        :func:`accumulate` adds its blocks: the rows of realizations
+        ``[0, N)`` give the streamed estimate's bits, in one block's
+        working memory.
         """
         master_seed = _checked_int(master_seed, "master_seed", low=0, high=_SEED_MAX)
         if not isinstance(rows, np.ndarray):
@@ -520,9 +519,10 @@ class AcfAccumulator:
         if rows.ndim != 2 or rows.shape[1] != self.grid.n_samples:
             raise DomainError(f"rows of shape {rows.shape} are not "
                               f"{self.grid.n_samples}-sample realizations")
-        if not np.isfinite(rows).all():
+        blocks = np.split(rows, range(_BLOCK_ROWS, rows.shape[0], _BLOCK_ROWS))
+        if not all(np.isfinite(block).all() for block in blocks):
             raise DomainError("rows must be finite, got a non-finite value")
-        for block in np.split(rows, range(_BLOCK_ROWS, rows.shape[0], _BLOCK_ROWS)):
+        for block in blocks:
             self._fold(self._partial(block), block.shape[0], master_seed)
 
     def curve(self) -> Curve:

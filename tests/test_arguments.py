@@ -112,6 +112,9 @@ for _field in _STATE:
         _REFUSED.append((f"SwarmState-{_field}-{_label}",
                          lambda f=_field, b=_bad: sd.SwarmState(**{**_STATE, f: np.full((1, 4), b)}),
                          ValidationError, _field))
+    _REFUSED.append((f"SwarmState-{_field}-1-d",
+                     lambda f=_field: sd.SwarmState(**{**_STATE, f: np.zeros(4)}),
+                     ValidationError, _field))
 
 _SIGNALS = np.zeros((2, GRID.n_samples), np.complex64)
 for _label, _bad in (("str", "x"), ("negative", -1), ("float", 1.5), ("bool", True),

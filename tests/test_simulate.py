@@ -119,6 +119,12 @@ def test_synthesize_matches_per_blade_reference(n_blades):
         assert np.max(np.abs(y - synthesize_per_blade(state, params, grid))) <= tol
 
 
+def test_swarm_state_refuses_arrays_of_different_shapes():
+    with pytest.raises(ValidationError, match="share one"):
+        sd.SwarmState(initial_angles=np.zeros((1, 4)), projection_phases=np.zeros((1, 4)),
+                      rotor_speeds=np.zeros((2, 4)))
+
+
 def test_synthesize_rejects_mismatched_state():
     params, state = static_scatterer()
     grid = sd.SamplingGrid(t_start=0.0, dt=1e-4, n_samples=4)
@@ -463,6 +469,12 @@ def test_ensemble_keeps_a_read_only_view_of_the_callers_array():
     assert np.shares_memory(ens.signals, signals)
 
 
+def test_ensemble_refuses_rows_of_another_sample_count():
+    params = mavic_params()
+    with pytest.raises(ValidationError, match="3 samples but the grid has 8"):
+        sd.Ensemble(params, small_grid(params, 8), 1, np.zeros((2, 3), complex))
+
+
 def test_ensemble_rows_are_single_realizations_rounded():
     params = mavic_params(n_blades=3)
     grid = small_grid(params, 64)
@@ -609,7 +621,10 @@ def test_accumulator_refuses_rows_that_are_not_finite():
     for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
         rows = np.zeros((2, 64), complex)
         rows[1, 5] = bad
-        for partial in (rows, rows.astype(np.complex64), np.full((2, 64), bad)):
+        # the bad value in the second row, or in row 16, the third block
+        late = np.zeros((17, 64), complex)
+        late[16, 5] = bad
+        for partial in (rows, rows.astype(np.complex64), np.full((2, 64), bad), late):
             with pytest.raises(DomainError, match="finite"):
                 acc.add(partial, 1)
     assert acc.n_realizations == 0
@@ -880,6 +895,9 @@ def test_estimate_psd_rejects_bad_grids():
     wrong_axis = sd.Curve(axis="frequency_hz", x=np.arange(3.0), y=np.zeros(3))
     with pytest.raises(DomainError, match="lag"):
         sd.estimate_psd(wrong_axis)
+    one_lag = sd.Curve(axis="lag_s", x=np.zeros(1), y=np.ones(1))
+    with pytest.raises(DomainError, match="two lags"):
+        sd.estimate_psd(one_lag)
 
 
 # ---------------------------------------------------------------- spectrogram
@@ -1035,16 +1053,19 @@ def _one_validate_block_peak(params, grid):
         tracemalloc.stop()
 
 
-# add reduces stored rows a block at a time: its working set is one 8-row
-# block's time-average transform, 8 x 8192 complex128 (1.05 MB), beside
-# the 1 B/sample finite scan of all 256 mavic-like rows (1.02 MB).  Reduced
-# in one partial, the rows traced 16.5 MB (single reference) and 33.9 MB
-# (time average); the bound was set before measuring
+# add checks and reduces stored rows a block at a time: its working set is
+# one 8-row block's time-average transform, 8 x 8192 complex128 (1.05 MB),
+# whatever the row count.  Reduced in one partial, 256 mavic-like rows
+# traced 16.5 MB (single reference) and 33.9 MB (time average); checked in
+# one finite scan, 2048 rows need 8.2 MB for it alone.  The bound was set
+# before measuring
+@pytest.mark.parametrize("n_rows", [256, 2048])
 @pytest.mark.parametrize("time_average", [False, True])
-def test_add_works_in_one_blocks_memory(time_average):
+def test_add_works_in_one_blocks_memory(time_average, n_rows):
     params = mavic_params()
     grid = sd.default_grid(params)
     rows = sd.simulate_ensemble(params, grid, 256, MAVIC_SEED).signals
+    rows = np.tile(rows, (n_rows // 256, 1))
     acc = sd.AcfAccumulator(grid, time_average=time_average)
     tracemalloc.start()
     try:
@@ -1115,12 +1136,13 @@ def saved_container(tmp_path):
     return path
 
 
-def rewrite_header(path, **changes):
-    """Re-encode the container at ``path`` with some header fields changed."""
+def rewrite_header(path, edit=None, **changes):
+    """Re-encode the container at ``path`` with some header fields changed,
+    or with its header replaced by ``edit(header)``."""
     data = path.read_bytes()
     (header_len,) = struct.unpack("<Q", data[8:16])
     header = json.loads(data[16:16 + header_len])
-    header.update(changes)
+    header = edit(header) if edit else {**header, **changes}
     blob = json.dumps(header).encode("utf-8")
     path.write_bytes(data[:8] + struct.pack("<Q", len(blob)) + blob
                      + data[16 + header_len:])
@@ -1216,6 +1238,13 @@ def test_load_ensemble_rejects_malformed_header_json(tmp_path):
     data[16] = 0xFF
     path.write_bytes(bytes(data))
     with pytest.raises(FormatError, match="JSON"):
+        sd.load_ensemble(path)
+
+
+def test_load_ensemble_rejects_a_header_that_is_not_an_object(tmp_path):
+    path = saved_container(tmp_path)
+    rewrite_header(path, lambda header: [header])
+    with pytest.raises(FormatError, match="JSON object"):
         sd.load_ensemble(path)
 
 
